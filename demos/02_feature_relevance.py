@@ -11,7 +11,7 @@ from xnb import (
     Dataset,
     discriminatory_power,
     explain_selection,
-    fit_kde,
+    fit_fnb,
     hellinger_table,
     select_class_specific,
 )
@@ -32,11 +32,9 @@ values[2 * n_per :, 2] += 1.0
 labels = ("a",) * n_per + ("b",) * n_per + ("c",) * n_per
 d = Dataset(names, values, labels)
 
-bank = {
-    (c, v): fit_kde(d.class_column(c, v), fallback_scale=np.ptp(d.column(v)))
-    for c in d.classes
-    for v in d.variable_names
-}
+# the all-variable KDE model holds one packed density per class: the bank
+# the table is built from
+bank = fit_fnb(d).kde_bank
 table = hellinger_table(d, bank, mu=50)
 
 print("Hellinger distance per variable and class pair (0=identical, 1=disjoint):")

@@ -36,6 +36,7 @@ from .evaluation import EvaluationReport, accuracy, emit_report, evaluate_cv
 from .hellinger import HellingerTable, hellinger, hellinger_table, normalize_to_distribution
 from .kde import (
     KdeModel,
+    PackedKde,
     bandwidth,
     fit_kde,
     kde_density_at,
@@ -64,6 +65,7 @@ __all__ = [
     "class_priors",
     "stratified_kfold",
     "KdeModel",
+    "PackedKde",
     "kernel_eval",
     "bandwidth",
     "scott_bandwidth",

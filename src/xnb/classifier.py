@@ -1,11 +1,14 @@
 """Class-specific KDE Bayes classifier plus Gaussian and full-KDE baselines.
 
-Fitting runs five stages: per-(class, variable) bandwidths, the full KDE
-bank, the Hellinger table, the per-class variable selection, and a final
-rebuild of the KDE bank restricted to the selected variables (bandwidths
-are unchanged; the rebuild keeps the model self-contained for
-serialization). Prediction scores each class with its own variable subset:
-log prior plus the sum of floored log densities over that subset only.
+A fitted KDE model holds one packed density per class: the class's
+training rows restricted to its variable subset, one bandwidth per
+variable and one kernel (``kde.PackedKde``). Fitting runs five stages:
+per-(class, variable) bandwidths, the full packed bank over every
+variable, the Hellinger table, the per-class variable selection, and a
+final restriction of each class's density to its selected columns
+(bandwidths are unchanged). Prediction scores each class with its own
+variable subset: log prior plus the sum of floored log densities over that
+subset only, in one vectorized kernel sum per class.
 """
 
 from __future__ import annotations
@@ -27,17 +30,14 @@ from .kde import (
     DEFAULT_KERNEL,
     DEFAULT_MU,
     DEFAULT_RULE,
-    KdeModel,
+    PackedKde,
     canonical_kernel,
     canonical_rule,
-    kde_density_at,
-    scott_bandwidth,
-    silverman_adaptive_bandwidth,
-    silverman_bandwidth,
+    column_bandwidths,
 )
 from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_class_specific
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 DEFAULT_FLOOR = 1e-12
 
@@ -74,23 +74,34 @@ class Prediction:
 
 @dataclass(frozen=True)
 class XnbModel:
-    """Class priors, per-class variable subsets, and their KDE models."""
+    """Class priors, per-class variable subsets, and one packed density per class.
+
+    ``kde_bank[c]`` holds class c's density over ``features.features[c]``,
+    one column per selected variable in that order.
+    """
 
     classes: tuple[str, ...]
     priors: dict[str, float]
     features: ClassFeatureMap
-    kde_bank: dict[tuple[str, str], KdeModel]
+    kde_bank: dict[str, PackedKde]
     config: XnbConfig
     variable_names: tuple[str, ...]
     method: str = "xnb"
     timings: dict[str, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        expected = {(c, v) for c in self.classes for v in self.features.features[c]}
-        if expected != set(self.kde_bank):
-            raise ValueError("kde bank does not match the selected features")
+        if set(self.priors) != set(self.classes) or set(self.kde_bank) != set(self.classes):
+            raise ValueError("priors and kde bank must name exactly the model classes")
         if abs(sum(self.priors.values()) - 1.0) > 1e-9:
             raise ValueError("priors must sum to 1")
+        for c in self.classes:
+            feats = self.features.features[c]
+            unknown = ", ".join([v for v in feats if v not in self.variable_index][:5])
+            if unknown:
+                raise ValueError(f"class {c!r}: selected variables not in the model: {unknown}")
+            width = self.kde_bank[c].width
+            if width != len(feats):
+                raise ValueError(f"class {c!r}: kde holds {width} variables, {len(feats)} selected")
 
     @property
     def m(self) -> int:
@@ -99,6 +110,14 @@ class XnbModel:
     @cached_property
     def variable_index(self) -> dict[str, int]:
         return {v: j for j, v in enumerate(self.variable_names)}
+
+    @cached_property
+    def feature_columns(self) -> dict[str, np.ndarray]:
+        """Each class's selected variables as indices into a sample vector."""
+        return {
+            c: np.array([self.variable_index[v] for v in self.features.features[c]], dtype=np.intp)
+            for c in self.classes
+        }
 
 
 @dataclass(frozen=True)
@@ -119,6 +138,8 @@ class GnbModel:
         shape = (len(self.classes), len(self.variable_names))
         if means.shape != shape or variances.shape != shape:
             raise ValueError(f"moment arrays must have shape {shape}")
+        if set(self.priors) != set(self.classes):
+            raise ValueError("priors must name exactly the model classes")
         if np.any(variances <= 0):
             raise ValueError("variances must be strictly positive after smoothing")
         means.setflags(write=False)
@@ -142,65 +163,26 @@ def _check_trainable(d: Dataset) -> None:
         )
 
 
-def _bandwidth_matrix(d: Dataset, rule: str) -> np.ndarray:
-    """(k, m) bandwidths, one row per class, with degenerate fallbacks.
+def _packed_bank(d: Dataset, config: XnbConfig, timings: dict[str, float]) -> dict[str, PackedKde]:
+    """Every class's packed density over all variables; times the two stages."""
+    _check_trainable(d)
+    t0 = time.perf_counter()
+    scale = np.ptp(d.values, axis=0)
+    subs = [d.values[d.class_rows[c]] for c in d.classes]
+    h_rows = [column_bandwidths(config.bandwidth_rule, sub, scale) for sub in subs]
+    timings["bandwidth"] = time.perf_counter() - t0
 
-    Vectorized counterpart of ``kde.bandwidth`` applied per (class, variable).
-    """
-    global_range = np.ptp(d.values, axis=0)
-    fallback = np.maximum(1e-3 * global_range, 1e-9)
-    rows = []
-    for c in d.classes:
-        sub = d.values[d.class_rows[c]]
-        n_c = sub.shape[0]
-        sigma = np.std(sub, axis=0, ddof=1) if n_c > 1 else np.zeros(d.m)
-        if rule == "scott":
-            h = scott_bandwidth(sigma, n_c)
-        elif rule == "silverman":
-            h = silverman_bandwidth(sigma, n_c)
-        else:
-            q1, q3 = np.percentile(sub, [25.0, 75.0], axis=0)
-            h = silverman_adaptive_bandwidth(sigma, q3 - q1, n_c)
-        bad = ~np.isfinite(h) | (h <= 0.0)
-        rows.append(np.where(bad, fallback, h))
-    return np.array(rows)
-
-
-def _full_bank(d: Dataset, h_matrix: np.ndarray, kernel: str) -> dict[tuple[str, str], KdeModel]:
-    bank = {}
-    for i, c in enumerate(d.classes):
-        sub = d.values[d.class_rows[c]]
-        for j, v in enumerate(d.variable_names):
-            bank[(c, v)] = KdeModel(sub[:, j], float(h_matrix[i, j]), kernel)
-    return bank
-
-
-def _selected_bank(
-    d: Dataset, features: ClassFeatureMap, h_matrix: np.ndarray, kernel: str
-) -> dict[tuple[str, str], KdeModel]:
-    """Rebuild KDE models for the selected (class, variable) pairs only."""
-    bank = {}
-    for i, c in enumerate(d.classes):
-        rows = d.class_rows[c]
-        for v in features.features[c]:
-            j = d.variable_index[v]
-            bank[(c, v)] = KdeModel(d.values[rows, j], float(h_matrix[i, j]), kernel)
+    t0 = time.perf_counter()
+    bank = {c: PackedKde(sub, h, config.kernel) for c, sub, h in zip(d.classes, subs, h_rows)}
+    timings["kde"] = time.perf_counter() - t0
     return bank
 
 
 def fit_xnb(d: Dataset, config: XnbConfig | None = None, jobs: int = 1) -> XnbModel:
     """Fit the class-specific KDE Bayes model."""
     config = config or XnbConfig()
-    _check_trainable(d)
     timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    h_matrix = _bandwidth_matrix(d, config.bandwidth_rule)
-    timings["bandwidth"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bank = _full_bank(d, h_matrix, config.kernel)
-    timings["kde"] = time.perf_counter() - t0
+    bank = _packed_bank(d, config, timings)
 
     t0 = time.perf_counter()
     table = hellinger_table(d, bank, mu=config.mu, jobs=jobs)
@@ -211,7 +193,9 @@ def fit_xnb(d: Dataset, config: XnbConfig | None = None, jobs: int = 1) -> XnbMo
     timings["select"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selected = _selected_bank(d, features, h_matrix, config.kernel)
+    selected = {
+        c: bank[c].take([d.variable_index[v] for v in features.features[c]]) for c in d.classes
+    }
     timings["build"] = time.perf_counter() - t0
 
     return XnbModel(
@@ -229,23 +213,15 @@ def fit_xnb(d: Dataset, config: XnbConfig | None = None, jobs: int = 1) -> XnbMo
 def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
     """KDE Bayes with selection disabled: every class keeps all variables."""
     config = config or XnbConfig()
-    _check_trainable(d)
     timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    h_matrix = _bandwidth_matrix(d, config.bandwidth_rule)
-    timings["bandwidth"] = time.perf_counter() - t0
-
+    bank = _packed_bank(d, config, timings)
+    timings["build"] = timings["kde"]
+    timings["hellinger"] = timings["select"] = 0.0
     features = ClassFeatureMap(
         classes=d.classes,
         features={c: d.variable_names for c in d.classes},
         theta=config.theta,
     )
-
-    t0 = time.perf_counter()
-    bank = _full_bank(d, h_matrix, config.kernel)
-    timings["kde"] = timings["build"] = time.perf_counter() - t0
-    timings["hellinger"] = timings["select"] = 0.0
 
     return XnbModel(
         classes=d.classes,
@@ -313,15 +289,11 @@ def predict_xnb(model: XnbModel, sample) -> Prediction:
     stay finite for samples outside every training range.
     """
     sample = _check_sample(sample, model.m)
-    index = model.variable_index
     floor = model.config.floor
     log_scores = {}
     for c in model.classes:
-        score = math.log(model.priors[c])
-        for v in model.features.features[c]:
-            density = kde_density_at(model.kde_bank[(c, v)], sample[index[v]])
-            score += math.log(max(density, floor))
-        log_scores[c] = score
+        density = model.kde_bank[c].density_at(sample[model.feature_columns[c]])
+        log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, floor)).sum())
     label = _pick_label(log_scores, model.priors)
     return Prediction(label=label, log_scores=log_scores, used_features=dict(model.features.features))
 
@@ -374,12 +346,9 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
     payload["features"] = {c: list(model.features.features[c]) for c in model.classes}
     payload["kde"] = {
         c: {
-            v: {
-                "samples": model.kde_bank[(c, v)].samples.tolist(),
-                "h": model.kde_bank[(c, v)].h,
-                "kernel": model.kde_bank[(c, v)].kernel,
-            }
-            for v in model.features.features[c]
+            "kernel": model.kde_bank[c].kernel,
+            "h": model.kde_bank[c].h.tolist(),
+            "samples": model.kde_bank[c].samples.tolist(),
         }
         for c in model.classes
     }
@@ -387,11 +356,31 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
 
 
 def save_model(model: XnbModel | GnbModel, path: str | Path) -> None:
-    """Write a model as versioned JSON (floats round-trip bit-exactly)."""
+    """Write a model as compact versioned JSON (floats round-trip bit-exactly)."""
     path = Path(path)
+    # one dumps call uses the C encoder; json.dump streams through the Python one
+    text = json.dumps(_model_payload(model), separators=(",", ":"))
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(_model_payload(model), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _v1_to_v2(payload: dict) -> dict:
+    """The v2 layout of a v1 payload, whose kde held one entry per (class, variable)."""
+    kde = {}
+    for c, per_var in payload.get("kde", {}).items():  # gnb payloads have none
+        names = payload["features"][c]
+        if set(per_var) != set(names):
+            raise ValueError(f"class {c!r}: kde entries do not match the selected variables")
+        entries = [per_var[v] for v in names]
+        kernels = {e["kernel"] for e in entries}
+        if len(kernels) != 1 or len({len(e["samples"]) for e in entries}) != 1:
+            raise ValueError(f"class {c!r}: kde entries are empty or mix kernels or sample counts")
+        kde[c] = {
+            "kernel": kernels.pop(),
+            "h": [e["h"] for e in entries],
+            "samples": [list(row) for row in zip(*(e["samples"] for e in entries))],
+        }
+    return {**payload, "kde": kde}
 
 
 def load_model(path: str | Path) -> XnbModel | GnbModel:
@@ -404,10 +393,18 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ModelFormatError(
+            f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)"
+        )
     version = payload.get("version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ModelFormatError(f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION}")
+    if version not in (1, MODEL_SCHEMA_VERSION):
+        raise ModelFormatError(
+            f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION} (or 1)"
+        )
     try:
+        if version == 1:
+            payload = _v1_to_v2(payload)
         method = payload["method"]
         classes = tuple(payload["classes"])
         priors = {c: float(p) for c, p in payload["priors"].items()}
@@ -436,11 +433,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             theta=config.theta,
         )
         bank = {
-            (c, v): KdeModel(
-                np.array(entry["samples"], dtype=np.float64), float(entry["h"]), entry["kernel"]
-            )
-            for c, per_class in payload["kde"].items()
-            for v, entry in per_class.items()
+            c: PackedKde(entry["samples"], entry["h"], entry["kernel"])
+            for c, entry in payload["kde"].items()
         }
         return XnbModel(
             classes=classes,
@@ -451,8 +445,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             variable_names=variables,
             method=method,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
 
 
 __all__ = [

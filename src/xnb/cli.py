@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -113,9 +114,13 @@ def _read_samples(path: str, variables) -> np.ndarray:
             if not record:
                 continue
             try:
-                rows.append([float(record[i]) for i in order])
+                row = [float(record[i]) for i in order]
             except (ValueError, IndexError):
                 raise DataError(f"{path}: row {lineno}: cannot parse sample values") from None
+            bad = [v for v, x in zip(variables, row) if not math.isfinite(x)]
+            if bad:
+                raise DataError(f"{path}: row {lineno}, column {bad[0]!r}: non-finite value")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -192,11 +197,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_inspect_hellinger(args) -> int:
     d = _load(args)
     config = _config_from(args)
-    from .classifier import _bandwidth_matrix, _full_bank  # shared fit plumbing
-
-    if len(d.classes) < 2:
-        raise DataError("hellinger table needs at least 2 classes")
-    bank = _full_bank(d, _bandwidth_matrix(d, config.bandwidth_rule), config.kernel)
+    # the all-variable model's bank is the one the table is built from
+    bank = fit_fnb(d, config).kde_bank
     table = hellinger_table(d, bank, mu=config.mu, jobs=args.jobs)
     lines = ["variable\tclass_i\tclass_j\th"]
     for v, ci, cj, h in table.rows():

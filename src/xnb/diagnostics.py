@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
 from .dataset import Dataset
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -24,6 +25,9 @@ DEFAULT_ALPHA = 0.05
 DEFAULT_P_MAX = 1e-6
 DEFAULT_R_MIN = 0.7
 DEFAULT_MAX_PAIRS = 200_000
+# Pairs per step of the dependence scan: each step gathers two (n, chunk)
+# copies of residual columns, which bounds its peak memory (2 x 26 MB at n=200).
+CI_CHUNK_PAIRS = 16_384
 
 # Royston 1992 polynomial coefficients, ascending powers.
 _G = (-2.273, 0.459)
@@ -104,6 +108,9 @@ def normality_scan(d: Dataset, alpha: float = DEFAULT_ALPHA) -> float:
     """Fraction of variables rejecting normality at level ``alpha``.
 
     Zero-variance variables cannot be tested and are counted as non-normal.
+    When the sample count lies outside the test's range [3, 5000], no
+    variable is tested: each is recorded with a note and does not count
+    as rejecting.
     """
     ratio, _ = _normality_detail(d, alpha)
     return ratio
@@ -112,12 +119,19 @@ def normality_scan(d: Dataset, alpha: float = DEFAULT_ALPHA) -> float:
 def _normality_detail(d: Dataset, alpha: float):
     rows = []
     rejected = 0
+    out_of_range = not _MIN_N <= d.n <= _MAX_N
+    if out_of_range:
+        logger.warning("%d samples, outside the Shapiro-Wilk range; normality not tested", d.n)
     for j, name in enumerate(d.variable_names):
         col = d.column(j)
         if col.max() == col.min():
             rejected += 1
             rows.append({"variable": name, "w": None, "p": None, "rejected": True, "note": "zero variance"})
             logger.info("variable %s has zero variance; counted as non-normal", name)
+            continue
+        if out_of_range:
+            note = f"{d.n} samples, outside the Shapiro-Wilk range [{_MIN_N}, {_MAX_N}]"
+            rows.append({"variable": name, "w": None, "p": None, "rejected": False, "note": note})
             continue
         w, p = shapiro_wilk(col)
         reject = p < alpha
@@ -164,13 +178,10 @@ def _decode_pair(linear: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_pairs(m: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cap`` distinct pairs drawn uniformly from all m(m-1)/2, in linear order."""
     total = m * (m - 1) // 2
     rng = np.random.Generator(np.random.PCG64(seed))
-    chosen: np.ndarray = np.empty(0, dtype=np.int64)
-    while chosen.size < cap:
-        draw = rng.integers(0, total, size=int(1.2 * (cap - chosen.size)) + 16, dtype=np.int64)
-        chosen = np.unique(np.concatenate([chosen, draw]))
-    chosen = chosen[:cap]
+    chosen = np.sort(rng.choice(total, size=cap, replace=False))
     return _decode_pair(chosen, m)
 
 
@@ -201,7 +212,7 @@ def conditional_independence_scan(
     the result is marked as sampled.
     """
     if d.n < 4:
-        raise ValueError(f"need at least 4 samples, got {d.n}")
+        raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
     m = d.m
     residuals = _residual_matrix(d)
     norms = np.sqrt((residuals**2).sum(axis=0))
@@ -226,9 +237,8 @@ def conditional_independence_scan(
     r_all = np.empty(ii.size)
     p_all = np.empty(ii.size)
     skipped = 0
-    chunk = 262_144
-    for lo in range(0, ii.size, chunk):
-        hi = min(lo + chunk, ii.size)
+    for lo in range(0, ii.size, CI_CHUNK_PAIRS):
+        hi = min(lo + CI_CHUNK_PAIRS, ii.size)
         bi, bj = ii[lo:hi], jj[lo:hi]
         r = np.einsum("ij,ij->j", unit[:, bi], unit[:, bj])
         bad = ~np.isfinite(r)

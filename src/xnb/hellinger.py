@@ -6,12 +6,9 @@ grid densities are sum-normalized into discrete distributions, and the
 distance ``sqrt(sum((sqrt(p) - sqrt(q))^2)) / sqrt(2)`` is tabulated for
 every unordered class pair.
 
-Table construction is the pipeline's hot loop at genomic widths, so the
-usual case (one kernel, per-class sample counts consistent across
-variables) runs blockwise over packed sample matrices; with ``jobs`` > 1
-the blocks are spread over worker processes as raw arrays. Banks that
-break those assumptions fall back to a per-variable loop over the model
-objects themselves.
+Table construction is the pipeline's hot loop at genomic widths, so it
+runs blockwise over the classes' packed sample matrices; with ``jobs`` > 1
+the blocks are spread over worker processes.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset
-from .kde import DEFAULT_MU, KdeModel, kde_on_grid, kernel_eval, make_grid
+from .kde import DEFAULT_MU, PackedKde, kernel_eval
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -117,38 +114,21 @@ class HellingerTable:
                 yield v, ci, cj, float(h)
 
 
-def _variable_distances(models, mu):
-    """Per-variable reference path: one grid, one KDE evaluation per class.
+def _block_distances(densities, mu, block=256):
+    """Table rows from the classes' packed densities, a block of variables at a time.
 
-    ``models`` is a list of per-variable lists of KdeModel, one per class.
+    ``densities`` cover the same w variables and share one kernel. Same
+    grids and reductions as one ``kde_on_grid`` per (class, variable),
+    batched; agreement is within one ulp (reduction striding).
     """
-    n_classes = len(models[0]) if models else 0
-    pair_idx = list(combinations(range(n_classes), 2))
-    out = np.empty((len(models), len(pair_idx)))
-    for j, per_class in enumerate(models):
-        pooled = np.concatenate([model.samples for model in per_class])
-        grid = make_grid(pooled, mu)
-        dists = [normalize_to_distribution(kde_on_grid(model, grid)) for model in per_class]
-        for col, (a, b) in enumerate(pair_idx):
-            out[j, col] = hellinger(dists[a], dists[b])
-    return out
-
-
-def _block_distances(stacks, h_rows, kernel, mu, block=256):
-    """Blockwise path over packed per-class sample matrices.
-
-    ``stacks[c]`` is (n_c, w): one column of samples per variable;
-    ``h_rows[c]`` is (w,). Same grids and reductions as the per-variable
-    path, batched; agreement is within one ulp (reduction striding).
-    """
-    k = len(stacks)
-    w = h_rows[0].size
+    k = len(densities)
+    w = densities[0].width
     pair_idx = list(combinations(range(k), 2))
     out = np.empty((w, len(pair_idx)))
     zero_sum_columns = 0
     for lo in range(0, w, block):
         hi = min(lo + block, w)
-        sub = [s[:, lo:hi] for s in stacks]
+        sub = [p.samples[:, lo:hi] for p in densities]
         col_lo = np.min([s.min(axis=0) for s in sub], axis=0)
         col_hi = np.max([s.max(axis=0) for s in sub], axis=0)
         flat = col_lo == col_hi
@@ -158,9 +138,9 @@ def _block_distances(stacks, h_rows, kernel, mu, block=256):
 
         dists = []
         for c in range(k):
-            h = h_rows[c][lo:hi]
+            h = densities[c].h[lo:hi]
             u = (grids[:, None, :] - sub[c][None, :, :]) / h[None, None, :]
-            dens = kernel_eval(kernel, u).sum(axis=1) / (sub[c].shape[0] * h)
+            dens = kernel_eval(densities[c].kernel, u).sum(axis=1) / (sub[c].shape[0] * h)
             totals = dens.sum(axis=0)
             zero = totals <= 0.0
             if zero.any():
@@ -179,65 +159,36 @@ def _block_distances(stacks, h_rows, kernel, mu, block=256):
     return out
 
 
-def _pack_bank(d: Dataset, kde_bank):
-    """Stack the bank into per-class matrices, or None if not stackable."""
-    kernels = {model.kernel for model in kde_bank.values()}
-    if len(kernels) != 1:
-        return None
-    stacks = []
-    h_rows = []
-    for c in d.classes:
-        per_var = [kde_bank[(c, v)] for v in d.variable_names]
-        lengths = {model.n for model in per_var}
-        if len(lengths) != 1:
-            return None
-        stacks.append(np.column_stack([model.samples for model in per_var]))
-        h_rows.append(np.array([model.h for model in per_var]))
-    return stacks, h_rows, next(iter(kernels))
-
-
 def hellinger_table(
     d: Dataset,
-    kde_bank: dict[tuple[str, str], KdeModel],
+    kde_bank: dict[str, PackedKde],
     mu: int = DEFAULT_MU,
     jobs: int = 1,
 ) -> HellingerTable:
     """Tabulate H for every variable and unordered class pair.
 
-    ``kde_bank`` must hold a fitted model for every (class, variable) pair.
-    With ``jobs`` > 1 the variable blocks are spread over processes;
-    results are identical to the sequential path.
+    ``kde_bank`` maps every class to its packed density over all of the
+    dataset's variables, in ``d.variable_names`` order, with one kernel
+    shared by all classes (the bank of a ``fit_fnb`` model). With ``jobs``
+    > 1 the variable blocks are spread over processes; results are
+    identical to the sequential path.
     """
-    missing = [
-        (c, v) for c in d.classes for v in d.variable_names if (c, v) not in kde_bank
-    ]
-    if missing:
-        c, v = missing[0]
-        raise ValueError(
-            f"kde bank incomplete: no model for class {c!r}, variable {v!r} (+{len(missing) - 1} more)"
-        )
+    for c in d.classes:
+        if c not in kde_bank or kde_bank[c].width != d.m:
+            raise ValueError(f"kde bank incomplete: class {c!r} has no density over all {d.m} variables")
+    densities = [kde_bank[c] for c in d.classes]
+    kernels = {p.kernel for p in densities}
+    if len(kernels) != 1:
+        raise ValueError(f"kde bank mixes kernels: {', '.join(sorted(kernels))}")
 
-    packed = _pack_bank(d, kde_bank)
-    if packed is None:
-        models = [[kde_bank[(c, v)] for c in d.classes] for v in d.variable_names]
-        distances = _variable_distances(models, mu)
-        return HellingerTable(d.variable_names, d.classes, distances)
-
-    stacks, h_rows, kernel = packed
     if jobs <= 1 or d.m < 2 * jobs:
-        distances = _block_distances(stacks, h_rows, kernel, mu)
+        distances = _block_distances(densities, mu)
     else:
         bounds = np.linspace(0, d.m, jobs + 1).astype(int)
         chunks = [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
-                pool.submit(
-                    _block_distances,
-                    [np.ascontiguousarray(s[:, lo:hi]) for s in stacks],
-                    [h[lo:hi] for h in h_rows],
-                    kernel,
-                    mu,
-                )
+                pool.submit(_block_distances, [p.take(slice(lo, hi)) for p in densities], mu)
                 for lo, hi in chunks
             ]
             distances = np.vstack([f.result() for f in futures])

@@ -8,7 +8,8 @@ are second-order kernels, so every estimate is a genuine density.
 Bandwidths come from reference rules (Scott, Silverman, and Silverman's
 adaptive variant); point evaluation is always the exact sum over samples,
 never a grid interpolation, so prediction accuracy does not depend on the
-grid resolution used elsewhere.
+grid resolution used elsewhere. ``PackedKde`` holds one class's densities
+over many variables as one sample matrix, scored in one vectorized sum.
 """
 
 from __future__ import annotations
@@ -82,50 +83,42 @@ def silverman_adaptive_bandwidth(sigma, iqr, n: int):
     return 0.9 * np.minimum(sigma, iqr / 1.34) * n ** (-0.2)
 
 
-def _rule_from_stats(rule: str, sigma: float, iqr: float, n: int) -> float:
-    if rule == "scott":
-        return scott_bandwidth(sigma, n)
-    if rule == "silverman":
-        return silverman_bandwidth(sigma, n)
-    return silverman_adaptive_bandwidth(sigma, iqr, n)
-
-
-def fallback_bandwidth(scale: float) -> float:
-    """Strictly positive bandwidth for degenerate inputs.
-
-    ``scale`` should be the variable's value range over the whole dataset;
-    constant-within-class variables then still get finite densities.
-    """
-    if not math.isfinite(scale) or scale <= 0.0:
-        return 1e-9
-    return max(1e-3 * scale, 1e-9)
-
-
-def bandwidth(rule: str, values, fallback_scale: float | None = None) -> float:
-    """Bandwidth of ``values`` under a named rule; never fails.
+def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
+    """Bandwidth of every column of an (n, w) sample matrix; never fails.
 
     sigma is the n-1 sample standard deviation (0 when n == 1) and the IQR
     uses linear-interpolation quartiles. A non-positive or non-finite result
-    falls back to ``fallback_bandwidth`` with ``fallback_scale`` (the values'
-    own range when not given).
+    falls back to ``max(1e-3 * fallback_scale, 1e-9)``, with the column's
+    range over the whole dataset as the scale, so that constant-within-class
+    variables still get finite densities (1e-9 if the scale is not positive).
     """
     rule = canonical_rule(rule)
     values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    sigma = np.std(values, axis=0, ddof=1) if n > 1 else np.zeros(values.shape[1])
+    if rule == "scott":
+        h = scott_bandwidth(sigma, n)
+    elif rule == "silverman":
+        h = silverman_bandwidth(sigma, n)
+    else:
+        q1, q3 = np.percentile(values, [25.0, 75.0], axis=0)
+        h = silverman_adaptive_bandwidth(sigma, q3 - q1, n)
+    scale = np.asarray(fallback_scale, dtype=np.float64)
+    fallback = np.where(np.isfinite(scale) & (scale > 0.0), np.maximum(1e-3 * scale, 1e-9), 1e-9)
+    return np.where(~np.isfinite(h) | (h <= 0.0), fallback, h)
+
+
+def bandwidth(rule: str, values, fallback_scale: float | None = None) -> float:
+    """Bandwidth of one sample under a named rule (see ``column_bandwidths``).
+
+    The fallback scale defaults to the values' own range.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("values must be nonempty")
-    n = values.size
-    sigma = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    if rule == "silverman_adaptive":
-        q1, q3 = np.percentile(values, [25.0, 75.0])
-        iqr = float(q3 - q1)
-    else:
-        iqr = 0.0
-    h = _rule_from_stats(rule, sigma, iqr, n)
-    if not math.isfinite(h) or h <= 0.0:
-        if fallback_scale is None:
-            fallback_scale = float(np.max(values) - np.min(values))
-        h = fallback_bandwidth(fallback_scale)
-    return h
+    if fallback_scale is None:
+        fallback_scale = np.ptp(values)
+    return float(column_bandwidths(rule, values[:, None], fallback_scale)[0])
 
 
 @dataclass(frozen=True)
@@ -158,9 +151,6 @@ def fit_kde(
     fallback_scale: float | None = None,
 ) -> KdeModel:
     """Fit a KdeModel with the bandwidth chosen by ``rule``."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot fit a density to an empty sample")
     return KdeModel(values, bandwidth(rule, values, fallback_scale), kernel)
 
 
@@ -176,6 +166,55 @@ def kde_on_grid(model: KdeModel, grid) -> np.ndarray:
 def kde_density_at(model: KdeModel, x: float) -> float:
     """Density at a single point (same summation as ``kde_on_grid``)."""
     return float(kde_on_grid(model, np.array([x], dtype=np.float64))[0])
+
+
+@dataclass(frozen=True)
+class PackedKde:
+    """One class's densities over w variables, packed as arrays.
+
+    Column j is ``KdeModel(samples[:, j], h[j], kernel)``. ``samples`` is
+    kept as a C-contiguous (n, w) copy, so a density built by a fit and one
+    read back from a model file reduce in the same order and score
+    bit-identically.
+    """
+
+    samples: np.ndarray
+    h: np.ndarray
+    kernel: str = DEFAULT_KERNEL
+
+    def __post_init__(self):
+        samples = np.array(self.samples, dtype=np.float64, order="C")
+        h = np.array(self.h, dtype=np.float64)
+        if samples.ndim != 2 or samples.shape[0] == 0:
+            raise ValueError(f"samples must be a nonempty (n, w) matrix, got shape {samples.shape}")
+        if h.shape != (samples.shape[1],):
+            raise ValueError(f"{samples.shape[1]} sample columns but {h.size} bandwidths")
+        if not np.all(np.isfinite(h) & (h > 0)):
+            raise ValueError("bandwidths must be positive and finite")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
+        samples.setflags(write=False)
+        h.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
+
+    @property
+    def width(self) -> int:
+        return self.samples.shape[1]
+
+    def take(self, columns) -> "PackedKde":
+        """The densities of the given columns (indices or a slice) only, in that order."""
+        return PackedKde(self.samples[:, columns], self.h[columns], self.kernel)
+
+    def density_at(self, x) -> np.ndarray:
+        """Density of each column at the matching entry of ``x`` (length w).
+
+        One vectorized kernel sum over the whole matrix; each column is the
+        exact sum over its samples, as in ``kde_density_at``.
+        """
+        u = (x - self.samples) / self.h
+        return kernel_eval(self.kernel, u).sum(axis=0) / (len(self.samples) * self.h)
 
 
 def make_grid(values, mu: int = DEFAULT_MU) -> np.ndarray:

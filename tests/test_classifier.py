@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import xnb.classifier as classifier_module
 from xnb.classifier import (
     GnbModel,
     XnbConfig,
@@ -21,8 +22,9 @@ from xnb.classifier import (
 from xnb.dataset import Dataset, class_priors
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
-from xnb.kde import KdeModel, kde_density_at
+from xnb.kde import KdeModel, PackedKde, kde_density_at
 from xnb.selection import ClassFeatureMap
+from tests.conftest import make_separated
 
 
 class TestFitXnb:
@@ -53,11 +55,14 @@ class TestFitXnb:
         d = Dataset(("x", "y"), values, ("A", "A", "A", "A", "B"))
         with pytest.warns(UserWarning, match="single sample"):
             model = fit_xnb(d)
-        assert all(m.h > 0 for m in model.kde_bank.values())
+        assert all(np.all(density.h > 0) for density in model.kde_bank.values())
 
     def test_bank_restricted_to_selection(self, separated_two_class):
-        model = fit_xnb(separated_two_class)
-        assert set(model.kde_bank) == {("A", "g1"), ("B", "g1")}
+        d = separated_two_class
+        model = fit_xnb(d)
+        assert set(model.kde_bank) == {"A", "B"}
+        for c in d.classes:
+            np.testing.assert_array_equal(model.kde_bank[c].samples, d.class_column(c, "g1")[:, None])
 
     def test_timings_cover_all_stages(self, separated_two_class):
         model = fit_xnb(separated_two_class)
@@ -67,7 +72,6 @@ class TestFitXnb:
 class TestBandwidthMatrix:
     @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman_adaptive"])
     def test_matches_scalar_bandwidth_op(self, rule):
-        from xnb.classifier import _bandwidth_matrix
         from xnb.kde import bandwidth
 
         rng = np.random.default_rng(21)
@@ -75,13 +79,13 @@ class TestBandwidthMatrix:
         values[:, 3] = 2.0  # constant column exercises the fallback
         labels = tuple(rng.choice(["A", "B", "C"], 40))
         d = Dataset(tuple(f"v{i}" for i in range(7)), values, labels)
-        matrix = _bandwidth_matrix(d, rule)
-        for i, c in enumerate(d.classes):
+        bank = fit_fnb(d, XnbConfig(bandwidth_rule=rule)).kde_bank
+        for c in d.classes:
             for j, v in enumerate(d.variable_names):
                 expected = bandwidth(
                     rule, d.class_column(c, v), fallback_scale=float(np.ptp(d.column(v)))
                 )
-                assert matrix[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+                assert bank[c].h[j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestPredictXnb:
@@ -107,12 +111,12 @@ class TestPredictXnb:
             assert pred.log_scores[c] == pytest.approx(expected)
 
     def test_exact_tie_equal_priors_lexicographic(self):
-        kde = KdeModel(np.array([0.0, 2.0]), 1.0)
+        kde = PackedKde(np.array([[0.0], [2.0]]), [1.0])
         model = XnbModel(
             classes=("A", "B"),
             priors={"A": 0.5, "B": 0.5},
             features=ClassFeatureMap(classes=("A", "B"), features={"A": ("x",), "B": ("x",)}),
-            kde_bank={("A", "x"): kde, ("B", "x"): kde},
+            kde_bank={"A": kde, "B": kde},
             config=XnbConfig(),
             variable_names=("x",),
         )
@@ -126,20 +130,22 @@ class TestPredictXnb:
         assert _pick_label(scores, {"A": 0.75, "B": 0.25}) == "A"
         assert _pick_label(scores, {"A": 0.5, "B": 0.5}) == "A"
 
-    def test_density_evaluations_are_class_specific(self, separated_three_class, monkeypatch):
+    def test_density_evaluations_are_class_specific(self, separated_three_class):
+        # a class's score reads only its own variables: perturbing every
+        # other variable leaves it bit-identical, perturbing its own does not
         d, _ = separated_three_class
         model = fit_xnb(d)
-        calls = []
-
-        def counting(model_arg, x):
-            calls.append(1)
-            return kde_density_at(model_arg, x)
-
-        monkeypatch.setattr(classifier_module, "kde_density_at", counting)
-        predict_xnb(model, d.values[0])
-        expected = sum(model.features.count(c) for c in model.classes)
-        assert len(calls) == expected
-        assert len(calls) < d.m * len(model.classes)
+        assert sum(model.features.count(c) for c in model.classes) < d.m * len(model.classes)
+        base = predict_xnb(model, d.values[0]).log_scores
+        rng = np.random.default_rng(31)
+        for c in model.classes:
+            outside = np.setdiff1d(np.arange(d.m), model.feature_columns[c])
+            assert outside.size > 0
+            perturbed = d.values[0].copy()
+            perturbed[outside] += rng.normal(0.0, 10.0, size=outside.size)
+            assert predict_xnb(model, perturbed).log_scores[c] == base[c]
+            perturbed[model.feature_columns[c]] += 10.0
+            assert predict_xnb(model, perturbed).log_scores[c] != base[c]
 
     def test_used_features_reported(self, separated_two_class):
         model = fit_xnb(separated_two_class)
@@ -326,3 +332,99 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="no such model"):
             load_model(tmp_path / "absent.json")
+
+    def test_file_is_compact_v2(self, separated_two_class, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fit_fnb(separated_two_class), path)
+        text = path.read_text()
+        assert text.count("\n") == 1
+        payload = json.loads(text)
+        assert payload["version"] == 2
+        entry = payload["kde"]["A"]
+        assert set(entry) == {"kernel", "h", "samples"}
+        assert len(entry["h"]) == 21
+        assert len(entry["samples"]) == 15 and len(entry["samples"][0]) == 21
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb"]))
+    @settings(max_examples=15, deadline=None)
+    def test_round_trip_scores_bit_identical(self, tmp_path_factory, seed, method):
+        d, _ = make_separated(n=30, m=12, k=3, seed=seed % 1000)
+        model = fit_xnb(d) if method == "xnb" else fit_fnb(d)
+        path = tmp_path_factory.mktemp("rt") / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        samples = np.random.default_rng(seed).normal(0.0, 3.0, size=(10, d.m))
+        for sample in samples:
+            a, b = predict(model, sample), predict(loaded, sample)
+            assert (a.label, a.log_scores) == (b.label, b.log_scores)
+
+    def test_v1_file_read(self, separated_three_class, tmp_path):
+        d, _ = separated_three_class
+        model = fit_xnb(d)
+        v1 = {
+            "version": 1,
+            "method": "xnb",
+            "classes": list(model.classes),
+            "priors": model.priors,
+            "variables": list(model.variable_names),
+            "config": {"kernel": "gaussian", "bandwidth_rule": "silverman", "mu": 50,
+                       "theta": 0.999, "floor": 1e-12},
+            "features": {c: list(model.features.features[c]) for c in model.classes},
+            "kde": {
+                c: {
+                    v: {"samples": d.class_column(c, v).tolist(), "h": float(density.h[j]),
+                        "kernel": "gaussian"}
+                    for j, v in enumerate(model.features.features[c])
+                }
+                for c, density in model.kde_bank.items()
+            },
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(v1, indent=1))
+        loaded = load_model(path)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            sample = rng.normal(2.0, 3.0, size=d.m)
+            a, b = predict(model, sample), predict(loaded, sample)
+            assert (a.label, a.log_scores) == (b.label, b.log_scores)
+        c = model.classes[0]
+        first = v1["features"][c][0]
+        v1["kde"][c][first]["kernel"] = "epanechnikov"
+        path.write_text(json.dumps(v1))
+        with pytest.raises(ModelFormatError, match="mix kernels"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda p: p["features"].update(A=["g1", "nope"]), "not in the model"),
+            (lambda p: p["kde"]["A"].update(h=[1.0, 1.0]), "bandwidths"),
+            (lambda p: p["kde"]["A"]["samples"][0].append(1.0), "malformed"),
+            (lambda p: p["kde"].pop("B"), "kde bank"),
+            (lambda p: p["priors"].pop("B"), "priors"),
+            (lambda p: p.update(priors=[0.5, 0.5]), "AttributeError"),
+        ],
+    )
+    def test_inconsistent_model_rejected(self, separated_two_class, tmp_path, corrupt, match):
+        path = tmp_path / "model.json"
+        save_model(fit_xnb(separated_two_class), path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    def test_gnb_priors_must_name_every_class(self, separated_two_class, tmp_path):
+        path = tmp_path / "gnb.json"
+        save_model(fit_gnb(separated_two_class), path)
+        payload = json.loads(path.read_text())
+        payload["priors"] = {"A": 1.0}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="priors"):
+            load_model(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelFormatError, match="not an object"):
+            load_model(path)

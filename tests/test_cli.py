@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from xnb.classifier import load_model, predict
 from xnb.cli import main
-from xnb.dataset import save_csv
+from xnb.dataset import Dataset, save_csv
 from tests.conftest import make_separated
 
 
@@ -107,6 +108,59 @@ class TestFitPredict:
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
 
+    @pytest.mark.parametrize("method", ["xnb", "fnb", "gnb"])
+    def test_predict_json_equals_in_process_predict(self, data_csv, samples_csv, tmp_path, capsys, method):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path), "--method", method])
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(samples_csv),
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        model = load_model(model_path)
+        rows = np.loadtxt(samples_csv, delimiter=",", skiprows=1)
+        for got, row in zip(payload, rows, strict=True):
+            expected = predict(model, row)
+            assert got == {"label": expected.label, "log_scores": expected.log_scores}
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_located_data_error(self, data_csv, samples_csv, tmp_path, capsys, cell):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        lines = samples_csv.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = cell
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "row 3" in err and "'v03'" in err
+
+    def test_non_object_model_is_data_error(self, samples_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[1,2]")
+        assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 2
+        assert "not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["unknown feature", "kde mismatch"])
+    def test_inconsistent_model_is_data_error(self, data_csv, samples_csv, tmp_path, capsys, edit):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        payload = json.loads(model_path.read_text())
+        if edit == "unknown feature":
+            payload["features"]["c0"][0] = "absent"
+        else:  # drop the density of c0's last selected variable
+            entry = payload["kde"]["c0"]
+            entry["h"].pop()
+            for row in entry["samples"]:
+                row.pop()
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "c0" in err
+
 
 class TestEvaluate:
     def test_json_report(self, data_csv, capsys):
@@ -188,6 +242,12 @@ class TestDiagnose:
         payload = json.loads(captured.out)
         assert "shapiro_wilk" in payload and "conditional_independence" in payload
         assert "SW=" in captured.err
+
+    def test_too_few_samples_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        save_csv(Dataset(("x", "y"), [[0.0, 1.0], [1.0, 0.5], [2.0, 2.0]], ("A", "B", "A")), path)
+        assert main(["diagnose", "--data", str(path)]) == 2
+        assert "at least 4 samples" in capsys.readouterr().err
 
     def test_class_col_by_index(self, tmp_path, capsys):
         d, _ = make_separated(n=30, m=4, k=2, seed=6)

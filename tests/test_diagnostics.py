@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import xnb.diagnostics as diagnostics_module
 from xnb.dataset import Dataset
 from xnb.diagnostics import (
     conditional_independence_scan,
@@ -10,6 +11,7 @@ from xnb.diagnostics import (
     shapiro_wilk,
     within_class_residuals,
 )
+from xnb.errors import DataError
 
 
 class TestShapiroWilk:
@@ -93,6 +95,17 @@ class TestNormalityScan:
         detail = {row["variable"]: row for row in report.sw_details}
         assert detail["const"]["rejected"] is True
         assert detail["const"]["note"] == "zero variance"
+
+    @pytest.mark.parametrize("n", [2, 5001])
+    def test_sample_count_outside_test_range_is_noted(self, n):
+        rng = np.random.default_rng(3)
+        values = np.column_stack([np.full(n, 3.0), rng.normal(size=n)])
+        d = Dataset(("const", "noise"), values, ("A", "B") * (n // 2) + ("A",) * (n % 2))
+        assert normality_scan(d) == 0.5  # only the zero-variance variable rejects
+        _, rows = diagnostics_module._normality_detail(d, 0.05)
+        noise = rows[1]
+        assert noise["w"] is None and noise["p"] is None and noise["rejected"] is False
+        assert "outside the Shapiro-Wilk range" in noise["note"]
 
 
 class TestResiduals:
@@ -196,8 +209,19 @@ class TestConditionalIndependenceScan:
 
     def test_too_few_samples(self):
         d = Dataset(("x", "y"), np.zeros((3, 2)), ("A", "B", "A"))
-        with pytest.raises(ValueError, match="at least 4"):
+        with pytest.raises(DataError, match="at least 4"):
             conditional_independence_scan(d)
+
+    @pytest.mark.parametrize("max_pairs", [None, 390])
+    def test_chunk_size_does_not_change_result(self, monkeypatch, max_pairs):
+        d = _noise_dataset(13, n=30, m=40)  # 780 pairs
+        values = np.array(d.values)
+        values[:, 20:30] = values[:, :10] + 1e-3 * values[:, 30:40]  # ten dependent pairs
+        d = Dataset(d.variable_names, values, d.labels)
+        default = conditional_independence_scan(d, max_pairs=max_pairs, seed=4)
+        assert default.flagged
+        monkeypatch.setattr(diagnostics_module, "CI_CHUNK_PAIRS", 7)
+        assert conditional_independence_scan(d, max_pairs=max_pairs, seed=4) == default
 
 
 class TestPairDecoding:
@@ -218,6 +242,15 @@ class TestPairDecoding:
         assert np.all(ii < jj)
         assert np.all(jj < 100)
         assert len({(a, b) for a, b in zip(ii.tolist(), jj.tolist())}) == 500
+
+    def test_sampled_pairs_cover_the_whole_range(self):
+        from xnb.diagnostics import DEFAULT_MAX_PAIRS, _sample_pairs
+
+        m = 2000  # 1,999,000 pairs, ten times the default cap
+        ii, jj = _sample_pairs(m=m, cap=DEFAULT_MAX_PAIRS, seed=0)
+        assert np.all(np.diff(ii * m + jj) > 0)  # sorted in linear order
+        assert np.any(ii >= 0.9 * m)  # the first index reaches the top decile
+        assert np.any(jj >= 0.9 * m) and np.any(ii < 0.1 * m)
 
 
 class TestReport:

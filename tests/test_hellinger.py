@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from xnb.dataset import Dataset
 from xnb.hellinger import HellingerTable, hellinger, hellinger_table, normalize_to_distribution
-from xnb.kde import fit_kde
+from xnb.kde import KERNELS, KdeModel, PackedKde, bandwidth, kde_on_grid, make_grid
 
 
 def hellinger_oracle(p, q):
@@ -85,12 +86,32 @@ class TestHellinger:
             assert hellinger(p, r) <= hellinger(p, q) + hellinger(q, r) + 1e-9
 
 
-def _bank(d):
+def _bank(d, kernel="gaussian"):
+    """Each class's packed density, bandwidths from the scalar Silverman rule."""
     return {
-        (c, v): fit_kde(d.class_column(c, v), fallback_scale=np.ptp(d.column(v)))
+        c: PackedKde(
+            d.values[d.class_rows[c]],
+            [
+                bandwidth("silverman", d.class_column(c, v), fallback_scale=np.ptp(d.column(v)))
+                for v in d.variable_names
+            ],
+            kernel,
+        )
         for c in d.classes
-        for v in d.variable_names
     }
+
+
+def per_variable_oracle(d, bank, mu=50):
+    """Reference table: one grid and one ``kde_on_grid`` per (class, variable)."""
+    pairs = list(combinations(range(len(d.classes)), 2))
+    out = np.empty((d.m, len(pairs)))
+    for j in range(d.m):
+        models = [KdeModel(bank[c].samples[:, j], bank[c].h[j], bank[c].kernel) for c in d.classes]
+        grid = make_grid(np.concatenate([model.samples for model in models]), mu)
+        dists = [normalize_to_distribution(kde_on_grid(model, grid)) for model in models]
+        for col, (a, b) in enumerate(pairs):
+            out[j, col] = hellinger(dists[a], dists[b])
+    return out
 
 
 class TestTable:
@@ -141,7 +162,9 @@ class TestTable:
         rng = np.random.default_rng(5)
         d = Dataset(("x", "y"), rng.normal(size=(8, 2)), ("A",) * 4 + ("B",) * 4)
         bank = _bank(d)
-        del bank[("A", "y")]
+        with pytest.raises(ValueError, match="incomplete"):
+            hellinger_table(d, {**bank, "A": bank["A"].take([0])})
+        del bank["B"]
         with pytest.raises(ValueError, match="incomplete"):
             hellinger_table(d, bank)
 
@@ -156,36 +179,45 @@ class TestTable:
         np.testing.assert_array_equal(seq.distances, par.distances)
 
     def test_blocked_path_matches_per_variable_reference(self):
-        from xnb.hellinger import _block_distances, _pack_bank, _variable_distances
-
         rng = np.random.default_rng(13)
-        values = rng.normal(size=(31, 23))
+        values = rng.normal(size=(31, 300))
         values[:, 4] = 1.5  # constant column exercises grid widening
         labels = tuple(rng.choice(["A", "B", "C"], 31))
-        d = Dataset(tuple(f"v{i}" for i in range(23)), values, labels)
+        d = Dataset(tuple(f"v{i}" for i in range(300)), values, labels)
         bank = _bank(d)
-        models = [[bank[(c, v)] for c in d.classes] for v in d.variable_names]
         with pytest.warns(UserWarning, match="zero-sum"):  # constant column underflows
-            reference = _variable_distances(models, 50)
-        stacks, h_rows, kernel = _pack_bank(d, bank)
+            reference = per_variable_oracle(d, bank)
         with pytest.warns(UserWarning, match="zero-sum"):
-            blocked = _block_distances(stacks, h_rows, kernel, 50, block=8)
-        np.testing.assert_allclose(blocked, reference, rtol=0, atol=5e-16)
+            table = hellinger_table(d, bank)  # 300 variables: more than one block
+        np.testing.assert_allclose(table.distances, reference, rtol=0, atol=5e-16)
 
-    def test_mixed_kernel_bank_uses_generic_path(self):
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 30),
+        st.integers(1, 12),
+        st.integers(2, 4),
+        st.sampled_from(KERNELS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_table_matches_per_variable_oracle(self, seed, n, m, k, kernel):
+        rng = np.random.default_rng(seed)
+        labels = tuple(f"c{i % k}" for i in range(n))
+        d = Dataset(tuple(f"v{j}" for j in range(m)), rng.normal(size=(n, m)), labels)
+        bank = _bank(d, kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # compact kernels may miss every grid point
+            reference = per_variable_oracle(d, bank, mu=20)
+            table = hellinger_table(d, bank, mu=20)
+        np.testing.assert_allclose(table.distances, reference, rtol=0, atol=5e-16)
+        assert np.all((table.distances >= 0.0) & (table.distances <= 1.0))
+
+    def test_mixed_kernel_bank_rejected(self):
         rng = np.random.default_rng(14)
-        values = rng.normal(size=(20, 4))
-        d = Dataset(("w", "x", "y", "z"), values, ("A",) * 10 + ("B",) * 10)
-        bank = {}
-        for i, v in enumerate(d.variable_names):
-            kind = "gaussian" if i % 2 else "epanechnikov"
-            for c in d.classes:
-                bank[(c, v)] = fit_kde(
-                    d.class_column(c, v), kernel=kind, fallback_scale=np.ptp(d.column(v))
-                )
-        table = hellinger_table(d, bank)
-        assert table.distances.shape == (4, 1)
-        assert np.all((table.distances >= 0) & (table.distances <= 1))
+        d = Dataset(("w", "x"), rng.normal(size=(20, 2)), ("A",) * 10 + ("B",) * 10)
+        bank = _bank(d)
+        bank["B"] = PackedKde(bank["B"].samples, bank["B"].h, "epanechnikov")
+        with pytest.raises(ValueError, match="mixes kernels"):
+            hellinger_table(d, bank)
 
     def test_missing_variable_lookup(self):
         table = HellingerTable(("x",), ("A", "B"), np.array([[0.5]]))

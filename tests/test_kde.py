@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from xnb.kde import (
     KERNELS,
     KdeModel,
+    PackedKde,
     bandwidth,
     beta_coefficient,
     fit_kde,
@@ -211,3 +212,46 @@ class TestGrid:
     def test_mu_below_two_rejected(self):
         with pytest.raises(ValueError):
             make_grid([1.0, 2.0], 1)
+
+
+class TestPackedKde:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 8), st.sampled_from(KERNELS))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_one_dimensional_models(self, seed, n, w, kind):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(n, w))
+        h = rng.uniform(0.2, 2.0, size=w)
+        packed = PackedKde(samples, h, kind)
+        x = rng.normal(size=w)
+        density = packed.density_at(x)
+        for j in range(w):
+            expected = kde_density_at(KdeModel(samples[:, j], h[j], kind), x[j])
+            assert density[j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+    def test_take_selects_columns_in_order(self):
+        packed = PackedKde(np.arange(12.0).reshape(4, 3), [1.0, 2.0, 3.0])
+        sub = packed.take([2, 0])
+        np.testing.assert_array_equal(sub.samples, np.arange(12.0).reshape(4, 3)[:, [2, 0]])
+        np.testing.assert_array_equal(sub.h, [3.0, 1.0])
+        assert sub.samples.flags.c_contiguous
+
+    def test_input_arrays_are_copied(self):
+        samples = np.zeros((2, 2))
+        packed = PackedKde(samples, [1.0, 1.0])
+        samples[0, 0] = 5.0
+        assert packed.samples[0, 0] == 0.0
+        assert samples.flags.writeable and not packed.samples.flags.writeable
+
+    @pytest.mark.parametrize(
+        "samples, h, match",
+        [
+            (np.zeros(3), [1.0], "matrix"),
+            (np.zeros((0, 2)), [1.0, 1.0], "matrix"),
+            (np.zeros((3, 2)), [1.0], "bandwidths"),
+            (np.zeros((3, 2)), [1.0, 0.0], "positive"),
+            (np.array([[0.0, np.nan]]), [1.0, 1.0], "finite"),
+        ],
+    )
+    def test_malformed_input_rejected(self, samples, h, match):
+        with pytest.raises(ValueError, match=match):
+            PackedKde(samples, h)
