@@ -72,6 +72,13 @@ class Prediction:
     used_features: dict[str, tuple[str, ...]]
 
 
+def _check_priors(priors: dict[str, float], classes) -> None:
+    if set(priors) != set(classes):
+        raise ValueError("priors must name exactly the model classes")
+    if not all(0.0 < p <= 1.0 for p in priors.values()) or abs(sum(priors.values()) - 1.0) > 1e-9:
+        raise ValueError("priors must lie in (0, 1] and sum to 1")
+
+
 @dataclass(frozen=True)
 class XnbModel:
     """Class priors, per-class variable subsets, and one packed density per class.
@@ -90,15 +97,15 @@ class XnbModel:
     timings: dict[str, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if set(self.priors) != set(self.classes) or set(self.kde_bank) != set(self.classes):
-            raise ValueError("priors and kde bank must name exactly the model classes")
-        if abs(sum(self.priors.values()) - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
+        _check_priors(self.priors, self.classes)
+        if set(self.kde_bank) != set(self.classes):
+            raise ValueError("kde bank must name exactly the model classes")
         for c in self.classes:
             feats = self.features.features[c]
-            unknown = ", ".join([v for v in feats if v not in self.variable_index][:5])
+            unknown = [v for v in feats if v not in self.variable_index]
             if unknown:
-                raise ValueError(f"class {c!r}: selected variables not in the model: {unknown}")
+                listed = ", ".join(map(repr, unknown[:5]))
+                raise ValueError(f"class {c!r}: selected variables not in the model: {listed}")
             width = self.kde_bank[c].width
             if width != len(feats):
                 raise ValueError(f"class {c!r}: kde holds {width} variables, {len(feats)} selected")
@@ -138,10 +145,11 @@ class GnbModel:
         shape = (len(self.classes), len(self.variable_names))
         if means.shape != shape or variances.shape != shape:
             raise ValueError(f"moment arrays must have shape {shape}")
-        if set(self.priors) != set(self.classes):
-            raise ValueError("priors must name exactly the model classes")
-        if np.any(variances <= 0):
-            raise ValueError("variances must be strictly positive after smoothing")
+        _check_priors(self.priors, self.classes)
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means must be finite")
+        if not np.all(np.isfinite(variances) & (variances > 0)):
+            raise ValueError("variances must be finite and strictly positive after smoothing")
         means.setflags(write=False)
         variances.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -383,6 +391,12 @@ def _v1_to_v2(payload: dict) -> dict:
     return {**payload, "kde": kde}
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of names")
+    return tuple(value)
+
+
 def load_model(path: str | Path) -> XnbModel | GnbModel:
     """Read a model file; predictions round-trip bit-exactly."""
     path = Path(path)
@@ -406,9 +420,9 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
         if version == 1:
             payload = _v1_to_v2(payload)
         method = payload["method"]
-        classes = tuple(payload["classes"])
+        classes = _names(payload["classes"], "classes")
         priors = {c: float(p) for c, p in payload["priors"].items()}
-        variables = tuple(payload["variables"])
+        variables = _names(payload["variables"], "variables")
         if method == "gnb":
             gnb = payload["gnb"]
             return GnbModel(

@@ -52,6 +52,21 @@ def _class_col(token: str) -> str | int:
     return token
 
 
+def _checked(cast, ok, domain: str):
+    """An argparse type: ``cast(token)``, rejected unless ``ok`` holds (``domain`` says when)."""
+
+    def parse(token: str):
+        try:
+            value = cast(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value {token!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {token}")
+        return value
+
+    return parse
+
+
 def _config_from(args) -> XnbConfig:
     try:
         return XnbConfig(
@@ -152,6 +167,8 @@ def _cmd_evaluate(args) -> int:
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise _UsageError(f"unknown methods: {', '.join(sorted(unknown))}")
+    if args.k > d.n:
+        raise DataError(f"--k {args.k} exceeds the sample count n={d.n}")
     report = evaluate_cv(
         d, methods=methods, k=args.k, seed=args.seed, config=_config_from(args), jobs=args.jobs
     )
@@ -208,6 +225,7 @@ def _cmd_inspect_hellinger(args) -> int:
 
 
 def build_parser() -> _Parser:
+    open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
     common = _Parser(add_help=False)
     common.add_argument("--kernel", default=DEFAULT_KERNEL, choices=KERNELS)
     common.add_argument(
@@ -217,10 +235,10 @@ def build_parser() -> _Parser:
     )
     common.add_argument("--mu", type=int, default=DEFAULT_MU)
     common.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
     common.add_argument("--class-col", default="class", metavar="NAME|@INDEX")
     common.add_argument("--format", choices=("json", "tsv"), default=None)
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=_checked(int, lambda v: v >= 1, "at least 1"), default=1)
     common.add_argument("--model", default=None, help="model file path")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -240,7 +258,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", parents=[common], help="stratified cross-validation")
     p.add_argument("--data", required=True)
     p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_checked(int, lambda v: v >= 2, "at least 2"), default=10)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("select", parents=[common], help="per-class variable selection")
@@ -249,10 +267,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", parents=[common], help="normality and dependence scans")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--p-max", type=float, default=DEFAULT_P_MAX)
-    p.add_argument("--r-min", type=float, default=DEFAULT_R_MIN)
-    p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
+    p.add_argument("--alpha", type=open_unit, default=DEFAULT_ALPHA)
+    p.add_argument("--p-max", type=open_unit, default=DEFAULT_P_MAX)
+    p.add_argument(
+        "--r-min", type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"), default=DEFAULT_R_MIN
+    )
+    p.add_argument(
+        "--max-pairs", type=_checked(int, lambda v: v >= 1, "at least 1"), default=DEFAULT_MAX_PAIRS
+    )
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("inspect", help="inspect pipeline intermediates")

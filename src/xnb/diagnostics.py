@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
 
 from .dataset import Dataset
 from .errors import DataError
@@ -51,6 +50,10 @@ def _poly(coeffs, x: float) -> float:
 
 def _sw_coefficients(n: int) -> np.ndarray:
     """Normalized upper-half weights a_1..a_(n//2), largest first."""
+    # scipy is imported by the three functions that call it, not at module
+    # load: every verb imports this module, only `diagnose` needs scipy
+    from scipy.special import ndtri
+
     n2 = n // 2
     if n == 3:
         return np.array([math.sqrt(0.5)])
@@ -74,6 +77,8 @@ def shapiro_wilk(values) -> tuple[float, float]:
 
     Requires 3 <= n <= 5000 and a non-constant sample.
     """
+    from scipy.special import ndtr
+
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.size
     if n < _MIN_N or n > _MAX_N:
@@ -211,6 +216,8 @@ def conditional_independence_scan(
     exceeds ``max_pairs`` a seeded uniform sample is scanned instead and
     the result is marked as sampled.
     """
+    from scipy.special import stdtr
+
     if d.n < 4:
         raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
     m = d.m

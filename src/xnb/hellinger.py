@@ -8,13 +8,15 @@ every unordered class pair.
 
 Table construction is the pipeline's hot loop at genomic widths, so it
 runs blockwise over the classes' packed sample matrices; with ``jobs`` > 1
-the blocks are spread over worker processes.
+contiguous column chunks are spread over a thread pool (numpy releases the
+GIL in the kernel sums), at most one thread per CPU.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -72,6 +74,8 @@ class HellingerTable:
         expected = (len(self.variable_names), len(self.class_pairs))
         if distances.shape != expected:
             raise ValueError(f"distances shape {distances.shape}, expected {expected}")
+        if len(set(self.variable_names)) != len(self.variable_names):
+            raise ValueError("duplicate variable names")
         distances.setflags(write=False)
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
@@ -170,8 +174,9 @@ def hellinger_table(
     ``kde_bank`` maps every class to its packed density over all of the
     dataset's variables, in ``d.variable_names`` order, with one kernel
     shared by all classes (the bank of a ``fit_fnb`` model). With ``jobs``
-    > 1 the variable blocks are spread over processes; results are
-    identical to the sequential path.
+    > 1 the variables are split into one chunk per thread, using at most
+    ``os.cpu_count()`` threads; results are identical to the sequential
+    path.
     """
     for c in d.classes:
         if c not in kde_bank or kde_bank[c].width != d.m:
@@ -181,15 +186,15 @@ def hellinger_table(
     if len(kernels) != 1:
         raise ValueError(f"kde bank mixes kernels: {', '.join(sorted(kernels))}")
 
-    if jobs <= 1 or d.m < 2 * jobs:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or d.m < 2 * workers:
         distances = _block_distances(densities, mu)
     else:
-        bounds = np.linspace(0, d.m, jobs + 1).astype(int)
-        chunks = [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_block_distances, [p.take(slice(lo, hi)) for p in densities], mu)
-                for lo, hi in chunks
-            ]
-            distances = np.vstack([f.result() for f in futures])
+        bounds = np.linspace(0, d.m, workers + 1).astype(int)
+
+        def chunk(lo, hi):
+            return _block_distances([p.take(slice(lo, hi)) for p in densities], mu)
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            distances = np.vstack(list(pool.map(chunk, bounds[:-1], bounds[1:])))
     return HellingerTable(d.variable_names, d.classes, distances)

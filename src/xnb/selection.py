@@ -115,12 +115,16 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
             theta=cfg.theta,
         )
 
+    # ties in H resolve to the lexicographically smaller name: each pair's
+    # candidate order sorts by -H, then by the name's rank
+    name_rank = np.empty(m, dtype=np.intp)
+    name_rank[sorted(range(m), key=names.__getitem__)] = np.arange(m)
     features: dict[str, tuple[str, ...]] = {}
     steps: dict[str, tuple[SelectionStep, ...]] = {}
     pair_h: dict[str, dict[str, dict[str, float]]] = {}
     for ci in table.classes:
-        selected: list[str] = []
-        selected_set: set[str] = set()
+        selected: list[int] = []
+        taken = np.zeros(m, dtype=bool)
         trace: list[SelectionStep] = []
         for cj in table.classes:
             if cj == ci:
@@ -128,17 +132,16 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
             h_pair = table.pair_column(ci, cj)
             # residual contribution of variables already in the subset
             residual = 1.0
-            for v in selected:
-                residual *= 1.0 - table.value(v, ci, cj)
-            # ties in H resolve to the lexicographically smaller name
-            order = sorted(range(m), key=lambda j: (-h_pair[j], names[j]))
+            for j in selected:
+                residual *= 1.0 - float(h_pair[j])
+            order = np.lexsort((name_rank, -h_pair))
             cursor = 0
             while 1.0 - residual <= cfg.theta and len(selected) < m:
-                while names[order[cursor]] in selected_set:
+                while taken[order[cursor]]:
                     cursor += 1
-                j = order[cursor]
-                selected.append(names[j])
-                selected_set.add(names[j])
+                j = int(order[cursor])
+                selected.append(j)
+                taken[j] = True
                 residual *= 1.0 - h_pair[j]
                 trace.append(
                     SelectionStep(
@@ -149,11 +152,11 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
                         order=len(selected) - 1,
                     )
                 )
-        features[ci] = tuple(selected)
+        features[ci] = tuple(names[j] for j in selected)
         steps[ci] = tuple(trace)
         pair_h[ci] = {
             v: {cj: table.value(v, ci, cj) for cj in table.classes if cj != ci}
-            for v in selected
+            for v in features[ci]
         }
     return ClassFeatureMap(
         classes=table.classes, features=features, steps=steps, pair_h=pair_h, theta=cfg.theta

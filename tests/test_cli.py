@@ -1,11 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xnb.classifier import load_model, predict
+import xnb
+from xnb.classifier import fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
 from xnb.cli import main
 from xnb.dataset import Dataset, save_csv
+from xnb.evaluation import METHODS
 from tests.conftest import make_separated
 
 
@@ -50,6 +60,45 @@ class TestExitCodes:
 
     def test_bad_class_column_index(self, data_csv):
         assert main(["evaluate", "--data", str(data_csv), "--class-col", "@x"]) == 1
+
+    @pytest.mark.parametrize(
+        "verb, flags, code",
+        [
+            ("evaluate", ["--k", "1"], 1),
+            ("evaluate", ["--k", "0"], 1),
+            ("evaluate", ["--k", "61"], 2),  # more folds than the 60 samples
+            ("evaluate", ["--seed", "-1"], 1),
+            ("evaluate", ["--jobs", "0"], 1),
+            ("diagnose", ["--seed", "-1"], 1),
+            ("diagnose", ["--max-pairs", "-1"], 1),
+            ("diagnose", ["--max-pairs", "0"], 1),
+            ("diagnose", ["--alpha", "2"], 1),
+            ("diagnose", ["--alpha", "0"], 1),
+            ("diagnose", ["--alpha", "1"], 1),
+            ("diagnose", ["--alpha", "nan"], 1),
+            ("diagnose", ["--p-max", "-0.1"], 1),
+            ("diagnose", ["--p-max", "1"], 1),
+            ("diagnose", ["--r-min", "-0.1"], 1),
+            ("diagnose", ["--r-min", "1"], 1),
+            ("fit", ["--jobs", "0"], 1),
+            ("fit", ["--jobs", "-3"], 1),
+            ("fit", ["--seed", "x"], 1),
+            ("select", ["--jobs", "0"], 1),
+        ],
+    )
+    def test_out_of_domain_flag(self, data_csv, tmp_path, capsys, verb, flags, code):
+        args = [verb, "--data", str(data_csv), "--model", str(tmp_path / "m.json"), *flags]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert "usage error" in err and flags[0] in err
+        else:
+            assert "--k 61" in err and "n=60" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--r-min", "0"], ["--alpha", "0.999"], ["--max-pairs", "1"]])
+    def test_flag_domain_edges_accepted(self, data_csv, capsys, flags):
+        assert main(["diagnose", "--data", str(data_csv), *flags]) == 0
 
 
 class TestFitPredict:
@@ -271,3 +320,126 @@ class TestInspect:
         out = tmp_path / "table.tsv"
         assert main(["inspect", "hellinger", "--data", str(data_csv), "--out", str(out)]) == 0
         assert out.read_text().startswith("variable\t")
+
+
+class TestImports:
+    def test_only_diagnostics_loads_scipy(self, tmp_path):
+        script = f"""
+import sys
+import numpy as np
+import xnb, xnb.cli
+
+rng = np.random.default_rng(2)
+labels = tuple("ABC"[i % 3] for i in range(45))
+values = rng.normal(size=(45, 12)) + 3.0 * np.array([[ord(c) - 65] for c in labels])
+d = xnb.Dataset(tuple(f"g{{j}}" for j in range(12)), values, labels)
+xnb.save_csv(d, "{tmp_path}/d.csv")
+for argv in (
+    ["fit", "--data", "{tmp_path}/d.csv", "--model", "{tmp_path}/m.json", "--jobs", "2"],
+    ["predict", "--data", "{tmp_path}/d.csv", "--model", "{tmp_path}/m.json", "--out", "{tmp_path}/p.tsv"],
+    ["evaluate", "--data", "{tmp_path}/d.csv", "--k", "3", "--jobs", "2", "--out", "{tmp_path}/e.json"],
+):
+    assert xnb.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))
+assert not loaded, loaded
+report = xnb.run_diagnostics(d)
+assert 0.0 <= report.sw_rejection_ratio <= 1.0
+assert "scipy" in sys.modules
+"""
+        package_root = str(Path(xnb.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+
+
+# A small valid training file and the cells the fuzz writes into it.
+_ROWS = 12
+_GOOD = np.random.default_rng(11).normal(size=(_ROWS, 3)) + np.repeat([[0.0], [4.0]], _ROWS // 2, axis=0)
+_BAD_CELLS = ["", " ", "nan", "inf", "-inf", "1e999", "abc", '"', '1"2', '"1,2', "1,", "\x00", "é"]
+_ODD_CELLS = [" 1.5 ", "-0", "+2", "1e-300", "0x1", "1_0", "A", "B"]
+
+
+@st.composite
+def malformed_csv(draw):
+    """The valid file with cells replaced, rows cut short or lengthened, and the text cut."""
+    rows = [["g1", "g2", "g3", "class"]]
+    rows += [[format(v, ".17g") for v in row] + ["AB"[i * 2 // _ROWS]] for i, row in enumerate(_GOOD)]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "cut", "extend"]))
+        if kind == "cell":
+            cell = draw(st.one_of(st.sampled_from(_BAD_CELLS + _ODD_CELLS), st.text(max_size=3)))
+            if rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = cell
+        elif kind == "cut":
+            del rows[i][draw(st.integers(0, len(rows[i]))):]
+        else:
+            rows[i].append(draw(st.sampled_from(_BAD_CELLS)))
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@lru_cache(maxsize=None)
+def _good_model_payload(method: str = "xnb") -> dict:
+    d = Dataset(("g1", "g2", "g3"), _GOOD, tuple("AB"[i * 2 // _ROWS] for i in range(_ROWS)))
+    fit = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}[method]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(fit(d), Path(tmp) / "m.json")
+        return json.loads((Path(tmp) / "m.json").read_text())
+
+
+_WRONG_VALUES = [None, True, 0, -1, 2.5, "x", "", [], [1, "a"], {}, {"a": 1}, float("nan")]
+
+
+@st.composite
+def malformed_model(draw):
+    """The valid model with one node deleted or replaced by a wrong type, or its text cut."""
+    payload = json.loads(json.dumps(_good_model_payload(draw(st.sampled_from(METHODS)))))
+    parent, key = None, None
+    node = payload
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(list(keys)))
+        node = parent[key]
+    if parent is not None:
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(_WRONG_VALUES))
+    text = json.dumps(payload)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+class TestFuzz:
+    """Malformed inputs are usage or data errors (exit 1 or 2), never internal ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_csv(), st.sampled_from(["xnb", "fnb", "gnb"]))
+    def test_malformed_csv(self, text, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "d.csv"
+            data.write_text(text, encoding="utf-8")
+            model = Path(tmp) / "good.json"
+            model.write_text(json.dumps(_good_model_payload()))
+            for argv in (
+                ["fit", "--data", str(data), "--model", f"{tmp}/m.json", "--method", method],
+                ["predict", "--data", str(data), "--model", str(model), "--out", f"{tmp}/p.tsv"],
+                ["diagnose", "--data", str(data), "--max-pairs", "2", "--out", f"{tmp}/g.json"],
+            ):
+                assert main(argv) in (0, 1, 2), argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_model())
+    def test_malformed_model(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "d.csv"
+            data.write_text("g1,g2,g3\n0.5,1.5,-2\n4,4,4\n", encoding="utf-8")
+            model = Path(tmp) / "m.json"
+            model.write_text(text, encoding="utf-8")
+            argv = ["predict", "--data", str(data), "--model", str(model), "--out", f"{tmp}/p"]
+            assert main(argv) in (0, 1, 2)

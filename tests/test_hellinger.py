@@ -1,5 +1,7 @@
+import importlib
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from xnb.dataset import Dataset
 from xnb.hellinger import HellingerTable, hellinger, hellinger_table, normalize_to_distribution
 from xnb.kde import KERNELS, KdeModel, PackedKde, bandwidth, kde_on_grid, make_grid
+
+# the module, not the `xnb.hellinger` function that the package exports
+hellinger_module = importlib.import_module("xnb.hellinger")
 
 
 def hellinger_oracle(p, q):
@@ -114,6 +119,21 @@ def per_variable_oracle(d, bank, mu=50):
     return out
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pretend to have 4 CPUs and record the size of every thread pool started."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(hellinger_module.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(hellinger_module, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestTable:
     def test_identical_classes_give_zero(self):
         base = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.5]])
@@ -168,15 +188,32 @@ class TestTable:
         with pytest.raises(ValueError, match="incomplete"):
             hellinger_table(d, bank)
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, pool_sizes):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(24, 9))
         labels = ("A",) * 8 + ("B",) * 8 + ("C",) * 8
         d = Dataset(tuple(f"v{i}" for i in range(9)), values, labels)
         bank = _bank(d)
         seq = hellinger_table(d, bank, jobs=1)
-        par = hellinger_table(d, bank, jobs=3)
-        np.testing.assert_array_equal(seq.distances, par.distances)
+        for jobs in (2, 3):
+            par = hellinger_table(d, bank, jobs=jobs)
+            np.testing.assert_array_equal(seq.distances, par.distances)
+        assert pool_sizes == [2, 3]
+
+    def test_threads_capped_at_cpu_count(self, pool_sizes):
+        rng = np.random.default_rng(7)
+        d = Dataset(tuple(f"v{i}" for i in range(40)), rng.normal(size=(12, 40)), ("A", "B") * 6)
+        bank = _bank(d)
+        seq = hellinger_table(d, bank)
+        np.testing.assert_array_equal(hellinger_table(d, bank, jobs=1000).distances, seq.distances)
+        # fewer than two variables per thread: no pool
+        narrow = Dataset(("x", "y", "z"), d.values[:, :3], d.labels)
+        hellinger_table(narrow, _bank(narrow), jobs=2)
+        assert pool_sizes == [4]
+
+    def test_duplicate_variable_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            HellingerTable(("x", "x"), ("A", "B"), np.zeros((2, 1)))
 
     def test_blocked_path_matches_per_variable_reference(self):
         rng = np.random.default_rng(13)

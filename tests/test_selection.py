@@ -2,11 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xnb.hellinger import HellingerTable
 from xnb.selection import (
     ClassFeatureMap,
     SelectionConfig,
+    SelectionStep,
     discriminatory_power,
     explain_selection,
     select_class_specific,
@@ -30,6 +33,60 @@ def exhaustive_minimum(h_by_variable: dict[str, float], theta: float) -> int:
             if 1.0 - residual > theta:
                 return size
     return len(names)
+
+
+def sorted_oracle(table: HellingerTable, theta: float):
+    """The greedy walk with one Python ``sorted`` per class pair, by name.
+
+    Returns ``(features, steps, pair_h)`` as ``select_class_specific`` does.
+    """
+    names = table.variable_names
+    m = len(names)
+    features, steps, pair_h = {}, {}, {}
+    for ci in table.classes:
+        selected, trace = [], []
+        for cj in table.classes:
+            if cj == ci:
+                continue
+            h_pair = table.pair_column(ci, cj)
+            residual = 1.0
+            for v in selected:
+                residual *= 1.0 - table.value(v, ci, cj)
+            order = sorted(range(m), key=lambda j: (-h_pair[j], names[j]))
+            cursor = 0
+            while 1.0 - residual <= theta and len(selected) < m:
+                while names[order[cursor]] in selected:
+                    cursor += 1
+                j = order[cursor]
+                selected.append(names[j])
+                residual *= 1.0 - h_pair[j]
+                step = SelectionStep(names[j], cj, float(h_pair[j]), 1.0 - residual, len(selected) - 1)
+                trace.append(step)
+        features[ci] = tuple(selected)
+        steps[ci] = tuple(trace)
+        pair_h[ci] = {
+            v: {cj: table.value(v, ci, cj) for cj in table.classes if cj != ci} for v in selected
+        }
+    return features, steps, pair_h
+
+
+@st.composite
+def tied_tables(draw):
+    """Seeded tables whose H values come from a small pool, so ties abound."""
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(0.0, 1.0, size=draw(st.integers(1, 6)))
+    pool[rng.uniform(size=pool.size) < 0.3] = 0.0
+    distances = rng.choice(pool, size=(m, k * (k - 1) // 2))
+    # unique names of mixed length and case, in shuffled order
+    names = set()
+    while len(names) < m:
+        names.add("".join(rng.choice(list("abAB_0"), size=rng.integers(1, 5))))
+    names = tuple(rng.permutation(sorted(names)).tolist())
+    classes = tuple(f"c{i}" for i in range(k))
+    theta = draw(st.sampled_from([0.5, 0.9, 0.999]))
+    return HellingerTable(names, classes, distances), theta
 
 
 class TestDiscriminatoryPower:
@@ -153,6 +210,30 @@ class TestSelect:
         with pytest.warns(UserWarning, match="single-class"):
             fmap = select_class_specific(table)
         assert fmap.features["A"] == ()
+
+
+class TestSelectionProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(tied_tables())
+    def test_equals_sorted_oracle(self, case):
+        table, theta = case
+        fmap = select_class_specific(table, SelectionConfig(theta=theta))
+        features, steps, pair_h = sorted_oracle(table, theta)
+        assert fmap.features == features
+        assert fmap.steps == steps
+        assert fmap.pair_h == pair_h
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_tables())
+    def test_meets_theta_or_selects_every_variable(self, case):
+        table, theta = case
+        fmap = select_class_specific(table, SelectionConfig(theta=theta))
+        for c in table.classes:
+            selected = fmap.features[c]
+            if len(selected) < len(table.variable_names):
+                assert discriminatory_power(selected, c, table) > theta
+            else:
+                assert set(selected) == set(table.variable_names)
 
 
 class TestConfig:
