@@ -8,7 +8,6 @@ All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
-from .dataset import load_csv
+from .dataset import csv_records, load_csv
 from .diagnostics import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_PAIRS,
@@ -111,26 +110,17 @@ def _cmd_fit(args) -> int:
 def _read_samples(path: str, variables) -> np.ndarray:
     """Read a headered CSV of unlabeled samples in model variable order."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    rows = []
+    with csv_records(path) as (header, records):
         positions = {name: i for i, name in enumerate(header)}
         missing = [v for v in variables if v not in positions]
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
         order = [positions[v] for v in variables]
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
+        for lineno, record in records:
             try:
                 row = [float(record[i]) for i in order]
-            except (ValueError, IndexError):
+            except ValueError:
                 raise DataError(f"{path}: row {lineno}: cannot parse sample values") from None
             bad = [v for v, x in zip(variables, row) if not math.isfinite(x)]
             if bad:

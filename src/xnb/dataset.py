@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -109,12 +110,14 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
-def load_csv(path: str | Path, class_column: str | int) -> Dataset:
-    """Load a headered, comma-separated file into a Dataset.
+@contextmanager
+def csv_records(path: str | Path):
+    """Open a headered CSV; yield its stripped header and its rows.
 
-    The class column (selected by header name or 0-based index) is removed
-    from the value matrix and kept as labels. Every other cell must parse as
-    a finite real; the first offending cell is reported by row and column.
+    The rows come as (line number, fields) pairs, blank rows skipped. A
+    missing or empty file, a header that repeats a name and a row whose
+    field count differs from the header's are data errors; a row's error
+    is raised when the iteration reaches it.
     """
     path = Path(path)
     if not path.exists():
@@ -122,10 +125,38 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise DataError(f"{path}: duplicate column name {name!r} in the header")
+            seen.add(name)
+
+        def rows():
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
+                yield lineno, record
+
+        yield header, rows()
+
+
+def load_csv(path: str | Path, class_column: str | int) -> Dataset:
+    """Load a headered, comma-separated file into a Dataset.
+
+    The class column (selected by header name or 0-based index) is removed
+    from the value matrix and kept as labels. Every class cell must be
+    non-blank and every other cell must parse as a finite real; the first
+    offending cell is reported by row and column.
+    """
+    path = Path(path)
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    with csv_records(path) as (header, records):
         if isinstance(class_column, int):
             if not -len(header) <= class_column < len(header):
                 raise DataError(f"class column index {class_column} out of range for {len(header)} columns")
@@ -137,14 +168,11 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
                 raise DataError(f"class column {class_column!r} not found in header") from None
         names = tuple(h for i, h in enumerate(header) if i != class_idx)
 
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
-            labels.append(record[class_idx].strip())
+        for lineno, record in records:
+            label = record[class_idx].strip()
+            if not label:
+                raise DataError(f"{path}: row {lineno}, column {header[class_idx]!r}: empty class label")
+            labels.append(label)
             row = []
             for i, cell in enumerate(record):
                 if i == class_idx:

@@ -3,8 +3,10 @@
 The Shapiro-Wilk W statistic and p-value follow Royston's approximation
 (the AS R94 family, valid for 3 <= n <= 5000). The conditional-independence
 scan regresses each variable on the class (within-class centering), then
-tests the Pearson correlation of residual pairs with a t transform,
+tests the Pearson correlation r of residual pairs with the two-sided t
+test, whose p-value is the regularized incomplete beta I_(1-r^2)(dof/2, 1/2),
 flagging pairs that are both statistically and practically significant.
+Everything runs on numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ def _poly(coeffs, x: float) -> float:
 
 def _sw_coefficients(n: int) -> np.ndarray:
     """Normalized upper-half weights a_1..a_(n//2), largest first."""
-    # scipy is imported by the three functions that call it, not at module
-    # load: every verb imports this module, only `diagnose` needs scipy
-    from scipy.special import ndtri
+    # imported here: every verb imports this module, only `diagnose` needs it
+    from statistics import NormalDist
 
     n2 = n // 2
     if n == 3:
         return np.array([math.sqrt(0.5)])
-    m = ndtri((np.arange(1, n2 + 1) - 0.375) / (n + 0.25))  # negative half
+    inv_cdf = NormalDist().inv_cdf
+    m = np.array([inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)])  # negative half
     summ2 = 2.0 * float(m @ m)
     ssumm2 = math.sqrt(summ2)
     rsn = 1.0 / math.sqrt(n)
@@ -72,41 +74,62 @@ def _sw_coefficients(n: int) -> np.ndarray:
     return np.concatenate([[a1], -m[1:] / fac])
 
 
+def _sw_p_values(w: np.ndarray, n: int) -> list[float]:
+    """Royston's p-value of each W statistic of samples of size n."""
+    if n == 3:
+        return [
+            min(max(1.9098593171027437 * (math.asin(math.sqrt(v)) - 1.0471975511965976), 0.0), 1.0)
+            for v in w.tolist()
+        ]
+    if n <= 11:
+        gamma = _poly(_G, n)
+        mu, sigma = _poly(_C3, n), math.exp(_poly(_C4, n))
+    else:
+        log_n = math.log(n)
+        mu, sigma = _poly(_C5, log_n), math.exp(_poly(_C6, log_n))
+    p = []
+    for v in w.tolist():
+        y = math.log1p(-v)
+        if n <= 11:
+            if y >= gamma:
+                p.append(1e-99)
+                continue
+            y = -math.log(gamma - y)
+        # upper normal tail of z = (y - mu) / sigma
+        p.append(0.5 * math.erfc((y - mu) / sigma / math.sqrt(2.0)))
+    return p
+
+
+def _shapiro_wilk_rows(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """W and p-value of each row of ``x``, a (k, n) matrix of non-constant rows.
+
+    The rows are sorted in place. Every reduction runs along a row, so a
+    row's result does not depend on the other rows.
+    """
+    x.sort(axis=1)
+    n = x.shape[1]
+    a = _sw_coefficients(n)
+    n2 = n // 2
+    # antisymmetric weights: -a on the lower half, +a mirrored on the upper
+    numerator = ((x[:, : -n2 - 1 : -1] - x[:, :n2]) * a).sum(axis=1)
+    ss = ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    w = np.minimum(numerator * numerator / ss, 1.0)
+    return w, _sw_p_values(w, n)
+
+
 def shapiro_wilk(values) -> tuple[float, float]:
     """W statistic and p-value of the Shapiro-Wilk normality test.
 
     Requires 3 <= n <= 5000 and a non-constant sample.
     """
-    from scipy.special import ndtr
-
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    n = x.size
+    x = np.array(values, dtype=np.float64).reshape(1, -1)
+    n = x.shape[1]
     if n < _MIN_N or n > _MAX_N:
         raise ValueError(f"sample size must lie in [{_MIN_N}, {_MAX_N}], got {n}")
-    if x[-1] == x[0]:
+    if x.max() == x.min():
         raise ValueError("all values are identical (zero variance)")
-
-    a = _sw_coefficients(n)
-    n2 = n // 2
-    # antisymmetric weights: -a on the lower half, +a mirrored on the upper
-    numerator = float(a @ (x[: -n2 - 1 : -1] - x[:n2]))
-    ss = float(np.sum((x - x.mean()) ** 2))
-    w = min(numerator * numerator / ss, 1.0)
-
-    if n == 3:
-        p = 1.9098593171027437 * (math.asin(math.sqrt(w)) - 1.0471975511965976)
-        return w, min(max(p, 0.0), 1.0)
-
-    y = math.log1p(-w)
-    if n <= 11:
-        gamma = _poly(_G, n)
-        if y >= gamma:
-            return w, 1e-99
-        z = (-math.log(gamma - y) - _poly(_C3, n)) / math.exp(_poly(_C4, n))
-    else:
-        log_n = math.log(n)
-        z = (y - _poly(_C5, log_n)) / math.exp(_poly(_C6, log_n))
-    return w, float(ndtr(-z))
+    w, p = _shapiro_wilk_rows(x)
+    return float(w[0]), p[0]
 
 
 def normality_scan(d: Dataset, alpha: float = DEFAULT_ALPHA) -> float:
@@ -122,51 +145,97 @@ def normality_scan(d: Dataset, alpha: float = DEFAULT_ALPHA) -> float:
 
 
 def _normality_detail(d: Dataset, alpha: float):
-    rows = []
-    rejected = 0
+    columns = d.values.T  # (m, n), C-contiguous
+    constant = columns.max(axis=1) == columns.min(axis=1)
     out_of_range = not _MIN_N <= d.n <= _MAX_N
     if out_of_range:
         logger.warning("%d samples, outside the Shapiro-Wilk range; normality not tested", d.n)
+        tested = {}
+    else:
+        # one pass over every testable column: the weights depend only on n
+        idx = np.flatnonzero(~constant)
+        w, p = _shapiro_wilk_rows(columns[idx])
+        tested = dict(zip(idx.tolist(), zip(w.tolist(), p)))
+    rows = []
+    rejected = 0
     for j, name in enumerate(d.variable_names):
-        col = d.column(j)
-        if col.max() == col.min():
+        if constant[j]:
             rejected += 1
             rows.append({"variable": name, "w": None, "p": None, "rejected": True, "note": "zero variance"})
             logger.info("variable %s has zero variance; counted as non-normal", name)
-            continue
-        if out_of_range:
+        elif out_of_range:
             note = f"{d.n} samples, outside the Shapiro-Wilk range [{_MIN_N}, {_MAX_N}]"
             rows.append({"variable": name, "w": None, "p": None, "rejected": False, "note": note})
-            continue
-        w, p = shapiro_wilk(col)
-        reject = p < alpha
-        rejected += reject
-        rows.append({"variable": name, "w": w, "p": p, "rejected": bool(reject), "note": None})
+        else:
+            w, p = tested[j]
+            reject = p < alpha
+            rejected += reject
+            rows.append({"variable": name, "w": w, "p": p, "rejected": reject, "note": None})
     return rejected / d.m, rows
 
 
 def within_class_residuals(values, labels) -> np.ndarray:
-    """Values minus their class means.
+    """Values minus their class means, column by column.
 
-    Regressing a continuous variable on a categorical one fits the class
-    means, so these are the regression residuals.
+    ``values`` holds one sample per row, (n,) or (n, m); ``labels`` the n
+    classes. Regressing a continuous variable on a categorical one fits
+    the class means, so these are the regression residuals.
     """
-    values = np.asarray(values, dtype=np.float64)
+    residuals = np.array(values, dtype=np.float64)
     labels = np.asarray(labels)
-    if values.shape != labels.shape:
-        raise ValueError(f"length mismatch: {values.shape} values vs {labels.shape} labels")
-    residuals = values.astype(np.float64, copy=True)
+    if residuals.shape[:1] != labels.shape:
+        raise ValueError(f"length mismatch: {residuals.shape} values vs {labels.shape} labels")
     for c in np.unique(labels):
-        mask = labels == c
-        residuals[mask] -= values[mask].mean()
-    return residuals
-
-
-def _residual_matrix(d: Dataset) -> np.ndarray:
-    residuals = np.array(d.values, dtype=np.float64)
-    for rows in d.class_rows.values():
+        rows = np.flatnonzero(labels == c)
         residuals[rows] -= residuals[rows].mean(axis=0)
     return residuals
+
+
+def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) for scalars a, b > 0 and x in [0, 1].
+
+    The continued fraction converges fast below the mean, x < (a+1)/(a+b+2);
+    above it, I_x(a, b) = 1 - I_(1-x)(b, a).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = 1.0 - x
+    out = np.empty_like(x)
+    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    for swap, p, q in ((False, a, b), (True, b, a)):
+        u, v = (y[flip], x[flip]) if swap else (x[~flip], y[~flip])  # v = 1 - u
+        value = u**p * v**q / (p * beta) * _beta_fraction(p, q, u)
+        out[flip == swap] = 1.0 - value if swap else value
+    return out
+
+
+def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny, eps = 1e-300, 1e-15
+
+    def nudge(v):
+        return np.where(np.abs(v) < tiny, tiny, v)
+
+    c = np.ones_like(x)
+    d = 1.0 / nudge(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    # each value stops at its first step within eps of 1: later steps wander
+    # by a few ulps, so they need not all be within eps at once
+    done = np.zeros(x.shape, dtype=bool)
+    # the worst case takes O(sqrt(max(a, b))) terms
+    for m in range(1, 200 + int(20.0 * math.sqrt(max(a, b)))):
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / nudge(1.0 + coef * d)
+            c = nudge(1.0 + coef / c)
+            step = d * c
+            h = np.where(done, h, h * step)
+        done |= np.abs(step - 1.0) < eps
+        if done.all():
+            return h
+    raise RuntimeError(f"incomplete beta fraction did not converge for a={a}, b={b}")
 
 
 def _decode_pair(linear: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,12 +285,10 @@ def conditional_independence_scan(
     exceeds ``max_pairs`` a seeded uniform sample is scanned instead and
     the result is marked as sampled.
     """
-    from scipy.special import stdtr
-
     if d.n < 4:
         raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
     m = d.m
-    residuals = _residual_matrix(d)
+    residuals = within_class_residuals(d.values, d.labels)
     norms = np.sqrt((residuals**2).sum(axis=0))
     degenerate = norms == 0.0
     if degenerate.any():
@@ -240,36 +307,29 @@ def conditional_independence_scan(
         ii, jj = np.triu_indices(m, k=1)
 
     dof = d.n - 2
-    flagged_mask = np.zeros(ii.size, dtype=bool)
-    r_all = np.empty(ii.size)
-    p_all = np.empty(ii.size)
+    names = d.variable_names
+    flagged = []
     skipped = 0
     for lo in range(0, ii.size, CI_CHUNK_PAIRS):
-        hi = min(lo + CI_CHUNK_PAIRS, ii.size)
-        bi, bj = ii[lo:hi], jj[lo:hi]
-        r = np.einsum("ij,ij->j", unit[:, bi], unit[:, bj])
-        bad = ~np.isfinite(r)
-        skipped += int(bad.sum())
-        r = np.clip(r, -1.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = r * np.sqrt(dof / (1.0 - r * r))
-        p = 2.0 * stdtr(dof, -np.abs(t))
-        p = np.where(np.abs(r) == 1.0, 0.0, p)
-        ok = ~bad & (p < p_max) & (np.abs(r) > r_min)
-        flagged_mask[lo:hi] = ok
-        r_all[lo:hi] = r
-        p_all[lo:hi] = p
+        bi, bj = ii[lo : lo + CI_CHUNK_PAIRS], jj[lo : lo + CI_CHUNK_PAIRS]
+        r = np.clip(np.einsum("ij,ij->j", unit[:, bi], unit[:, bj]), -1.0, 1.0)
+        finite = np.isfinite(r)
+        skipped += int(r.size - finite.sum())
+        # only strong pairs can be flagged, so only they need a p-value:
+        # the two-sided t test of r with dof degrees of freedom
+        strong = np.flatnonzero(finite & (np.abs(r) > r_min))
+        p = _betainc(0.5 * dof, 0.5, 1.0 - r[strong] ** 2)
+        hit = p < p_max
+        flagged += [
+            (names[bi[k]], names[bj[k]], float(r[k]), pk)
+            for k, pk in zip(strong[hit].tolist(), p[hit].tolist())
+        ]
 
-    flag_idx = np.flatnonzero(flagged_mask)
-    names = d.variable_names
-    flagged = tuple(
-        (names[ii[k]], names[jj[k]], float(r_all[k]), float(p_all[k])) for k in flag_idx
-    )
-    involved = sorted({names[ii[k]] for k in flag_idx} | {names[jj[k]] for k in flag_idx})
+    involved = sorted({a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged})
     return CiScanResult(
         ratio=len(involved) / m,
         examined_pairs=int(ii.size - skipped),
-        flagged=flagged,
+        flagged=tuple(flagged),
         skipped_pairs=skipped,
         sampled=sampled,
         dependent_variables=tuple(involved),

@@ -54,7 +54,26 @@ class TestLoadCsv:
 
     def test_duplicate_header_names_rejected(self, tmp_path):
         path = write(tmp_path, "g1,g1,class\n1,2,A\n3,4,B\n")
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate column name 'g1'"):
+            load_csv(path, "class")
+
+    def test_duplicate_class_column_name_rejected(self, tmp_path):
+        # without the check, the first copy is the class column and the
+        # second is silently read as a variable named 'class'
+        path = write(tmp_path, "class,g1,class\nA,1,2\nB,3,4\n")
+        with pytest.raises(DataError, match="duplicate column name 'class'"):
+            load_csv(path, "class")
+
+    @pytest.mark.parametrize("cell", ["", "  "])
+    def test_empty_class_label_reports_location(self, tmp_path, cell):
+        path = write(tmp_path, f"g1,g2,class\n1,2,A\n3,4,{cell}\n5,6,B\n")
+        with pytest.raises(DataError, match=r"row 3, column 'class': empty class label"):
+            load_csv(path, "class")
+
+    @pytest.mark.parametrize("row", ["3,4", "3,4,B,5"])
+    def test_row_width_differs_from_header(self, tmp_path, row):
+        path = write(tmp_path, f"g1,g2,class\n1,2,A\n{row}\n")
+        with pytest.raises(DataError, match=r"row 3 has \d fields, header has 3"):
             load_csv(path, "class")
 
     def test_scientific_notation_accepted(self, tmp_path):

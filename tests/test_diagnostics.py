@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 import xnb.diagnostics as diagnostics_module
 from xnb.dataset import Dataset
@@ -108,6 +110,72 @@ class TestNormalityScan:
         assert "outside the Shapiro-Wilk range" in noise["note"]
 
 
+@st.composite
+def _columns_with_ties(draw):
+    """An (n, m) matrix whose columns are constant, heavily tied or free."""
+    n = draw(st.one_of(st.integers(3, 15), st.integers(16, 300)))
+    free = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["constant", "tied", "free"]))
+        if kind == "constant":
+            columns.append([draw(free)] * n)
+        elif kind == "tied":
+            columns.append(draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.lists(free, min_size=n, max_size=n)))
+    return np.array(columns).T
+
+
+class TestNormalityScanIsPerColumnShapiroWilk:
+    @settings(max_examples=80, deadline=None)
+    @given(_columns_with_ties())
+    def test_scan_equals_shapiro_wilk_bit_for_bit(self, values):
+        n, m = values.shape
+        d = Dataset(tuple(f"v{j}" for j in range(m)), values, ("A", "B") * (n // 2) + ("A",) * (n % 2))
+        ratio, rows = diagnostics_module._normality_detail(d, 0.05)
+        rejected = 0
+        for j, row in enumerate(rows):
+            if values[:, j].min() == values[:, j].max():
+                assert row["note"] == "zero variance" and row["rejected"] is True
+                with pytest.raises(ValueError, match="identical"):
+                    shapiro_wilk(values[:, j])
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    w, p = shapiro_wilk(values[:, j])
+                # equal as floats, NaN included
+                np.testing.assert_array_equal([row["w"], row["p"]], [w, p])
+                assert row["rejected"] is (p < 0.05)
+            rejected += row["rejected"]
+        assert ratio == rejected / m
+
+
+class TestTTail:
+    """The dependence p-value I_(1-r^2)(dof/2, 1/2) against scipy's betainc."""
+
+    def test_matches_betainc(self):
+        r = np.array([0.0, 1e-9, -1e-9, diagnostics_module.DEFAULT_R_MIN, 0.999999, 1.0, -1.0])
+        x = 1.0 - r * r
+        for dof in range(2, 4999):
+            got = diagnostics_module._betainc(0.5 * dof, 0.5, x)
+            ref = special.betainc(0.5 * dof, 0.5, x)
+            # below the normal range (e.g. 1e-319 vs scipy's 0) no digit is significant
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-10, atol=np.finfo(np.float64).tiny, err_msg=f"dof={dof}"
+            )
+
+    def test_two_sided_t_test(self):
+        rng = np.random.default_rng(14)
+        for dof in (2, 3, 10, 198, 4998):
+            # many values near the flip point x = (a+1)/(a+b+2), where the fraction is slowest
+            r = np.concatenate([rng.uniform(-1.0, 1.0, 2000), rng.normal(0.0, 3.0 / np.sqrt(dof), 20_000)])
+            r = r[np.abs(r) < 1.0]
+            t = r * np.sqrt(dof / (1.0 - r * r))
+            ref = 2.0 * stats.t.sf(np.abs(t), dof)
+            got = diagnostics_module._betainc(0.5 * dof, 0.5, 1.0 - r * r)
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=np.finfo(np.float64).tiny)
+
+
 class TestResiduals:
     def test_hand_example(self):
         res = within_class_residuals([1.0, 2.0, 10.0, 20.0], ["A", "A", "B", "B"])
@@ -130,6 +198,14 @@ class TestResiduals:
         for c in "ABC":
             block = res[labels == c]
             assert abs(block.sum()) <= 1e-9 * block.size * 20
+
+    def test_matrix_is_centered_column_by_column(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(5, 20, size=(30, 4))
+        labels = rng.choice(["A", "B", "C"], 30)
+        res = within_class_residuals(values, labels)
+        for j in range(4):
+            np.testing.assert_allclose(res[:, j], within_class_residuals(values[:, j], labels), atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -197,9 +273,7 @@ class TestConditionalIndependenceScan:
         d = _noise_dataset(10, n=25, m=6)
         result = conditional_independence_scan(d, max_pairs=None, p_max=1.1, r_min=-0.1)
         # every pair flagged with its r and p; compare against pearsonr on residuals
-        from xnb.diagnostics import _residual_matrix
-
-        residuals = _residual_matrix(d)
+        residuals = within_class_residuals(d.values, d.labels)
         names = list(d.variable_names)
         for a, b, r, p in result.flagged:
             i, j = names.index(a), names.index(b)
