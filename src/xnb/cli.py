@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
-from .dataset import csv_records, load_csv
+from .dataset import csv_records, load_csv, read_numeric
 from .diagnostics import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_PAIRS,
@@ -110,25 +109,12 @@ def _cmd_fit(args) -> int:
 def _read_samples(path: str, variables) -> np.ndarray:
     """Read a headered CSV of unlabeled samples in model variable order."""
     path = Path(path)
-    rows = []
     with csv_records(path) as (header, records):
         positions = {name: i for i, name in enumerate(header)}
         missing = [v for v in variables if v not in positions]
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
-        order = [positions[v] for v in variables]
-        for lineno, record in records:
-            try:
-                row = [float(record[i]) for i in order]
-            except ValueError:
-                raise DataError(f"{path}: row {lineno}: cannot parse sample values") from None
-            bad = [v for v, x in zip(variables, row) if not math.isfinite(x)]
-            if bad:
-                raise DataError(f"{path}: row {lineno}, column {bad[0]!r}: non-finite value")
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+        return read_numeric(path, records, [positions[v] for v in variables])[0]
 
 
 def _cmd_predict(args) -> int:

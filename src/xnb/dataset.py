@@ -145,6 +145,44 @@ def csv_records(path: str | Path):
         yield header, rows()
 
 
+def read_numeric(path: Path, records, columns: list[int], label: int | None = None):
+    """Parse ``columns`` of ``csv_records`` rows into a float64 matrix, plus ``label``'s stripped cells.
+
+    Cells go through ``float()`` and must be finite, labels must be non-blank. Only when a
+    check fails is the file walked again, cell by cell, to name the first bad cell.
+    """
+    values, labels, n = np.empty((64, len(columns))), [], 0
+    try:
+        for _, record in records:
+            if label is not None:
+                labels.append(record[label].strip())
+            if n == len(values):  # one buffer, doubled when full: no per-row arrays left behind
+                values = np.concatenate([values, np.empty_like(values)])
+            values[n] = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
+            n += 1
+        values = values[:n]
+        ok = np.isfinite(values).all() and all(labels)
+    except (ValueError, DataError):  # an unparseable cell or a row of the wrong width
+        ok = False
+    if ok and n:
+        return values, labels
+    if ok:
+        raise DataError(f"{path}: no data rows")
+    with csv_records(path) as (header, records):
+        for lineno, record in records:
+            if label is not None and not record[label].strip():
+                raise DataError(f"{path}: row {lineno}, column {header[label]!r}: empty class label")
+            for i in columns:
+                where = f"{path}: row {lineno}, column {header[i]!r}"
+                try:
+                    value = float(record[i])
+                except ValueError:
+                    raise DataError(f"{where}: cannot parse {record[i].strip()!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{where}: missing or non-finite value")
+    raise DataError(f"{path}: the file changed while it was read")
+
+
 def load_csv(path: str | Path, class_column: str | int) -> Dataset:
     """Load a headered, comma-separated file into a Dataset.
 
@@ -154,8 +192,6 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
     offending cell is reported by row and column.
     """
     path = Path(path)
-    rows: list[list[float]] = []
-    labels: list[str] = []
     with csv_records(path) as (header, records):
         if isinstance(class_column, int):
             if not -len(header) <= class_column < len(header):
@@ -166,43 +202,32 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
                 class_idx = header.index(class_column)
             except ValueError:
                 raise DataError(f"class column {class_column!r} not found in header") from None
-        names = tuple(h for i, h in enumerate(header) if i != class_idx)
-
-        for lineno, record in records:
-            label = record[class_idx].strip()
-            if not label:
-                raise DataError(f"{path}: row {lineno}, column {header[class_idx]!r}: empty class label")
-            labels.append(label)
-            row = []
-            for i, cell in enumerate(record):
-                if i == class_idx:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: row {lineno}, column {header[i]!r}: missing or non-finite value")
-                row.append(value)
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return Dataset(names, np.array(rows, dtype=np.float64), tuple(labels))
+        columns = [i for i in range(len(header)) if i != class_idx]
+        values, labels = read_numeric(path, records, columns, label=class_idx)
+    return Dataset(tuple(header[i] for i in columns), values, tuple(labels))
 
 
 def save_csv(d: Dataset, path: str | Path, class_column: str = "class") -> None:
     """Write a Dataset back to CSV with 17-significant-digit reals.
 
-    The emitted precision makes a load/save/load round trip bit-exact.
+    The emitted precision makes a load/save/load round trip bit-exact. A Dataset that
+    ``load_csv`` would not read back as it is gets refused before the file is opened.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    header = [*d.variable_names, class_column]
+    if class_column in d.variable_index:
+        raise DataError(f"{path}: class column {class_column!r} is also a variable name")
+    if "" in d.classes:
+        raise DataError(f"{path}: blank class label")
+    for text in (*header, *d.classes):
+        if text != text.strip():
+            raise DataError(f"{path}: {text!r} has surrounding whitespace, which load_csv strips")
+    row_format = ",".join(["%.17g"] * d.m) + ","
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(d.variable_names) + [class_column])
-        for i in range(d.n):
-            writer.writerow([format(v, ".17g") for v in d.values[i]] + [d.labels[i]])
+        writer.writerow(header)
+        for values, label in zip(d.values, d.labels):
+            fh.write(row_format % tuple(values.tolist()))
+            writer.writerow([label])  # quoted as the csv module quotes it
 
 
 def class_priors(d: Dataset) -> dict[str, float]:

@@ -200,13 +200,32 @@ def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = 1.0 - x
     out = np.empty_like(x)
-    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    beta = math.exp(_log_beta(a, b))
     flip = x > (a + 1.0) / (a + b + 2.0)
     for swap, p, q in ((False, a, b), (True, b, a)):
         u, v = (y[flip], x[flip]) if swap else (x[~flip], y[~flip])  # v = 1 - u
         value = u**p * v**q / (p * beta) * _beta_fraction(p, q, u)
         out[flip == swap] = 1.0 - value if swap else value
     return out
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a + b).
+
+    For large a, log Gamma(a + b) - log Gamma(a) cancels and keeps only about
+    eps * a * log(a) of relative precision, so there it comes from Stirling's
+    series with the leading terms cancelled by hand. For b = 1/2, the series'
+    first omitted term, about b / (252 a^6), falls below that rounding near a = 64.
+    """
+    if a < 64.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    c = a + b
+    log_ratio = (
+        (a - 0.5) * math.log1p(b / a) + b * math.log(c) - b
+        + (1.0 / (12.0 * c) - 1.0 / (12.0 * a))
+        - (1.0 / (360.0 * c**3) - 1.0 / (360.0 * a**3))
+    )
+    return math.lgamma(b) - log_ratio
 
 
 def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:

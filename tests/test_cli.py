@@ -188,6 +188,19 @@ class TestFitPredict:
         err = capsys.readouterr().err
         assert "row 3" in err and "'v03'" in err
 
+    def test_unparseable_sample_names_row_column_and_cell(self, data_csv, samples_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        lines = samples_csv.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2] = " x "
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
+        assert "row 3, column 'v02': cannot parse 'x'" in capsys.readouterr().err
+
     def test_sample_row_longer_than_header_is_located_data_error(
         self, data_csv, samples_csv, tmp_path, capsys
     ):
@@ -363,6 +376,7 @@ class TestImports:
         script = f"""
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+sys.modules["mpmath"] = None  # the other test-only reference
 import numpy as np
 import xnb, xnb.cli
 

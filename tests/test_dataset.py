@@ -1,9 +1,14 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from xnb.dataset import Dataset, class_priors, load_csv, save_csv, stratified_kfold
+from xnb.dataset import Dataset, class_priors, csv_records, load_csv, save_csv, stratified_kfold
 from xnb.errors import DataError
 
 
@@ -11,6 +16,72 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def oracle_save_csv(d: Dataset, path, class_column: str = "class") -> None:
+    """The writer with one ``format(v, ".17g")`` per cell."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(d.variable_names) + [class_column])
+        for i in range(d.n):
+            writer.writerow([format(v, ".17g") for v in d.values[i]] + [d.labels[i]])
+
+
+def oracle_load_csv(path, class_column: str | int) -> Dataset:
+    """The reader with one ``float()`` and one finiteness check per cell, in file order."""
+    path = Path(path)
+    rows, labels = [], []
+    with csv_records(path) as (header, records):
+        if isinstance(class_column, int):
+            if not -len(header) <= class_column < len(header):
+                raise DataError(f"class column index {class_column} out of range for {len(header)} columns")
+            class_idx = class_column % len(header)
+        else:
+            try:
+                class_idx = header.index(class_column)
+            except ValueError:
+                raise DataError(f"class column {class_column!r} not found in header") from None
+        names = tuple(h for i, h in enumerate(header) if i != class_idx)
+        for lineno, record in records:
+            label = record[class_idx].strip()
+            if not label:
+                raise DataError(f"{path}: row {lineno}, column {header[class_idx]!r}: empty class label")
+            labels.append(label)
+            row = []
+            for i, cell in enumerate(record):
+                if i == class_idx:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {lineno}, column {header[i]!r}: missing or non-finite value")
+                row.append(value)
+            rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(names, np.array(rows, dtype=np.float64), tuple(labels))
+
+
+def outcome(read, path, class_column):
+    """``read``'s Dataset as comparable parts (values as raw bits), or its DataError message."""
+    try:
+        d = read(path, class_column)
+    except DataError as exc:
+        return str(exc)
+    return d.variable_names, d.labels, d.values.shape, d.values.tobytes()
+
+
+# Cells a CSV meets: numbers as float() reads them (padded, quoted, with
+# underscores or non-ASCII digits), and cells that fail float() or the
+# finiteness check, or make a blank label, a quoted comma or a shifted row.
+NUMBERS = ["1", "-2.5e-3", " 7 ", "1_0", "\u0663", '"4"', "-0", "4.9e-324", "1e308"]
+LABELS = ["A", "B", "é", '"a,b"', '"A"']
+ODD = ["", "  ", " B ", "x", "0x1", "1e999", "nan", "-inf", "Infinity", "1,5", '"1,5"', '"']
+QUOTABLE = st.text(st.sampled_from('Ab é,"\n\r;'), min_size=1, max_size=5)
 
 
 class TestLoadCsv:
@@ -80,6 +151,89 @@ class TestLoadCsv:
         path = write(tmp_path, "g1,class\n1.5e-3,A\n-2E+2,B\n")
         d = load_csv(path, "class")
         np.testing.assert_allclose(d.column(0), [1.5e-3, -200.0])
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(NUMBERS), st.sampled_from(NUMBERS), st.sampled_from(LABELS)),
+            min_size=1,
+            max_size=5,
+        ),
+        # (row, field, cell): field 0-2 is overwritten with cell, 3 appends it, 4 drops the last field
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(ODD)), max_size=2),
+        st.lists(st.sampled_from([None, None, "", "  "]), min_size=5, max_size=5),
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from(["class", "class", -1, "g1"]),
+    )
+    @example([("1", "2", "A"), ("x", "nan", " ")], [], [None] * 5, "\n", "class")  # label before cells
+    @example([("inf", "1", "A"), ("1", "2", "B")], [(1, 3, "3")], [None] * 5, "\n", -1)  # cells before widths
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cell_by_cell_oracle(self, rows, edits, gaps, newline, class_column):
+        rows = [list(row) for row in rows]
+        for i, field, cell in edits:
+            row = rows[i] if i < len(rows) else []
+            if field == 3:
+                row.append(cell)
+            elif field == 4 and row:
+                row.pop()
+            elif field < len(row):
+                row[field] = cell
+        lines = ["g1,g2,class"]
+        for row, gap in zip(rows, gaps):  # a gap is a blank or whitespace-only line after a row
+            lines.append(",".join(row))
+            if gap is not None:
+                lines.append(gap)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
+            assert outcome(load_csv, path, class_column) == outcome(oracle_load_csv, path, class_column)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.tuples(
+                st.lists(QUOTABLE.filter(lambda t: t == t.strip() and t != "class"),
+                         min_size=m, max_size=m, unique=True),
+                st.lists(
+                    st.lists(
+                        st.floats(allow_nan=False, allow_infinity=False)
+                        | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        ),
+        st.lists(QUOTABLE.filter(lambda t: t == t.strip() and t), min_size=4, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_save_matches_oracle_and_round_trips(self, names_rows, labels):
+        names, rows = names_rows
+        d = Dataset(tuple(names), np.array(rows), tuple(labels[: len(rows)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            save_csv(d, new)
+            oracle_save_csv(d, old)
+            assert new.read_bytes() == old.read_bytes()
+            back = load_csv(new, "class")
+        assert back.values.tobytes() == d.values.tobytes()
+        assert back.labels == d.labels and back.variable_names == d.variable_names
+
+    @pytest.mark.parametrize(
+        "names, labels, message",
+        [
+            (("g1", "class"), ("A", "B"), "class column 'class' is also a variable name"),
+            (("g1", "g2"), ("A", ""), "blank class label"),
+            (("g1", "g2"), ("A", " A"), "' A' has surrounding whitespace"),
+            (("g1", "g2 "), ("A", "B"), "'g2 ' has surrounding whitespace"),
+        ],
+    )
+    def test_save_refuses_what_load_cannot_read_back(self, tmp_path, names, labels, message):
+        d = Dataset(names, np.zeros((2, 2)), labels)
+        out = write(tmp_path, "kept\n")
+        with pytest.raises(DataError, match=message):
+            save_csv(d, out)
+        assert out.read_text() == "kept\n"
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +177,25 @@ class TestTTail:
             ref = 2.0 * stats.t.sf(np.abs(t), dof)
             got = diagnostics_module._betainc(0.5 * dof, 0.5, 1.0 - r * r)
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=np.finfo(np.float64).tiny)
+
+    @pytest.mark.parametrize("dof, bound", [(198, 1e-13), (4998, 1e-12), (83051, 5e-11)])
+    def test_tall_data_against_mpmath(self, dof, bound):
+        # t from 0 to 30 spans p from 1 down to 1e-196; the continued fraction
+        # loses the most digits near t = 2, just below the mean (a+1)/(a+b+2)
+        t = np.linspace(0.0, 30.0, 121)
+        x = 1.0 - (t * t / (dof + t * t))
+        got = diagnostics_module._betainc(0.5 * dof, 0.5, x)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.betainc(0.5 * dof, 0.5, 0, v, regularized=True)) for v in x])
+        np.testing.assert_allclose(got, ref, rtol=bound, atol=0.0)
+
+    @pytest.mark.parametrize("a", [99.0, 2499.0, 41525.5])
+    def test_log_beta_against_mpmath(self, a):
+        # lgamma(a) - lgamma(a + 1/2) cancels; at a = 41525.5 it kept only 1e-10 of B
+        with mpmath.workdps(30):
+            ref = mpmath.log(mpmath.beta(a, 0.5))
+        got = diagnostics_module._log_beta(a, 0.5)
+        assert abs(math.expm1(got - float(ref))) < 1e-14
 
 
 class TestResiduals:
