@@ -9,7 +9,6 @@ import numpy as np
 
 from xnb import (
     Dataset,
-    discriminatory_power,
     explain_selection,
     fit_fnb,
     hellinger_table,
@@ -44,9 +43,13 @@ for v in d.variable_names:
     row = "   ".join(f"{table.value(v, ci, cj):.3f}" for ci, cj in table.class_pairs)
     print(f"  {v:8s}  {row}")
 
+# a subset's power for class a: 1 - prod(1 - H) over every other class
+# and every variable in the subset
 print("\ndiscriminatory power of growing subsets for class 'a':")
 for subset in (["strong"], ["strong", "medium"], ["strong", "medium", "weak"]):
-    print(f"  {subset}: {discriminatory_power(subset, 'a', table):.6f}")
+    rows = [d.variable_index[v] for v in subset]
+    residual = np.prod([np.prod(1.0 - table.pair_column("a", other)[rows]) for other in ("b", "c")])
+    print(f"  {subset}: {1.0 - residual:.6f}")
 
 fmap = select_class_specific(table, SelectionConfig(theta=0.999))
 print("\nselected variables per class (threshold 0.999):")

@@ -33,16 +33,11 @@ from .diagnostics import (
 )
 from .errors import DataError, ModelFormatError, XnbError
 from .evaluation import EvaluationReport, accuracy, emit_report, evaluate_cv
-from .hellinger import HellingerTable, hellinger, hellinger_table, normalize_to_distribution
+from .hellinger import HellingerTable, hellinger, hellinger_table
 from .kde import (
-    KdeModel,
     PackedKde,
-    bandwidth,
-    fit_kde,
-    kde_density_at,
-    kde_on_grid,
+    column_bandwidths,
     kernel_eval,
-    make_grid,
     scott_bandwidth,
     silverman_adaptive_bandwidth,
     silverman_bandwidth,
@@ -50,7 +45,6 @@ from .kde import (
 from .selection import (
     ClassFeatureMap,
     SelectionConfig,
-    discriminatory_power,
     explain_selection,
     select_class_specific,
 )
@@ -64,24 +58,17 @@ __all__ = [
     "save_csv",
     "class_priors",
     "stratified_kfold",
-    "KdeModel",
     "PackedKde",
     "kernel_eval",
-    "bandwidth",
+    "column_bandwidths",
     "scott_bandwidth",
     "silverman_bandwidth",
     "silverman_adaptive_bandwidth",
-    "fit_kde",
-    "kde_density_at",
-    "kde_on_grid",
-    "make_grid",
     "HellingerTable",
     "hellinger",
     "hellinger_table",
-    "normalize_to_distribution",
     "ClassFeatureMap",
     "SelectionConfig",
-    "discriminatory_power",
     "select_class_specific",
     "explain_selection",
     "XnbConfig",

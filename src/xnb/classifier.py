@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, class_priors
+from .dataset import Dataset, class_priors, write_output
 from .errors import DataError, ModelFormatError
 from .hellinger import hellinger_table
 from .kde import (
@@ -365,11 +365,8 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
 
 def save_model(model: XnbModel | GnbModel, path: str | Path) -> None:
     """Write a model as compact versioned JSON (floats round-trip bit-exactly)."""
-    path = Path(path)
     # one dumps call uses the C encoder; json.dump streams through the Python one
-    text = json.dumps(_model_payload(model), separators=(",", ":"))
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_output(json.dumps(_model_payload(model), separators=(",", ":")) + "\n", path)
 
 
 def _v1_to_v2(payload: dict) -> dict:

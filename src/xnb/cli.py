@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
-from .dataset import csv_records, load_csv, read_numeric
+from .dataset import csv_records, load_csv, read_numeric, write_output
 from .diagnostics import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_PAIRS,
@@ -77,13 +77,6 @@ def _config_from(args) -> XnbConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _load(args):
     return load_csv(args.data, _class_col(args.class_col))
 
@@ -127,13 +120,13 @@ def _cmd_predict(args) -> int:
             {"label": r.label, "log_scores": {c: r.log_scores[c] for c in model.classes}}
             for r in results
         ]
-        _write(json.dumps(payload, indent=1) + "\n", args.out)
+        write_output(json.dumps(payload, indent=1) + "\n", args.out)
     else:
         lines = ["label\t" + "\t".join(f"score_{c}" for c in model.classes)]
         for r in results:
             scores = "\t".join(format(r.log_scores[c], ".6f") for c in model.classes)
             lines.append(f"{r.label}\t{scores}")
-        _write("\n".join(lines) + "\n", args.out)
+        write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -168,7 +161,7 @@ def _cmd_select(args) -> int:
         ]
         for c in fmap.classes
     }
-    _write(json.dumps(payload, indent=1) + "\n", args.out)
+    write_output(json.dumps(payload, indent=1) + "\n", args.out)
     return 0
 
 
@@ -182,7 +175,7 @@ def _cmd_diagnose(args) -> int:
         max_pairs=args.max_pairs,
         seed=args.seed,
     )
-    _write(json.dumps(report.to_dict(), indent=1) + "\n", args.out)
+    write_output(json.dumps(report.to_dict(), indent=1) + "\n", args.out)
     print(report.summary(), file=sys.stderr)
     return 0
 
@@ -196,7 +189,7 @@ def _cmd_inspect_hellinger(args) -> int:
     lines = ["variable\tclass_i\tclass_j\th"]
     for v, ci, cj, h in table.rows():
         lines.append(f"{v}\t{ci}\t{cj}\t{h:.6f}")
-    _write("\n".join(lines) + "\n", args.out)
+    write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 

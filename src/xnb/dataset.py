@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -110,24 +111,58 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+    """The error for a file that failed to decode, naming its first bad line.
+
+    The decoder's offsets are relative to a buffered chunk, so the file is
+    read again a line at a time (a newline byte never occurs inside a
+    UTF-8 sequence).
+    """
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                where = f"line {lineno}, byte {bad.start + 1}"
+                return DataError(f"{path}: {where}: not UTF-8 text ({line[bad.start]:#04x}: {bad.reason})")
+    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def write_output(text: str, path: str | Path | None = None) -> None:
+    """Write ``text`` to ``path`` as UTF-8, or to stdout when ``path`` is None.
+
+    A path that cannot be written is a data error.
+    """
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
 @contextmanager
 def csv_records(path: str | Path):
     """Open a headered CSV; yield its stripped header and its rows.
 
-    The rows come as (line number, fields) pairs, blank rows skipped. A
-    missing or empty file, a header that repeats a name and a row whose
-    field count differs from the header's are data errors; a row's error
-    is raised when the iteration reaches it.
+    The file is UTF-8, with or without a byte order mark. The rows come as
+    (line number, fields) pairs, blank rows skipped. A missing or empty
+    file, text that is not UTF-8, a header that repeats a name and a row
+    whose field count differs from the header's are data errors; a row's
+    error is raised when the iteration reaches it.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         seen = set()
         for name in header:
             if name in seen:
@@ -135,12 +170,15 @@ def csv_records(path: str | Path):
             seen.add(name)
 
         def rows():
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                if len(record) != len(header):
-                    raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
-                yield lineno, record
+            try:
+                for lineno, record in enumerate(reader, start=2):
+                    if not record:
+                        continue
+                    if len(record) != len(header):
+                        raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
+                    yield lineno, record
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc) from None
 
         yield header, rows()
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from .classifier import (
     fit_xnb,
     predict,
 )
-from .dataset import FOLD_GENERATOR, Dataset, stratified_kfold
+from .dataset import FOLD_GENERATOR, Dataset, stratified_kfold, write_output
 from .errors import XnbError
 
 METHODS = ("gnb", "fnb", "xnb")
@@ -226,7 +225,4 @@ def emit_report(
         text = "\n".join(_tsv_lines(report, m_variables)) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    write_output(text, path)

@@ -1,10 +1,10 @@
 """Hellinger distances between class-conditional densities.
 
-Each variable's per-class KDE is evaluated on one grid shared by all
-classes (distances are only meaningful over a common event space), the
-grid densities are sum-normalized into discrete distributions, and the
-distance ``sqrt(sum((sqrt(p) - sqrt(q))^2)) / sqrt(2)`` is tabulated for
-every unordered class pair.
+Each variable's per-class KDE is evaluated (``PackedKde.on_grid``) on one
+grid shared by all classes (distances are only meaningful over a common
+event space), the grid densities are sum-normalized into discrete
+distributions, and the distance ``sqrt(sum((sqrt(p) - sqrt(q))^2)) /
+sqrt(2)`` is tabulated for every unordered class pair.
 
 Table construction is the pipeline's hot loop at genomic widths, so it
 runs blockwise over the classes' packed sample matrices; with ``jobs`` > 1
@@ -24,37 +24,24 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset
-from .kde import DEFAULT_MU, PackedKde, kernel_eval
+from .kde import DEFAULT_MU, PackedKde
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def normalize_to_distribution(densities) -> np.ndarray:
-    """Scale a non-negative vector to sum to 1.
+def hellinger(p, q):
+    """Hellinger distance between discrete distributions, one per column.
 
-    A zero-sum vector (possible only under pathological fallback bandwidths)
-    becomes the uniform distribution, with a warning.
+    ``p`` and ``q`` have the same shape; with (mu, w) matrices the result
+    holds the w column distances, with vectors it is one distance. Values
+    are clipped at 1 against rounding.
     """
-    densities = np.asarray(densities, dtype=np.float64)
-    if densities.size == 0:
-        raise ValueError("densities must be nonempty")
-    if np.any(densities < 0):
-        raise ValueError("densities must be non-negative")
-    total = densities.sum()
-    if total <= 0.0:
-        warnings.warn("zero-sum density vector normalized to uniform", stacklevel=2)
-        return np.full(densities.size, 1.0 / densities.size)
-    return densities / total
-
-
-def hellinger(p, q) -> float:
-    """Hellinger distance between two equal-length discrete distributions."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    d = _INV_SQRT2 * np.sqrt(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
-    return min(float(d), 1.0)
+    d = _INV_SQRT2 * np.sqrt(((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=0))
+    return np.minimum(d, 1.0)
 
 
 @dataclass(frozen=True)
@@ -121,9 +108,11 @@ class HellingerTable:
 def _block_distances(densities, mu, block=256):
     """Table rows from the classes' packed densities, a block of variables at a time.
 
-    ``densities`` cover the same w variables and share one kernel. Same
-    grids and reductions as one ``kde_on_grid`` per (class, variable),
-    batched; agreement is within one ulp (reduction striding).
+    ``densities`` cover the same w variables and share one kernel. Each
+    variable gets ``mu`` equally spaced grid points over its range in all
+    classes (widened to +-1 around a constant variable); each class's grid
+    densities are sum-normalized (a zero-sum column becomes uniform) and
+    ``hellinger`` compares every class pair.
     """
     k = len(densities)
     w = densities[0].width
@@ -132,19 +121,17 @@ def _block_distances(densities, mu, block=256):
     zero_sum_columns = 0
     for lo in range(0, w, block):
         hi = min(lo + block, w)
-        sub = [p.samples[:, lo:hi] for p in densities]
-        col_lo = np.min([s.min(axis=0) for s in sub], axis=0)
-        col_hi = np.max([s.max(axis=0) for s in sub], axis=0)
+        blocks = [p.take(slice(lo, hi)) for p in densities]
+        col_lo = np.min([p.samples.min(axis=0) for p in blocks], axis=0)
+        col_hi = np.max([p.samples.max(axis=0) for p in blocks], axis=0)
         flat = col_lo == col_hi
         col_lo = np.where(flat, col_lo - 1.0, col_lo)
         col_hi = np.where(flat, col_hi + 1.0, col_hi)
         grids = np.linspace(col_lo, col_hi, mu)  # (mu, width)
 
         dists = []
-        for c in range(k):
-            h = densities[c].h[lo:hi]
-            u = (grids[:, None, :] - sub[c][None, :, :]) / h[None, None, :]
-            dens = kernel_eval(densities[c].kernel, u).sum(axis=1) / (sub[c].shape[0] * h)
+        for p in blocks:
+            dens = p.on_grid(grids)
             totals = dens.sum(axis=0)
             zero = totals <= 0.0
             if zero.any():
@@ -153,8 +140,7 @@ def _block_distances(densities, mu, block=256):
                 totals = np.where(zero, float(mu), totals)
             dists.append(dens / totals)
         for col, (a, b) in enumerate(pair_idx):
-            d = _INV_SQRT2 * np.sqrt(((np.sqrt(dists[a]) - np.sqrt(dists[b])) ** 2).sum(axis=0))
-            out[lo:hi, col] = np.minimum(d, 1.0)
+            out[lo:hi, col] = hellinger(dists[a], dists[b])
     if zero_sum_columns:
         warnings.warn(
             f"{zero_sum_columns} zero-sum density vectors normalized to uniform",

@@ -6,10 +6,13 @@ uniform (s=0), Epanechnikov (s=1), biweight (s=2) and triweight (s=3). All
 are second-order kernels, so every estimate is a genuine density.
 
 Bandwidths come from reference rules (Scott, Silverman, and Silverman's
-adaptive variant); point evaluation is always the exact sum over samples,
-never a grid interpolation, so prediction accuracy does not depend on the
-grid resolution used elsewhere. ``PackedKde`` holds one class's densities
-over many variables as one sample matrix, scored in one vectorized sum.
+adaptive variant), one per column of a sample matrix. ``PackedKde`` holds
+one class's densities over many variables as one sample matrix; its
+``on_grid`` is the one kernel sum, used for the Hellinger table's grids
+and, with a one-point grid, for prediction. Point evaluation is the exact
+sum over samples, never a grid interpolation, so prediction accuracy does
+not depend on the grid resolution used elsewhere. A one-column
+``PackedKde`` is a single one-dimensional density.
 """
 
 from __future__ import annotations
@@ -108,72 +111,12 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     return np.where(~np.isfinite(h) | (h <= 0.0), fallback, h)
 
 
-def bandwidth(rule: str, values, fallback_scale: float | None = None) -> float:
-    """Bandwidth of one sample under a named rule (see ``column_bandwidths``).
-
-    The fallback scale defaults to the values' own range.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    if fallback_scale is None:
-        fallback_scale = np.ptp(values)
-    return float(column_bandwidths(rule, values[:, None], fallback_scale)[0])
-
-
-@dataclass(frozen=True)
-class KdeModel:
-    """Fitted one-dimensional density: samples, bandwidth, kernel name."""
-
-    samples: np.ndarray
-    h: float
-    kernel: str = DEFAULT_KERNEL
-
-    def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-d sequence")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.h}")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
-def fit_kde(
-    values,
-    kernel: str = DEFAULT_KERNEL,
-    rule: str = DEFAULT_RULE,
-    fallback_scale: float | None = None,
-) -> KdeModel:
-    """Fit a KdeModel with the bandwidth chosen by ``rule``."""
-    return KdeModel(values, bandwidth(rule, values, fallback_scale), kernel)
-
-
-def kde_on_grid(model: KdeModel, grid) -> np.ndarray:
-    """Density at each grid point: exact (1/nh) sum of scaled kernels."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    u = (grid[:, None] - model.samples[None, :]) / model.h
-    return kernel_eval(model.kernel, u).sum(axis=1) / (model.n * model.h)
-
-
-def kde_density_at(model: KdeModel, x: float) -> float:
-    """Density at a single point (same summation as ``kde_on_grid``)."""
-    return float(kde_on_grid(model, np.array([x], dtype=np.float64))[0])
-
-
 @dataclass(frozen=True)
 class PackedKde:
     """One class's densities over w variables, packed as arrays.
 
-    Column j is ``KdeModel(samples[:, j], h[j], kernel)``. ``samples`` is
-    kept as a C-contiguous (n, w) copy, so a density built by a fit and one
+    Column j is the density with samples ``samples[:, j]``, bandwidth
+    ``h[j]`` and the shared kernel. ``samples`` is kept as a C-contiguous (n, w) copy, so a density built by a fit and one
     read back from a model file reduce in the same order and score
     bit-identically.
     """
@@ -207,29 +150,16 @@ class PackedKde:
         """The densities of the given columns (indices or a slice) only, in that order."""
         return PackedKde(self.samples[:, columns], self.h[columns], self.kernel)
 
-    def density_at(self, x) -> np.ndarray:
-        """Density of each column at the matching entry of ``x`` (length w).
+    def on_grid(self, grids) -> np.ndarray:
+        """Density of each column at each point of its grid column.
 
-        One vectorized kernel sum over the whole matrix; each column is the
-        exact sum over its samples, as in ``kde_density_at``.
+        ``grids`` is (mu, w): column j holds the points at which column j's
+        density is evaluated. Each value is the exact (1/nh) sum of scaled
+        kernels over that column's samples.
         """
-        u = (x - self.samples) / self.h
-        return kernel_eval(self.kernel, u).sum(axis=0) / (len(self.samples) * self.h)
+        u = (grids[:, None, :] - self.samples[None]) / self.h
+        return kernel_eval(self.kernel, u).sum(axis=1) / (len(self.samples) * self.h)
 
-
-def make_grid(values, mu: int = DEFAULT_MU) -> np.ndarray:
-    """``mu`` equally spaced points spanning the values' full range.
-
-    The range is taken over everything passed in (all classes share one
-    grid). A constant variable yields a grid widened to +-1 around it.
-    """
-    if mu < 2:
-        raise ValueError(f"mu must be at least 2, got {mu}")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
-    return np.linspace(lo, hi, mu)
+    def density_at(self, x) -> np.ndarray:
+        """Density of each column at the matching entry of ``x`` (an array of length w)."""
+        return self.on_grid(x[None, :])[0]

@@ -20,19 +20,14 @@ from .hellinger import HellingerTable
 
 DEFAULT_THETA = 0.999
 
-TIE_BREAKS = ("lexicographic",)
-
 
 @dataclass(frozen=True)
 class SelectionConfig:
     theta: float = DEFAULT_THETA
-    tie_break: str = "lexicographic"
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -78,22 +73,6 @@ class ClassFeatureMap:
             for v in self.features[c]:
                 seen.setdefault(v)
         return tuple(seen)
-
-
-def discriminatory_power(subset, class_i: str, table: HellingerTable) -> float:
-    """Power of ``subset`` to separate ``class_i`` from all other classes."""
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    if class_i not in table.classes:
-        raise KeyError(f"unknown class {class_i!r}")
-    residual = 1.0
-    for other in table.classes:
-        if other == class_i:
-            continue
-        for v in subset:
-            residual *= 1.0 - table.value(v, class_i, other)
-    return 1.0 - residual
 
 
 def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = None) -> ClassFeatureMap:

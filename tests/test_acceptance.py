@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines.
 """
 
-import math
 import time
 from itertools import combinations
 
@@ -13,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from tests.conftest import make_separated
+from tests.oracles import bandwidth, hellinger_oracle
 from xnb.classifier import fit_gnb, fit_xnb, predict_gnb, predict_xnb
 from xnb.dataset import Dataset, stratified_kfold
 from xnb.diagnostics import conditional_independence_scan, normality_scan
@@ -20,10 +20,8 @@ from xnb.evaluation import accuracy
 from xnb.hellinger import HellingerTable, hellinger
 from xnb.kde import (
     KERNELS,
-    bandwidth,
+    PackedKde,
     beta_coefficient,
-    fit_kde,
-    kde_on_grid,
     kernel_eval,
     scott_bandwidth,
     silverman_adaptive_bandwidth,
@@ -38,20 +36,28 @@ def _verdict(criterion: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_hellinger_oracle():
-    """Library Hellinger vs an independent direct loop, 1000 random pairs."""
+    """Library Hellinger vs an independent direct loop, 1000 random pairs.
+
+    Each pair is checked on its own and as one column of a zero-padded
+    (100, 1000) matrix pair, the column-wise form the table calls.
+    """
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
     worst = 0.0
-    for _ in range(1000):
+    columns_p = np.zeros((100, 1000))
+    columns_q = np.zeros((100, 1000))
+    direct = np.empty(1000)
+    for i in range(1000):
         size = int(rng.integers(2, 100))
         p = rng.uniform(0, 1, size)
         p /= p.sum()
         q = rng.uniform(0, 1, size)
         q /= q.sum()
-        direct = math.sqrt(
-            sum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(p, q))
-        ) / math.sqrt(2.0)
-        worst = max(worst, abs(hellinger(p, q) - direct))
+        columns_p[:size, i] = p
+        columns_q[:size, i] = q
+        direct[i] = hellinger_oracle(p, q)
+        worst = max(worst, abs(hellinger(p, q) - direct[i]))
+    worst = max(worst, float(np.max(np.abs(hellinger(columns_p, columns_q) - direct))))
     elapsed = time.perf_counter() - started
     _verdict(
         "1 hellinger-oracle",
@@ -109,7 +115,7 @@ def test_criterion_3_bandwidth_formulas():
 
 
 def test_criterion_4_kde_normalization():
-    """50 random models integrate to 1 within 1e-3 over a wide support."""
+    """50 random one-column densities integrate to 1 within 1e-3 over a wide support."""
     rng = np.random.default_rng(11)
     worst = 0.0
     for i in range(50):
@@ -117,9 +123,10 @@ def test_criterion_4_kde_normalization():
         size = int(rng.integers(2, 200))
         scale = float(rng.uniform(0.1, 30.0))
         samples = rng.normal(rng.uniform(-50, 50), scale, size)
-        model = fit_kde(samples, kernel=kind)
-        grid = np.linspace(samples.min() - 10 * model.h, samples.max() + 10 * model.h, 10_000)
-        total = float(np.trapezoid(kde_on_grid(model, grid), grid))
+        h = bandwidth("silverman", samples)
+        density = PackedKde(samples[:, None], [h], kind)
+        grid = np.linspace(samples.min() - 10 * h, samples.max() + 10 * h, 10_000)
+        total = float(np.trapezoid(density.on_grid(grid[:, None])[:, 0], grid))
         worst = max(worst, abs(total - 1.0))
     _verdict("4 kde-normalization", worst <= 1e-3, f"max |integral-1|={worst:.2e}")
 

@@ -22,9 +22,10 @@ from xnb.classifier import (
 from xnb.dataset import Dataset, class_priors
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
-from xnb.kde import KdeModel, PackedKde, kde_density_at
+from xnb.kde import PackedKde
 from xnb.selection import ClassFeatureMap
 from tests.conftest import make_separated
+from tests.oracles import bandwidth
 
 
 class TestFitXnb:
@@ -72,8 +73,6 @@ class TestFitXnb:
 class TestBandwidthMatrix:
     @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman_adaptive"])
     def test_matches_scalar_bandwidth_op(self, rule):
-        from xnb.kde import bandwidth
-
         rng = np.random.default_rng(21)
         values = rng.normal(size=(40, 7))
         values[:, 3] = 2.0  # constant column exercises the fallback
@@ -177,10 +176,10 @@ class TestPriorShift:
         after = class_priors(doubled)
         assert after["A"] > before["A"]
         # duplicated samples leave the density estimate itself unchanged
-        single = KdeModel(np.array([1.0, 3.0]), 0.8)
-        double = KdeModel(np.array([1.0, 3.0, 1.0, 3.0]), 0.8)
-        for x in np.linspace(-2, 6, 17):
-            assert kde_density_at(single, x) == pytest.approx(kde_density_at(double, x), abs=1e-15)
+        single = PackedKde(np.array([[1.0], [3.0]]), [0.8])
+        double = PackedKde(np.array([[1.0], [3.0], [1.0], [3.0]]), [0.8])
+        grid = np.linspace(-2, 6, 17)[:, None]
+        np.testing.assert_allclose(single.on_grid(grid), double.on_grid(grid), rtol=0, atol=1e-15)
 
 
 class TestGnb:

@@ -63,6 +63,36 @@ class TestExitCodes:
     def test_bad_class_column_index(self, data_csv):
         assert main(["evaluate", "--data", str(data_csv), "--class-col", "@x"]) == 1
 
+    @pytest.mark.parametrize("rows_before", [1, 5000])  # in the header's read, or past it
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, rows_before):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"g1,class\n" + b"1,B\n" * rows_before + b"1,\xe9\n2,B\n")
+        assert main(["diagnose", "--data", str(path)]) == 2
+        line = rows_before + 2
+        assert f"data error: {path}: line {line}, byte 3: not UTF-8 text (0xe9:" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        rows = "".join(f"{label},{value}\n" for label, value in zip("AABBAABB", range(8)))
+        path.write_text("\ufeffclass,g1\n" + rows, encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(path), "--model", str(model)]) == 0
+        assert load_model(model).variable_names == ("g1",)
+
+    def test_unwritable_model_is_data_error(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "absent" / "m.json"
+        assert main(["fit", "--data", str(data_csv), "--model", str(model)]) == 2
+        assert f"data error: {model}: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, flags",
+        [(["select"], []), (["evaluate"], ["--k", "2"]), (["inspect", "hellinger"], [])],
+    )
+    def test_unwritable_out_is_data_error(self, data_csv, tmp_path, capsys, verb, flags):
+        out = tmp_path / "absent" / "out.json"
+        assert main([*verb, "--data", str(data_csv), "--out", str(out), *flags]) == 2
+        assert f"data error: {out}: cannot write" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "verb, flags, code",
         [

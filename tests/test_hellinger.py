@@ -1,5 +1,4 @@
 import importlib
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -9,20 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.oracles import bandwidth, hellinger_oracle, normalize_to_distribution, per_variable_oracle
 from xnb.dataset import Dataset
-from xnb.hellinger import HellingerTable, hellinger, hellinger_table, normalize_to_distribution
-from xnb.kde import KERNELS, KdeModel, PackedKde, bandwidth, kde_on_grid, make_grid
+from xnb.hellinger import HellingerTable, hellinger, hellinger_table
+from xnb.kde import KERNELS, PackedKde
 
 # the module, not the `xnb.hellinger` function that the package exports
 hellinger_module = importlib.import_module("xnb.hellinger")
-
-
-def hellinger_oracle(p, q):
-    """Direct per-entry summation, independently of the library path."""
-    acc = 0.0
-    for a, b in zip(p, q):
-        acc += (math.sqrt(a) - math.sqrt(b)) ** 2
-    return math.sqrt(acc) / math.sqrt(2.0)
 
 
 def random_distribution(rng, size):
@@ -31,6 +23,8 @@ def random_distribution(rng, size):
 
 
 class TestNormalize:
+    """The reference normalization that ``per_variable_oracle`` applies to grid densities."""
+
     def test_uniform_input(self):
         np.testing.assert_allclose(normalize_to_distribution([1, 1, 1, 1]), [0.25] * 4)
 
@@ -62,6 +56,18 @@ class TestHellinger:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             hellinger([1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="mismatch"):
+            hellinger(np.ones((3, 2)) / 3, np.ones((3, 3)) / 3)
+
+    def test_column_wise_clipped_at_one(self):
+        # disjoint supports whose unclipped distance rounds to 1 + 2^-52
+        a = [0.24177916763692384, 0.4267628213827564, 0.15233683694790565, 0.17912117403241426]
+        b = [0.18327837171745692, 0.29785063943362455, 0.3929488725464131, 0.12592211630250566]
+        p = np.array([a + [0.0] * 4, [0.5] * 8]).T
+        q = np.array([[0.0] * 4 + b, [0.5] * 8]).T
+        raw = (1.0 / np.sqrt(2.0)) * np.sqrt(((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=0))
+        assert raw[0] > 1.0
+        np.testing.assert_array_equal(hellinger(p, q), [1.0, 0.0])
 
     def test_matches_direct_oracle_on_random_pairs(self):
         rng = np.random.default_rng(2024)
@@ -104,19 +110,6 @@ def _bank(d, kernel="gaussian"):
         )
         for c in d.classes
     }
-
-
-def per_variable_oracle(d, bank, mu=50):
-    """Reference table: one grid and one ``kde_on_grid`` per (class, variable)."""
-    pairs = list(combinations(range(len(d.classes)), 2))
-    out = np.empty((d.m, len(pairs)))
-    for j in range(d.m):
-        models = [KdeModel(bank[c].samples[:, j], bank[c].h[j], bank[c].kernel) for c in d.classes]
-        grid = make_grid(np.concatenate([model.samples for model in models]), mu)
-        dists = [normalize_to_distribution(kde_on_grid(model, grid)) for model in models]
-        for col, (a, b) in enumerate(pairs):
-            out[j, col] = hellinger(dists[a], dists[b])
-    return out
 
 
 @pytest.fixture

@@ -1,26 +1,32 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tests.oracles import KdeModel, bandwidth, kde_density_at, kde_on_grid, make_grid
 from xnb.kde import (
     KERNELS,
-    KdeModel,
     PackedKde,
-    bandwidth,
     beta_coefficient,
-    fit_kde,
-    kde_density_at,
-    kde_on_grid,
     kernel_eval,
-    make_grid,
     scott_bandwidth,
     silverman_adaptive_bandwidth,
     silverman_bandwidth,
 )
+
+
+def one_column(samples, h, kernel="gaussian"):
+    """A one-dimensional density: a PackedKde with a single column."""
+    return PackedKde(np.asarray(samples, dtype=np.float64)[:, None], [h], kernel)
+
+
+def fitted(values, kernel="gaussian", rule="silverman"):
+    return one_column(values, bandwidth(rule, values), kernel)
+
+
+def point(density, x):
+    return float(density.density_at(np.array([x]))[0])
 
 
 class TestKernels:
@@ -125,66 +131,59 @@ class TestBandwidthRules:
 
 class TestFitKde:
     def test_single_sample_model(self):
-        model = KdeModel(np.array([0.0]), 1.0, "gaussian")
-        assert model.n == 1
+        assert one_column([0.0], 1.0).samples.shape == (1, 1)
 
     def test_sigma_zero_gets_fallback(self):
-        model = fit_kde([2.0, 2.0, 2.0], rule="silverman", fallback_scale=1.0)
-        assert model.h == pytest.approx(1e-3)
+        assert bandwidth("silverman", [2.0, 2.0, 2.0], fallback_scale=1.0) == pytest.approx(1e-3)
 
     def test_normal_sample_matches_rule(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=100)
-        model = fit_kde(x, rule="silverman")
-        assert model.h == pytest.approx(1.059 * np.std(x, ddof=1) * 100 ** -0.2)
+        assert fitted(x).h[0] == pytest.approx(1.059 * np.std(x, ddof=1) * 100 ** -0.2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_kde([])
+            one_column([], 1.0)
 
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            KdeModel(np.array([1.0]), 0.0)
+            one_column([1.0], 0.0)
 
 
 class TestDensity:
     def test_single_sample_at_center(self):
-        model = KdeModel(np.array([0.0]), 1.0, "gaussian")
-        assert kde_density_at(model, 0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
+        assert point(one_column([0.0], 1.0), 0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
 
     def test_two_symmetric_samples(self):
-        model = KdeModel(np.array([-1.0, 1.0]), 1.0, "gaussian")
-        assert kde_density_at(model, 0.0) == pytest.approx(0.24197072451914337, abs=1e-12)
+        assert point(one_column([-1.0, 1.0], 1.0), 0.0) == pytest.approx(0.24197072451914337, abs=1e-12)
 
     def test_symmetric_sample_symmetric_density(self):
-        model = KdeModel(np.array([-2.0, -0.5, 0.5, 2.0]), 0.7, "epanechnikov")
+        density = one_column([-2.0, -0.5, 0.5, 2.0], 0.7, "epanechnikov")
         for x in np.linspace(0, 4, 23):
-            assert kde_density_at(model, x) == pytest.approx(kde_density_at(model, -x), abs=1e-15)
+            assert point(density, x) == pytest.approx(point(density, -x), abs=1e-15)
 
     @pytest.mark.parametrize("kind", KERNELS)
     def test_integrates_to_one(self, kind):
         rng = np.random.default_rng(abs(hash(kind)) % 2**32)
         x = rng.normal(2.0, 3.0, size=40)
-        model = fit_kde(x, kernel=kind)
-        lo = x.min() - 10 * model.h
-        hi = x.max() + 10 * model.h
-        grid = np.linspace(lo, hi, 10_000)
-        total = np.trapezoid(kde_on_grid(model, grid), grid)
+        density = fitted(x, kernel=kind)
+        h = density.h[0]
+        grid = np.linspace(x.min() - 10 * h, x.max() + 10 * h, 10_000)
+        total = np.trapezoid(density.on_grid(grid[:, None])[:, 0], grid)
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_grid_matches_pointwise_to_zero_ulp(self):
         rng = np.random.default_rng(9)
-        model = fit_kde(rng.normal(size=37), kernel="biweight")
+        density = fitted(rng.normal(size=37), kernel="biweight")
         grid = np.linspace(-4, 4, 101)
-        dense = kde_on_grid(model, grid)
+        dense = density.on_grid(grid[:, None])[:, 0]
         for g, v in zip(grid, dense):
-            assert kde_density_at(model, g) == v
+            assert point(density, g) == v
 
     def test_grid_shape_and_mass(self):
-        model = fit_kde(np.arange(10.0))
-        grid = make_grid(np.arange(10.0), 50)
-        dens = kde_on_grid(model, grid)
-        assert dens.shape == (50,)
+        density = fitted(np.arange(10.0))
+        dens = density.on_grid(make_grid(np.arange(10.0), 50)[:, None])
+        assert dens.shape == (50, 1)
         assert np.all(dens >= 0)
         assert dens.sum() > 0
 
@@ -192,11 +191,13 @@ class TestDensity:
     @settings(max_examples=50, deadline=None)
     def test_density_never_negative(self, x, seed):
         rng = np.random.default_rng(seed)
-        model = fit_kde(rng.normal(size=11), kernel="triweight")
-        assert kde_density_at(model, x) >= 0.0
+        density = fitted(rng.normal(size=11), kernel="triweight")
+        assert point(density, x) >= 0.0
 
 
 class TestGrid:
+    """The reference grid that ``per_variable_oracle`` builds the table on."""
+
     def test_linear_spacing(self):
         grid = make_grid([0.0, 10.0], 5)
         np.testing.assert_allclose(grid, [0.0, 2.5, 5.0, 7.5, 10.0])
@@ -224,9 +225,13 @@ class TestPackedKde:
         packed = PackedKde(samples, h, kind)
         x = rng.normal(size=w)
         density = packed.density_at(x)
+        grids = rng.normal(scale=2.0, size=(7, w))
+        dens = packed.on_grid(grids)
+        assert dens.shape == (7, w)
         for j in range(w):
-            expected = kde_density_at(KdeModel(samples[:, j], h[j], kind), x[j])
-            assert density[j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
+            model = KdeModel(samples[:, j], h[j], kind)
+            assert density[j] == pytest.approx(kde_density_at(model, x[j]), rel=1e-13, abs=1e-300)
+            np.testing.assert_allclose(dens[:, j], kde_on_grid(model, grids[:, j]), rtol=1e-13, atol=1e-300)
 
     def test_take_selects_columns_in_order(self):
         packed = PackedKde(np.arange(12.0).reshape(4, 3), [1.0, 2.0, 3.0])

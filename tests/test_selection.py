@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.oracles import discriminatory_power
 from xnb.hellinger import HellingerTable
 from xnb.selection import (
     ClassFeatureMap,
     SelectionConfig,
     SelectionStep,
-    discriminatory_power,
     explain_selection,
     select_class_specific,
 )
@@ -241,10 +241,6 @@ class TestConfig:
     def test_theta_out_of_range(self, theta):
         with pytest.raises(ValueError):
             SelectionConfig(theta=theta)
-
-    def test_unknown_tie_break(self):
-        with pytest.raises(ValueError):
-            SelectionConfig(tie_break="random")
 
 
 class TestExplain:
