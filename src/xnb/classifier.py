@@ -366,7 +366,7 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
 def save_model(model: XnbModel | GnbModel, path: str | Path) -> None:
     """Write a model as compact versioned JSON (floats round-trip bit-exactly)."""
     # one dumps call uses the C encoder; json.dump streams through the Python one
-    write_output(json.dumps(_model_payload(model), separators=(",", ":")) + "\n", path)
+    write_output(json.dumps(_model_payload(model), separators=(",", ":"), allow_nan=False) + "\n", path)
 
 
 def _v1_to_v2(payload: dict) -> dict:

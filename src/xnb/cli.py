@@ -120,7 +120,7 @@ def _cmd_predict(args) -> int:
             {"label": r.label, "log_scores": {c: r.log_scores[c] for c in model.classes}}
             for r in results
         ]
-        write_output(json.dumps(payload, indent=1) + "\n", args.out)
+        write_output(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
     else:
         lines = ["label\t" + "\t".join(f"score_{c}" for c in model.classes)]
         for r in results:
@@ -161,7 +161,7 @@ def _cmd_select(args) -> int:
         ]
         for c in fmap.classes
     }
-    write_output(json.dumps(payload, indent=1) + "\n", args.out)
+    write_output(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
     return 0
 
 
@@ -175,7 +175,7 @@ def _cmd_diagnose(args) -> int:
         max_pairs=args.max_pairs,
         seed=args.seed,
     )
-    write_output(json.dumps(report.to_dict(), indent=1) + "\n", args.out)
+    write_output(json.dumps(report.to_dict(), indent=1, allow_nan=False) + "\n", args.out)
     print(report.summary(), file=sys.stderr)
     return 0
 

@@ -48,9 +48,21 @@ class Dataset:
             raise DataError(f"{len(self.variable_names)} variable names for {m} columns")
         if len(self.labels) != n:
             raise DataError(f"{len(self.labels)} labels for {n} samples")
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(f"non-finite value at sample {bad[0]}, variable {self.variable_names[bad[1]]!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # finite unless a value is not, or some column's range may be beyond the largest float
+            spread = values.max() - values.min()
+            if not np.isfinite(spread):
+                if not np.all(np.isfinite(values)):
+                    bad = np.argwhere(~np.isfinite(values))[0]
+                    raise DataError(f"non-finite value at sample {bad[0]}, variable {self.variable_names[bad[1]]!r}")
+                lo, hi = values.min(axis=0), values.max(axis=0)
+                wide = np.flatnonzero(~np.isfinite(hi - lo))
+                if wide.size:
+                    j = wide[0]
+                    raise DataError(
+                        f"variable {self.variable_names[j]!r}: values from {lo[j]:g} to {hi[j]:g}"
+                        " span more than the largest float"
+                    )
         names = tuple(self.variable_names)
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
@@ -139,7 +151,11 @@ def write_output(text: str, path: str | Path | None = None) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _cannot_write(path, exc: OSError) -> DataError:
+    return DataError(f"{path}: cannot write ({exc.strerror or exc})")
 
 
 @contextmanager
@@ -249,7 +265,8 @@ def save_csv(d: Dataset, path: str | Path, class_column: str = "class") -> None:
     """Write a Dataset back to CSV with 17-significant-digit reals.
 
     The emitted precision makes a load/save/load round trip bit-exact. A Dataset that
-    ``load_csv`` would not read back as it is gets refused before the file is opened.
+    ``load_csv`` would not read back as it is gets refused before the file is opened;
+    a path that cannot be written is a data error.
     """
     header = [*d.variable_names, class_column]
     if class_column in d.variable_index:
@@ -260,12 +277,15 @@ def save_csv(d: Dataset, path: str | Path, class_column: str = "class") -> None:
         if text != text.strip():
             raise DataError(f"{path}: {text!r} has surrounding whitespace, which load_csv strips")
     row_format = ",".join(["%.17g"] * d.m) + ","
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for values, label in zip(d.values, d.labels):
-            fh.write(row_format % tuple(values.tolist()))
-            writer.writerow([label])  # quoted as the csv module quotes it
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for values, label in zip(d.values, d.labels):
+                fh.write(row_format % tuple(values.tolist()))
+                writer.writerow([label])  # quoted as the csv module quotes it
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
 
 
 def class_priors(d: Dataset) -> dict[str, float]:

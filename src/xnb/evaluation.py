@@ -220,7 +220,7 @@ def emit_report(
 ) -> None:
     """Write a report as JSON (full detail) or TSV (one row per method)."""
     if format == "json":
-        text = json.dumps(report.to_dict(), indent=1) + "\n"
+        text = json.dumps(report.to_dict(), indent=1, allow_nan=False) + "\n"
     elif format == "tsv":
         text = "\n".join(_tsv_lines(report, m_variables)) + "\n"
     else:

@@ -7,9 +7,13 @@ distributions, and the distance ``sqrt(sum((sqrt(p) - sqrt(q))^2)) /
 sqrt(2)`` is tabulated for every unordered class pair.
 
 Table construction is the pipeline's hot loop at genomic widths, so it
-runs blockwise over the classes' packed sample matrices; with ``jobs`` > 1
-contiguous column chunks are spread over a thread pool (numpy releases the
-GIL in the kernel sums), at most one thread per CPU.
+runs over blocks of up to ``_BLOCK`` variables. Per class and block,
+``on_grid`` needs one (n_c, block) buffer, not one value per grid point,
+sample and variable, and the square roots of the class's distributions are
+taken once for all of its class pairs. With ``jobs`` > 1 contiguous column
+chunks are spread over a thread pool (numpy releases the GIL inside each
+ufunc call), at most one thread per CPU; the result does not depend on
+``jobs``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .kde import DEFAULT_MU, PackedKde
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# widest block of variables whose grid densities are held at once
+_BLOCK = 1024
+
 
 def hellinger(p, q):
     """Hellinger distance between discrete distributions, one per column.
@@ -40,7 +47,12 @@ def hellinger(p, q):
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    d = _INV_SQRT2 * np.sqrt(((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=0))
+    return _distance_from_roots(np.sqrt(p), np.sqrt(q))
+
+
+def _distance_from_roots(root_p, root_q):
+    """``hellinger`` given the square roots of the two distributions."""
+    d = _INV_SQRT2 * np.sqrt(((root_p - root_q) ** 2).sum(axis=0))
     return np.minimum(d, 1.0)
 
 
@@ -105,22 +117,28 @@ class HellingerTable:
                 yield v, ci, cj, float(h)
 
 
-def _block_distances(densities, mu, block=256):
+def _block_distances(densities, mu):
     """Table rows from the classes' packed densities, a block of variables at a time.
 
     ``densities`` cover the same w variables and share one kernel. Each
     variable gets ``mu`` equally spaced grid points over its range in all
     classes (widened to +-1 around a constant variable); each class's grid
-    densities are sum-normalized (a zero-sum column becomes uniform) and
-    ``hellinger`` compares every class pair.
+    densities are sum-normalized (a zero-sum column becomes uniform), their
+    square roots are taken once, and every class pair is compared as
+    ``hellinger`` compares it.
+
+    The blocks are of nearly equal width, at most ``_BLOCK``, so no block
+    is one column wide unless w is 1: numpy sums a single column pairwise
+    rather than in order, and a variable's distance would then depend on
+    where the blocks (or the ``jobs`` chunks) happen to end.
     """
     k = len(densities)
     w = densities[0].width
     pair_idx = list(combinations(range(k), 2))
     out = np.empty((w, len(pair_idx)))
     zero_sum_columns = 0
-    for lo in range(0, w, block):
-        hi = min(lo + block, w)
+    bounds = np.linspace(0, w, -(-w // _BLOCK) + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         blocks = [p.take(slice(lo, hi)) for p in densities]
         col_lo = np.min([p.samples.min(axis=0) for p in blocks], axis=0)
         col_hi = np.max([p.samples.max(axis=0) for p in blocks], axis=0)
@@ -129,7 +147,7 @@ def _block_distances(densities, mu, block=256):
         col_hi = np.where(flat, col_hi + 1.0, col_hi)
         grids = np.linspace(col_lo, col_hi, mu)  # (mu, width)
 
-        dists = []
+        roots = []
         for p in blocks:
             dens = p.on_grid(grids)
             totals = dens.sum(axis=0)
@@ -138,9 +156,10 @@ def _block_distances(densities, mu, block=256):
                 zero_sum_columns += int(zero.sum())
                 dens[:, zero] = 1.0
                 totals = np.where(zero, float(mu), totals)
-            dists.append(dens / totals)
+            dens /= totals
+            roots.append(np.sqrt(dens, out=dens))
         for col, (a, b) in enumerate(pair_idx):
-            out[lo:hi, col] = hellinger(dists[a], dists[b])
+            out[lo:hi, col] = _distance_from_roots(roots[a], roots[b])
     if zero_sum_columns:
         warnings.warn(
             f"{zero_sum_columns} zero-sum density vectors normalized to uniform",

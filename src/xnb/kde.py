@@ -9,16 +9,20 @@ Bandwidths come from reference rules (Scott, Silverman, and Silverman's
 adaptive variant), one per column of a sample matrix. ``PackedKde`` holds
 one class's densities over many variables as one sample matrix; its
 ``on_grid`` is the one kernel sum, used for the Hellinger table's grids
-and, with a one-point grid, for prediction. Point evaluation is the exact
-sum over samples, never a grid interpolation, so prediction accuracy does
-not depend on the grid resolution used elsewhere. A one-column
-``PackedKde`` is a single one-dimensional density.
+and, with a one-point grid, for prediction. It walks the grid a row at a
+time: one (n, w) buffer takes each row's scaled offsets, the kernel
+overwrites them in place and they are summed over the samples, so the
+temporary memory is O(n x w) however many grid points there are. Point
+evaluation is the exact sum over samples, never a grid interpolation, so
+prediction accuracy does not depend on the grid resolution used
+elsewhere. A one-column ``PackedKde`` is a single one-dimensional density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +64,31 @@ def canonical_rule(name: str) -> str:
 
 def kernel_eval(kind: str, u):
     """Evaluate kernel ``kind`` at ``u`` (scalar or array)."""
-    kind = canonical_kernel(kind)
-    u = np.asarray(u, dtype=np.float64)
-    if kind == "gaussian":
-        out = np.exp(-0.5 * u * u) / _SQRT_2PI
-    else:
-        s = _BETA_EXPONENT[kind]
-        body = (1.0 - u * u) ** s if s else np.ones_like(u)
-        out = beta_coefficient(s) * np.where(np.abs(u) <= 1.0, body, 0.0)
+    out = _kernel_in_place(canonical_kernel(kind), np.array(u, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
+
+
+def _kernel_in_place(kind: str, u: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array ``u`` with the kernel's values at ``u``; return it.
+
+    ``kind`` must be canonical. Every step is an in-place ufunc, so no
+    temporary the size of ``u`` is made.
+    """
+    np.multiply(u, u, out=u)
+    if kind == "gaussian":
+        u *= -0.5
+        np.exp(u, out=u)
+        u /= _SQRT_2PI
+        return u
+    s = _BETA_EXPONENT[kind]
+    np.subtract(1.0, u, out=u)  # 1 - u^2 is negative exactly where |u| > 1
+    if s:
+        np.maximum(u, 0.0, out=u)
+        u **= s
+    else:
+        np.greater_equal(u, 0.0, out=u)
+    u *= beta_coefficient(s)
+    return u
 
 
 def scott_bandwidth(sigma, n: int):
@@ -146,6 +166,11 @@ class PackedKde:
     def width(self) -> int:
         return self.samples.shape[1]
 
+    @cached_property
+    def _scale(self) -> np.ndarray:
+        """n h per column: divides a column's kernel sum into its density."""
+        return len(self.samples) * self.h
+
     def take(self, columns) -> "PackedKde":
         """The densities of the given columns (indices or a slice) only, in that order."""
         return PackedKde(self.samples[:, columns], self.h[columns], self.kernel)
@@ -155,10 +180,20 @@ class PackedKde:
 
         ``grids`` is (mu, w): column j holds the points at which column j's
         density is evaluated. Each value is the exact (1/nh) sum of scaled
-        kernels over that column's samples.
+        kernels over that column's samples. One grid row at a time goes
+        through a single (n, w) buffer, whose rows are added in order (numpy
+        sums a one-column buffer pairwise instead).
         """
-        u = (grids[:, None, :] - self.samples[None]) / self.h
-        return kernel_eval(self.kernel, u).sum(axis=1) / (len(self.samples) * self.h)
+        samples, h = self.samples, self.h
+        out = np.empty(grids.shape)
+        u = np.empty(samples.shape)
+        for g, row in zip(grids, out):
+            np.subtract(g, samples, out=u)
+            u /= h
+            _kernel_in_place(self.kernel, u)
+            np.add.reduce(u, axis=0, out=row)
+        out /= self._scale
+        return out
 
     def density_at(self, x) -> np.ndarray:
         """Density of each column at the matching entry of ``x`` (an array of length w)."""

@@ -4,7 +4,11 @@ The slow, direct way of computing what the library computes in bulk: one
 one-dimensional density (``KdeModel``) at a time, one grid per variable,
 one Python loop per Hellinger sum, one ``table.value`` lookup per factor
 of a subset's power. ``bandwidth`` is ``column_bandwidths`` applied to one
-sample.
+sample. ``broadcast_on_grid`` and ``broadcast_block_distances`` are the
+library's former packed kernel sum and table: one 3-d (mu, n, width)
+broadcast per block, reduced over its middle axis, which adds the samples
+in the same order as the library's row-by-row sum, so the two agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,19 @@ from itertools import combinations
 
 import numpy as np
 
-from xnb.kde import DEFAULT_KERNEL, DEFAULT_MU, DEFAULT_RULE, canonical_kernel, column_bandwidths, kernel_eval
+from xnb.kde import (
+    DEFAULT_KERNEL,
+    DEFAULT_MU,
+    DEFAULT_RULE,
+    beta_coefficient,
+    canonical_kernel,
+    column_bandwidths,
+    kernel_eval,
+)
+
+
+# beta-family exponent s per kernel name
+_BETA_EXPONENT = {"uniform": 0, "epanechnikov": 1, "biweight": 2, "triweight": 3}
 
 
 def bandwidth(rule: str, values, fallback_scale: float | None = None) -> float:
@@ -133,6 +149,64 @@ def per_variable_oracle(d, bank, mu: int = DEFAULT_MU) -> np.ndarray:
         dists = [normalize_to_distribution(kde_on_grid(model, grid)) for model in models]
         for col, (a, b) in enumerate(pairs):
             out[j, col] = hellinger_oracle(dists[a], dists[b])
+    return out
+
+
+def broadcast_kernel(kind: str, u):
+    """Kernel values at ``u`` as whole-array expressions (no in-place steps)."""
+    kind = canonical_kernel(kind)
+    if kind == "gaussian":
+        return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    s = _BETA_EXPONENT[kind]
+    body = (1.0 - u * u) ** s if s else np.ones_like(u)
+    return beta_coefficient(s) * np.where(np.abs(u) <= 1.0, body, 0.0)
+
+
+def broadcast_on_grid(kde, grids) -> np.ndarray:
+    """``PackedKde.on_grid`` as one (mu, n, w) broadcast summed over samples."""
+    u = (grids[:, None, :] - kde.samples[None]) / kde.h
+    return broadcast_kernel(kde.kernel, u).sum(axis=1) / (len(kde.samples) * kde.h)
+
+
+def broadcast_block_distances(densities, mu, block):
+    """Table rows as the library built them with 3-d broadcasts, ``block`` variables at a time.
+
+    Same grids, zero-sum fallback and warning as ``hellinger._block_distances``;
+    the square roots are taken per class pair. The blocks are
+    ``range(0, w, block)``, so a last block one column wide is summed
+    pairwise by numpy: pass ``block >= w`` (one block) for the reference
+    the library matches at every width.
+    """
+    k = len(densities)
+    w = densities[0].width
+    pair_idx = list(combinations(range(k), 2))
+    out = np.empty((w, len(pair_idx)))
+    zero_sum_columns = 0
+    for lo in range(0, w, block):
+        hi = min(lo + block, w)
+        blocks = [p.take(slice(lo, hi)) for p in densities]
+        col_lo = np.min([p.samples.min(axis=0) for p in blocks], axis=0)
+        col_hi = np.max([p.samples.max(axis=0) for p in blocks], axis=0)
+        flat = col_lo == col_hi
+        col_lo = np.where(flat, col_lo - 1.0, col_lo)
+        col_hi = np.where(flat, col_hi + 1.0, col_hi)
+        grids = np.linspace(col_lo, col_hi, mu)
+
+        dists = []
+        for p in blocks:
+            dens = broadcast_on_grid(p, grids)
+            totals = dens.sum(axis=0)
+            zero = totals <= 0.0
+            if zero.any():
+                zero_sum_columns += int(zero.sum())
+                dens[:, zero] = 1.0
+                totals = np.where(zero, float(mu), totals)
+            dists.append(dens / totals)
+        for col, (a, b) in enumerate(pair_idx):
+            d = (1.0 / np.sqrt(2.0)) * np.sqrt(((np.sqrt(dists[a]) - np.sqrt(dists[b])) ** 2).sum(axis=0))
+            out[lo:hi, col] = np.minimum(d, 1.0)
+    if zero_sum_columns:
+        warnings.warn(f"{zero_sum_columns} zero-sum density vectors normalized to uniform", stacklevel=2)
     return out
 
 

@@ -94,6 +94,27 @@ class TestExitCodes:
         assert f"data error: {out}: cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "verb, flags",
+        [
+            (["fit"], ["--model", "m.json"]),
+            (["select"], []),
+            (["evaluate"], ["--k", "2"]),
+            (["inspect", "hellinger"], []),
+            (["diagnose"], []),
+        ],
+    )
+    def test_column_range_beyond_the_largest_float_is_data_error(self, tmp_path, capsys, verb, flags):
+        path = tmp_path / "wide.csv"
+        rows = "".join(f"{g1},{g2},{label}\n" for g1, g2, label in zip([1e308, -1e308, 0, 1] * 2, range(8), "AABB" * 2))
+        path.write_text("g1,g2,class\n" + rows)
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        assert main([*verb, "--data", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "data error: variable 'g1': values from -1e+308 to 1e+308 span more than the largest float" in captured.err
+        assert "RuntimeWarning" not in captured.err and captured.out == ""
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
         "verb, flags, code",
         [
             ("evaluate", ["--k", "1"], 1),

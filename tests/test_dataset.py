@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -209,7 +210,14 @@ class TestLoadCsv:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     def test_save_matches_oracle_and_round_trips(self, names_rows, labels):
         names, rows = names_rows
-        d = Dataset(tuple(names), np.array(rows), tuple(labels[: len(rows)]))
+        values = np.array(rows)
+        with np.errstate(over="ignore"):
+            wide = ~np.isfinite(values.max(axis=0) - values.min(axis=0))
+        if wide.any():  # a range beyond the largest float is refused, naming the variable
+            with pytest.raises(DataError, match=re.escape(f"variable {names[np.flatnonzero(wide)[0]]!r}: values from")):
+                Dataset(tuple(names), values, tuple(labels[: len(rows)]))
+            return
+        d = Dataset(tuple(names), values, tuple(labels[: len(rows)]))
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
             save_csv(d, new)
@@ -235,6 +243,12 @@ class TestLoadCsv:
             save_csv(d, out)
         assert out.read_text() == "kept\n"
 
+    def test_save_into_missing_directory_is_data_error(self, tmp_path):
+        d = Dataset(("g1",), np.zeros((2, 1)), ("A", "B"))
+        out = tmp_path / "absent" / "x.csv"
+        with pytest.raises(DataError, match=re.escape(f"{out}: cannot write (")):
+            save_csv(d, out)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(31)
         values = rng.normal(size=(20, 5)) * 10.0 ** rng.integers(-8, 8, size=(20, 5))
@@ -250,6 +264,13 @@ class TestDataset:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
             Dataset(("x",), np.array([[np.inf]]), ("A",))
+
+    def test_rejects_a_range_beyond_the_largest_float(self):
+        values = np.array([[1e308, 1e308, 0.0], [-1e308, 1.0, 5.0]])
+        with pytest.raises(DataError, match="variable 'x': values from -1e[+]308 to 1e[+]308 span more"):
+            Dataset(("x", "y", "z"), values, ("A", "B"))
+        Dataset(("x",), np.array([[1.7e308], [0.0], [-1e-300]]), ("A", "B", "A"))  # a wide range that fits
+        Dataset(("x", "y"), np.array([[1e308, -1e308], [1e308, -1e308]]), ("A", "B"))  # apart only across columns
 
     def test_rejects_shape_mismatches(self):
         with pytest.raises(DataError):

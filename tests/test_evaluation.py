@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -163,6 +164,14 @@ class TestEmitReport:
         emit_report(report, format="tsv", m_variables=6)
         out = capsys.readouterr().out
         assert out.startswith("method\t")
+
+    def test_nan_is_never_written(self, tmp_path):
+        report = evaluate_cv(small_dataset(14), methods=("gnb",), k=2, seed=0)
+        broken = dataclasses.replace(report, mean_accuracy={"gnb": float("nan")})
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit_report(broken, format="json", path=path)
+        assert not path.exists()
 
     def test_unknown_format(self):
         report = evaluate_cv(small_dataset(13), methods=("gnb",), k=2, seed=0)

@@ -1,14 +1,21 @@
 import importlib
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tests.oracles import bandwidth, hellinger_oracle, normalize_to_distribution, per_variable_oracle
+from tests.oracles import (
+    bandwidth,
+    broadcast_block_distances,
+    hellinger_oracle,
+    normalize_to_distribution,
+    per_variable_oracle,
+)
 from xnb.dataset import Dataset
 from xnb.hellinger import HellingerTable, hellinger, hellinger_table
 from xnb.kde import KERNELS, PackedKde
@@ -253,3 +260,99 @@ class TestTable:
         table = HellingerTable(("x",), ("A", "B"), np.array([[0.5]]))
         with pytest.raises(KeyError, match="nope"):
             table.value("nope", "A", "B")
+
+
+def _recorded(fn, *args, **kwargs):
+    """``fn``'s result and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+def _densities(rng, sizes, w, kernel):
+    """One PackedKde per class size, with random samples and bandwidths."""
+    return [
+        PackedKde(rng.normal(loc=c, size=(n, w)), rng.uniform(0.05, 2.0, size=w), kernel)
+        for c, n in enumerate(sizes)
+    ]
+
+
+class TestBroadcastOracle:
+    """The table equals the former 3-d broadcast table bit for bit (one block: see the oracle)."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 12), min_size=2, max_size=4),
+        st.integers(1, 30),
+        st.integers(1, 16),
+        st.sampled_from(KERNELS),
+    )
+    @example(seed=0, sizes=[1, 1], mu=1, w=1, kernel="gaussian")
+    @example(seed=1, sizes=[1, 3, 2], mu=7, w=1, kernel="triweight")
+    @example(seed=2, sizes=[12, 9], mu=1, w=5, kernel="uniform")
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_broadcast_oracle(self, seed, sizes, mu, w, kernel):
+        densities = _densities(np.random.default_rng(seed), sizes, w, kernel)
+        table, warned = _recorded(hellinger_module._block_distances, densities, mu)
+        reference, reference_warned = _recorded(broadcast_block_distances, densities, mu, block=w)
+        np.testing.assert_array_equal(table, reference)
+        assert warned == reference_warned
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1018, 1030), st.sampled_from(KERNELS))
+    @example(seed=0, w=1025, kernel="gaussian")
+    @settings(max_examples=15, deadline=None)
+    def test_across_the_block_boundary(self, seed, w, kernel):
+        assert hellinger_module._BLOCK == 1024
+        # 8 or more rows and grid points: numpy would sum a lone column pairwise
+        densities = _densities(np.random.default_rng(seed), [9, 12, 10], w, kernel)
+        table, warned = _recorded(hellinger_module._block_distances, densities, 10)
+        reference, reference_warned = _recorded(broadcast_block_distances, densities, 10, block=w)
+        np.testing.assert_array_equal(table, reference)
+        assert warned == reference_warned
+
+    def test_constant_and_zero_sum_columns(self):
+        samples_a = np.array([[1.5, 0.0, 0.2], [1.5, 1.0, 0.9]])
+        samples_b = np.array([[1.5, 0.123456, 0.5]])
+        # column 0 is constant; in column 1 class B's one sample lies between the
+        # grid points and its bandwidth is far below their spacing
+        densities = [
+            PackedKde(samples_a, [1e-9, 1e-9, 0.3], "uniform"),
+            PackedKde(samples_b, [1e-9, 1e-9, 0.3], "uniform"),
+        ]
+        with pytest.warns(UserWarning, match="zero-sum"):
+            table = hellinger_module._block_distances(densities, 5)
+        with pytest.warns(UserWarning, match="zero-sum"):
+            reference = broadcast_block_distances(densities, 5, block=3)
+        np.testing.assert_array_equal(table, reference)
+        assert table[1, 0] > 0.0
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(6, 40),
+        st.integers(2, 4),
+        st.sampled_from(KERNELS),
+    )
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_with_jobs_equals_broadcast_oracle(self, pool_sizes, seed, m, k, kernel):
+        rng = np.random.default_rng(seed)
+        n = 5 * k
+        d = Dataset(tuple(f"v{j}" for j in range(m)), rng.normal(size=(n, m)), tuple(f"c{i % k}" for i in range(n)))
+        bank = _bank(d, kernel)
+        densities = [bank[c] for c in d.classes]
+        reference, reference_warned = _recorded(broadcast_block_distances, densities, 20, block=m)
+        for jobs in (1, 2, 3):
+            table, warned = _recorded(hellinger_table, d, bank, mu=20, jobs=jobs)
+            np.testing.assert_array_equal(table.distances, reference)
+            assert len(warned) == len(reference_warned)
+
+    def test_temporary_memory_does_not_scale_with_mu_times_rows(self):
+        # the former (mu, n_c, block) temporary alone was 50 * 400 * 256 * 8 B, about 41 MB
+        densities = _densities(np.random.default_rng(9), [400, 400, 400], 300, "gaussian")
+        tracemalloc.start()
+        try:
+            hellinger_module._block_distances(densities, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

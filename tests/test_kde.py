@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tests.oracles import KdeModel, bandwidth, kde_density_at, kde_on_grid, make_grid
+from tests.oracles import (
+    KdeModel,
+    bandwidth,
+    broadcast_kernel,
+    broadcast_on_grid,
+    kde_density_at,
+    kde_on_grid,
+    make_grid,
+)
 from xnb.kde import (
     KERNELS,
     PackedKde,
@@ -232,6 +240,38 @@ class TestPackedKde:
             model = KdeModel(samples[:, j], h[j], kind)
             assert density[j] == pytest.approx(kde_density_at(model, x[j]), rel=1e-13, abs=1e-300)
             np.testing.assert_allclose(dens[:, j], kde_on_grid(model, grids[:, j]), rtol=1e-13, atol=1e-300)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.integers(1, 24),
+        st.sampled_from(KERNELS),
+    )
+    @example(seed=0, n=1, mu=1, w=1, kind="gaussian")
+    @example(seed=1, n=1, mu=5, w=3, kind="uniform")
+    @example(seed=2, n=9, mu=1, w=1, kind="biweight")
+    @example(seed=3, n=30, mu=12, w=1, kind="epanechnikov")
+    @settings(max_examples=80, deadline=None)
+    def test_on_grid_equals_broadcast_oracle(self, seed, n, mu, w, kind):
+        rng = np.random.default_rng(seed)
+        packed = PackedKde(rng.normal(size=(n, w)), rng.uniform(0.05, 2.0, size=w), kind)
+        grids = rng.normal(scale=2.0, size=(mu, w))
+        grids[0] = packed.samples[0]  # kernel peaks, and |u| = 0 exactly
+        np.testing.assert_array_equal(packed.on_grid(grids), broadcast_on_grid(packed, grids))
+        np.testing.assert_array_equal(packed.density_at(grids[-1]), broadcast_on_grid(packed, grids[-1:])[0])
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_kernel_equals_broadcast_oracle(self, kind):
+        # both sides of |u| = 1, the support edge of the beta kernels
+        u = np.concatenate([np.linspace(-3.0, 3.0, 601), [-1.0, 1.0], np.nextafter([-1.0, 1.0, -1.0, 1.0], [-2, 2, 0, 0])])
+        np.testing.assert_array_equal(kernel_eval(kind, u), broadcast_kernel(kind, u))
+        assert kernel_eval(kind, 0.25) == float(broadcast_kernel(kind, np.float64(0.25)))
+
+    def test_kernel_eval_leaves_its_input_alone(self):
+        u = np.array([0.5, 2.0])
+        kernel_eval("biweight", u)
+        np.testing.assert_array_equal(u, [0.5, 2.0])
 
     def test_take_selects_columns_in_order(self):
         packed = PackedKde(np.arange(12.0).reshape(4, 3), [1.0, 2.0, 3.0])
