@@ -17,7 +17,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -342,15 +342,7 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
             "smoothing": model.smoothing,
         }
         return payload
-    payload["config"] = {
-        "kernel": model.config.kernel,
-        "bandwidth_rule": model.config.bandwidth_rule,
-        "mu": model.config.mu,
-        "theta": model.config.theta,
-        "floor": model.config.floor,
-        "pair_order": "sorted-labels",
-        "tie_break": "lexicographic",
-    }
+    payload["config"] = {**asdict(model.config), "pair_order": "sorted-labels", "tie_break": "lexicographic"}
     payload["features"] = {c: list(model.features.features[c]) for c in model.classes}
     payload["kde"] = {
         c: {

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +45,37 @@ class EvaluationReport:
     seed: int
     config: dict
     fold_accuracies: dict[str, tuple[float, ...]]
-    mean_accuracy: dict[str, float]
     xnb_fold_class_counts: tuple[dict[str, int], ...] | None
-    xnb_fold_mean_counts: tuple[float, ...] | None
-    xnb_mean_class_counts: dict[str, float] | None
-    xnb_mean_selected: float | None
     timings: dict[str, float] = field(default_factory=dict)
     fold_generator: str = FOLD_GENERATOR
     schema_version: int = REPORT_SCHEMA_VERSION
+
+    @property
+    def mean_accuracy(self) -> dict[str, float]:
+        return {m: float(np.mean(a)) for m, a in self.fold_accuracies.items()}
+
+    @property
+    def xnb_fold_mean_counts(self) -> tuple[float, ...] | None:
+        """Each XNB fold's mean selected-variable count over its classes."""
+        if self.xnb_fold_class_counts is None:
+            return None
+        return tuple(float(np.mean(list(counts.values()))) for counts in self.xnb_fold_class_counts)
+
+    @property
+    def xnb_mean_class_counts(self) -> dict[str, float] | None:
+        """Each class's selected-variable count, averaged over the folds that trained it."""
+        if self.xnb_fold_class_counts is None:
+            return None
+        # tiny classes can drop out of a fold's training split entirely
+        folds = self.xnb_fold_class_counts
+        classes = sorted({c for counts in folds for c in counts})
+        return {c: float(np.mean([counts[c] for counts in folds if c in counts])) for c in classes}
+
+    @property
+    def xnb_mean_selected(self) -> float | None:
+        if self.xnb_fold_class_counts is None:
+            return None
+        return float(np.mean(self.xnb_fold_mean_counts))
 
     def to_dict(self) -> dict:
         return {
@@ -63,7 +86,7 @@ class EvaluationReport:
             "fold_generator": self.fold_generator,
             "config": dict(self.config),
             "fold_accuracies": {m: list(a) for m, a in self.fold_accuracies.items()},
-            "mean_accuracy": dict(self.mean_accuracy),
+            "mean_accuracy": self.mean_accuracy,
             "xnb_fold_class_counts": (
                 [dict(c) for c in self.xnb_fold_class_counts]
                 if self.xnb_fold_class_counts is not None
@@ -72,9 +95,7 @@ class EvaluationReport:
             "xnb_fold_mean_counts": (
                 list(self.xnb_fold_mean_counts) if self.xnb_fold_mean_counts is not None else None
             ),
-            "xnb_mean_class_counts": (
-                dict(self.xnb_mean_class_counts) if self.xnb_mean_class_counts is not None else None
-            ),
+            "xnb_mean_class_counts": self.xnb_mean_class_counts,
             "xnb_mean_selected": self.xnb_mean_selected,
             "timings": dict(self.timings),
         }
@@ -87,23 +108,11 @@ class EvaluationReport:
             seed=int(payload["seed"]),
             config=dict(payload["config"]),
             fold_accuracies={m: tuple(a) for m, a in payload["fold_accuracies"].items()},
-            mean_accuracy=dict(payload["mean_accuracy"]),
             xnb_fold_class_counts=(
                 tuple(dict(c) for c in payload["xnb_fold_class_counts"])
                 if payload["xnb_fold_class_counts"] is not None
                 else None
             ),
-            xnb_fold_mean_counts=(
-                tuple(payload["xnb_fold_mean_counts"])
-                if payload["xnb_fold_mean_counts"] is not None
-                else None
-            ),
-            xnb_mean_class_counts=(
-                dict(payload["xnb_mean_class_counts"])
-                if payload["xnb_mean_class_counts"] is not None
-                else None
-            ),
-            xnb_mean_selected=payload["xnb_mean_selected"],
             timings=dict(payload["timings"]),
             fold_generator=payload["fold_generator"],
             schema_version=int(payload["schema_version"]),
@@ -148,7 +157,6 @@ def evaluate_cv(
 
     fold_acc: dict[str, list[float]] = {m: [] for m in methods}
     fold_counts: list[dict[str, int]] = []
-    fold_mean_counts: list[float] = []
     timings = {stage: 0.0 for stage in FIT_STAGES}
 
     for fold in range(k):
@@ -165,36 +173,15 @@ def evaluate_cv(
             for stage, t in (getattr(model, "timings", None) or {}).items():
                 timings[stage] += t
             if method == "xnb":
-                counts = {c: model.features.count(c) for c in model.classes}
-                fold_counts.append(counts)
-                fold_mean_counts.append(float(np.mean(list(counts.values()))))
+                fold_counts.append({c: model.features.count(c) for c in model.classes})
 
-    has_xnb = "xnb" in methods
-    mean_class_counts = None
-    if has_xnb:
-        # tiny classes can drop out of a fold's training split entirely
-        mean_class_counts = {
-            c: float(np.mean([counts[c] for counts in fold_counts if c in counts]))
-            for c in d.classes
-            if any(c in counts for counts in fold_counts)
-        }
     return EvaluationReport(
         methods=methods,
         k=k,
         seed=seed,
-        config={
-            "kernel": config.kernel,
-            "bandwidth_rule": config.bandwidth_rule,
-            "mu": config.mu,
-            "theta": config.theta,
-            "floor": config.floor,
-        },
+        config=asdict(config),
         fold_accuracies={m: tuple(a) for m, a in fold_acc.items()},
-        mean_accuracy={m: float(np.mean(a)) for m, a in fold_acc.items()},
-        xnb_fold_class_counts=tuple(fold_counts) if has_xnb else None,
-        xnb_fold_mean_counts=tuple(fold_mean_counts) if has_xnb else None,
-        xnb_mean_class_counts=mean_class_counts,
-        xnb_mean_selected=float(np.mean(fold_mean_counts)) if has_xnb else None,
+        xnb_fold_class_counts=tuple(fold_counts) if "xnb" in methods else None,
         timings=timings,
     )
 

@@ -6,14 +6,14 @@ event space), the grid densities are sum-normalized into discrete
 distributions, and the distance ``sqrt(sum((sqrt(p) - sqrt(q))^2)) /
 sqrt(2)`` is tabulated for every unordered class pair.
 
-Table construction is the pipeline's hot loop at genomic widths, so it
-runs over blocks of up to ``_BLOCK`` variables. Per class and block,
-``on_grid`` needs one (n_c, block) buffer, not one value per grid point,
-sample and variable, and the square roots of the class's distributions are
-taken once for all of its class pairs. With ``jobs`` > 1 contiguous column
-chunks are spread over a thread pool (numpy releases the GIL inside each
-ufunc call), at most one thread per CPU; the result does not depend on
-``jobs``.
+Table construction is the pipeline's hot loop at genomic widths, so the
+variables are cut once into blocks of nearly equal width, at most
+``_BLOCK``. Per class and block, ``on_grid`` needs one (n_c, block)
+buffer, not one value per grid point, sample and variable, and the square
+roots of the class's distributions are taken once for all of its class
+pairs. ``jobs`` only chooses how the blocks are mapped: in turn, or over a
+thread pool (numpy releases the GIL inside each ufunc call) with at most
+one thread per CPU; the result does not depend on it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -117,55 +117,41 @@ class HellingerTable:
                 yield v, ci, cj, float(h)
 
 
-def _block_distances(densities, mu):
-    """Table rows from the classes' packed densities, a block of variables at a time.
+def _block_distances(densities, mu, lo, hi):
+    """Table rows ``lo:hi`` and the number of zero-sum columns among them.
 
-    ``densities`` cover the same w variables and share one kernel. Each
+    ``densities`` cover the same variables and share one kernel. Each
     variable gets ``mu`` equally spaced grid points over its range in all
     classes (widened to +-1 around a constant variable); each class's grid
     densities are sum-normalized (a zero-sum column becomes uniform), their
     square roots are taken once, and every class pair is compared as
     ``hellinger`` compares it.
-
-    The blocks are of nearly equal width, at most ``_BLOCK``, so no block
-    is one column wide unless w is 1: numpy sums a single column pairwise
-    rather than in order, and a variable's distance would then depend on
-    where the blocks (or the ``jobs`` chunks) happen to end.
     """
-    k = len(densities)
-    w = densities[0].width
-    pair_idx = list(combinations(range(k), 2))
-    out = np.empty((w, len(pair_idx)))
-    zero_sum_columns = 0
-    bounds = np.linspace(0, w, -(-w // _BLOCK) + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        blocks = [p.take(slice(lo, hi)) for p in densities]
-        col_lo = np.min([p.samples.min(axis=0) for p in blocks], axis=0)
-        col_hi = np.max([p.samples.max(axis=0) for p in blocks], axis=0)
-        flat = col_lo == col_hi
-        col_lo = np.where(flat, col_lo - 1.0, col_lo)
-        col_hi = np.where(flat, col_hi + 1.0, col_hi)
-        grids = np.linspace(col_lo, col_hi, mu)  # (mu, width)
+    blocks = [p.take(slice(lo, hi)) for p in densities]
+    col_lo = np.min([p.samples.min(axis=0) for p in blocks], axis=0)
+    col_hi = np.max([p.samples.max(axis=0) for p in blocks], axis=0)
+    flat = col_lo == col_hi
+    col_lo = np.where(flat, col_lo - 1.0, col_lo)
+    col_hi = np.where(flat, col_hi + 1.0, col_hi)
+    grids = np.linspace(col_lo, col_hi, mu)  # (mu, width)
 
-        roots = []
-        for p in blocks:
-            dens = p.on_grid(grids)
-            totals = dens.sum(axis=0)
-            zero = totals <= 0.0
-            if zero.any():
-                zero_sum_columns += int(zero.sum())
-                dens[:, zero] = 1.0
-                totals = np.where(zero, float(mu), totals)
-            dens /= totals
-            roots.append(np.sqrt(dens, out=dens))
-        for col, (a, b) in enumerate(pair_idx):
-            out[lo:hi, col] = _distance_from_roots(roots[a], roots[b])
-    if zero_sum_columns:
-        warnings.warn(
-            f"{zero_sum_columns} zero-sum density vectors normalized to uniform",
-            stacklevel=2,
-        )
-    return out
+    roots = []
+    zero_sum_columns = 0
+    for p in blocks:
+        dens = p.on_grid(grids)
+        totals = dens.sum(axis=0)
+        zero = totals <= 0.0
+        if zero.any():
+            zero_sum_columns += int(zero.sum())
+            dens[:, zero] = 1.0
+            totals = np.where(zero, float(mu), totals)
+        dens /= totals
+        roots.append(np.sqrt(dens, out=dens))
+    pairs = list(combinations(roots, 2))
+    rows = np.empty((hi - lo, len(pairs)))
+    for col, (root_a, root_b) in enumerate(pairs):
+        rows[:, col] = _distance_from_roots(root_a, root_b)
+    return rows, zero_sum_columns
 
 
 def hellinger_table(
@@ -178,10 +164,15 @@ def hellinger_table(
 
     ``kde_bank`` maps every class to its packed density over all of the
     dataset's variables, in ``d.variable_names`` order, with one kernel
-    shared by all classes (the bank of a ``fit_fnb`` model). With ``jobs``
-    > 1 the variables are split into one chunk per thread, using at most
-    ``os.cpu_count()`` threads; results are identical to the sequential
-    path.
+    shared by all classes (the bank of a ``fit_fnb`` model). The variables
+    are cut into a multiple of ``workers`` blocks of nearly equal width, at
+    most ``_BLOCK``, where ``workers`` is ``jobs`` capped at
+    ``os.cpu_count()`` and at half the variables. No block is then one
+    variable wide unless the table is: numpy sums a single column pairwise
+    rather than in order, so a variable's distance would depend on where the
+    blocks end. With more than one worker the blocks go through a thread
+    pool; the table is the same for every ``jobs``, and one warning counts
+    its zero-sum columns.
     """
     for c in d.classes:
         if c not in kde_bank or kde_bank[c].width != d.m:
@@ -191,15 +182,17 @@ def hellinger_table(
     if len(kernels) != 1:
         raise ValueError(f"kde bank mixes kernels: {', '.join(sorted(kernels))}")
 
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or d.m < 2 * workers:
-        distances = _block_distances(densities, mu)
+    workers = max(1, min(jobs, os.cpu_count() or 1, d.m // 2))
+    count = workers * -(-d.m // (_BLOCK * workers))
+    bounds = np.linspace(0, d.m, count + 1).astype(int)
+    block = partial(_block_distances, densities, mu)
+    if workers == 1:
+        parts = list(map(block, bounds[:-1], bounds[1:]))
     else:
-        bounds = np.linspace(0, d.m, workers + 1).astype(int)
-
-        def chunk(lo, hi):
-            return _block_distances([p.take(slice(lo, hi)) for p in densities], mu)
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            distances = np.vstack(list(pool.map(chunk, bounds[:-1], bounds[1:])))
-    return HellingerTable(d.variable_names, d.classes, distances)
+            parts = list(pool.map(block, bounds[:-1], bounds[1:]))
+    rows, counts = zip(*parts)
+    zero_sum_columns = sum(counts)
+    if zero_sum_columns:
+        warnings.warn(f"{zero_sum_columns} zero-sum density vectors normalized to uniform", stacklevel=2)
+    return HellingerTable(d.variable_names, d.classes, np.vstack(rows))

@@ -109,7 +109,9 @@ def silverman_adaptive_bandwidth(sigma, iqr, n: int):
 def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     """Bandwidth of every column of an (n, w) sample matrix; never fails.
 
-    sigma is the n-1 sample standard deviation (0 when n == 1) and the IQR
+    sigma is the n-1 sample standard deviation (0 when n == 1), taken of
+    each column scaled by the power of two of its largest magnitude: exact,
+    and the squares of values near the largest float stay finite. The IQR
     uses linear-interpolation quartiles. A non-positive or non-finite result
     falls back to ``max(1e-3 * fallback_scale, 1e-9)``, with the column's
     range over the whole dataset as the scale, so that constant-within-class
@@ -118,7 +120,11 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     rule = canonical_rule(rule)
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    sigma = np.std(values, axis=0, ddof=1) if n > 1 else np.zeros(values.shape[1])
+    if n > 1:
+        _, exponent = np.frexp(np.abs(values).max(axis=0))
+        sigma = np.ldexp(np.std(np.ldexp(values, -exponent), axis=0, ddof=1), exponent)
+    else:
+        sigma = np.zeros(values.shape[1])
     if rule == "scott":
         h = scott_bandwidth(sigma, n)
     elif rule == "silverman":
@@ -182,16 +188,18 @@ class PackedKde:
         density is evaluated. Each value is the exact (1/nh) sum of scaled
         kernels over that column's samples. One grid row at a time goes
         through a single (n, w) buffer, whose rows are added in order (numpy
-        sums a one-column buffer pairwise instead).
+        sums a one-column buffer pairwise instead). An offset too large to
+        square is far outside every kernel's support and adds 0.
         """
         samples, h = self.samples, self.h
         out = np.empty(grids.shape)
         u = np.empty(samples.shape)
-        for g, row in zip(grids, out):
-            np.subtract(g, samples, out=u)
-            u /= h
-            _kernel_in_place(self.kernel, u)
-            np.add.reduce(u, axis=0, out=row)
+        with np.errstate(over="ignore"):
+            for g, row in zip(grids, out):
+                np.subtract(g, samples, out=u)
+                u /= h
+                _kernel_in_place(self.kernel, u)
+                np.add.reduce(u, axis=0, out=row)
         out /= self._scale
         return out
 

@@ -171,7 +171,7 @@ def broadcast_on_grid(kde, grids) -> np.ndarray:
 def broadcast_block_distances(densities, mu, block):
     """Table rows as the library built them with 3-d broadcasts, ``block`` variables at a time.
 
-    Same grids, zero-sum fallback and warning as ``hellinger._block_distances``;
+    Same grids, zero-sum fallback and warning as ``hellinger.hellinger_table``;
     the square roots are taken per class pair. The blocks are
     ``range(0, w, block)``, so a last block one column wide is summed
     pairwise by numpy: pass ``block >= w`` (one block) for the reference

@@ -384,6 +384,23 @@ class TestSelect:
         assert sum(len(v) for v in tight.values()) >= sum(len(v) for v in loose.values())
 
 
+    def test_values_near_the_largest_float_fit_silently(self, tmp_path):
+        path = tmp_path / "near.csv"
+        path.write_text("class,g1,g2\nA,1e308,0.5\nA,0,1.5\nA,5e307,0.7\nB,1,2.5\nB,2,3.1\nB,3,2.9\n")
+        model = tmp_path / "m.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(xnb.__file__).resolve().parents[1]))
+        runs = [
+            (["select", "--data", str(path)], ""),
+            (["fit", "--data", str(path), "--model", str(model)], f"saved xnb model to {model} (A:2, B:2)\n"),
+        ]
+        for argv, stderr in runs:
+            result = subprocess.run([sys.executable, "-m", "xnb.cli", *argv], env=env, capture_output=True, text=True)
+            assert result.returncode == 0 and result.stderr == stderr, (argv, result.stderr)
+        fitted = load_model(model)
+        h = fitted.kde_bank["A"].h[fitted.features.features["A"].index("g1")]
+        assert h == pytest.approx(1.059 * 5e307 * 3**-0.2, rel=1e-15, abs=0)
+
+
 class TestDiagnose:
     def test_json_and_summary(self, data_csv, capsys):
         assert main(["diagnose", "--data", str(data_csv), "--max-pairs", "20"]) == 0

@@ -167,7 +167,7 @@ class TestEmitReport:
 
     def test_nan_is_never_written(self, tmp_path):
         report = evaluate_cv(small_dataset(14), methods=("gnb",), k=2, seed=0)
-        broken = dataclasses.replace(report, mean_accuracy={"gnb": float("nan")})
+        broken = dataclasses.replace(report, fold_accuracies={"gnb": (float("nan"), 1.0)})
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="JSON compliant"):
             emit_report(broken, format="json", path=path)

@@ -270,6 +270,16 @@ def _recorded(fn, *args, **kwargs):
     return result, [str(w.message) for w in caught]
 
 
+def _table(densities, mu, jobs=1):
+    """``hellinger_table`` over one class per density: its distances and warning messages."""
+    classes = [f"c{i}" for i in range(len(densities))]
+    labels = tuple(c for c, p in zip(classes, densities) for _ in p.samples)
+    names = tuple(f"v{j}" for j in range(densities[0].width))
+    d = Dataset(names, np.vstack([p.samples for p in densities]), labels)
+    table, warned = _recorded(hellinger_table, d, dict(zip(classes, densities)), mu=mu, jobs=jobs)
+    return table.distances, warned
+
+
 def _densities(rng, sizes, w, kernel):
     """One PackedKde per class size, with random samples and bandwidths."""
     return [
@@ -294,22 +304,29 @@ class TestBroadcastOracle:
     @settings(max_examples=60, deadline=None)
     def test_blocks_equal_broadcast_oracle(self, seed, sizes, mu, w, kernel):
         densities = _densities(np.random.default_rng(seed), sizes, w, kernel)
-        table, warned = _recorded(hellinger_module._block_distances, densities, mu)
+        table, warned = _table(densities, mu)
         reference, reference_warned = _recorded(broadcast_block_distances, densities, mu, block=w)
         np.testing.assert_array_equal(table, reference)
         assert warned == reference_warned
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1018, 1030), st.sampled_from(KERNELS))
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1018, 1030) | st.integers(2047, 2050),
+        st.sampled_from(KERNELS),
+    )
     @example(seed=0, w=1025, kernel="gaussian")
-    @settings(max_examples=15, deadline=None)
-    def test_across_the_block_boundary(self, seed, w, kernel):
+    @example(seed=0, w=2049, kernel="gaussian")
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_across_the_block_boundary(self, pool_sizes, seed, w, kernel):
         assert hellinger_module._BLOCK == 1024
         # 8 or more rows and grid points: numpy would sum a lone column pairwise
         densities = _densities(np.random.default_rng(seed), [9, 12, 10], w, kernel)
-        table, warned = _recorded(hellinger_module._block_distances, densities, 10)
         reference, reference_warned = _recorded(broadcast_block_distances, densities, 10, block=w)
-        np.testing.assert_array_equal(table, reference)
-        assert warned == reference_warned
+        for jobs in (1, 2, 3):
+            table, warned = _table(densities, 10, jobs)
+            np.testing.assert_array_equal(table, reference)
+            assert warned == reference_warned
+        assert set(pool_sizes) == {2, 3}
 
     def test_constant_and_zero_sum_columns(self):
         samples_a = np.array([[1.5, 0.0, 0.2], [1.5, 1.0, 0.9]])
@@ -320,12 +337,27 @@ class TestBroadcastOracle:
             PackedKde(samples_a, [1e-9, 1e-9, 0.3], "uniform"),
             PackedKde(samples_b, [1e-9, 1e-9, 0.3], "uniform"),
         ]
-        with pytest.warns(UserWarning, match="zero-sum"):
-            table = hellinger_module._block_distances(densities, 5)
-        with pytest.warns(UserWarning, match="zero-sum"):
-            reference = broadcast_block_distances(densities, 5, block=3)
+        table, warned = _table(densities, 5)
+        reference, reference_warned = _recorded(broadcast_block_distances, densities, 5, block=3)
         np.testing.assert_array_equal(table, reference)
+        assert warned == reference_warned == ["1 zero-sum density vectors normalized to uniform"]
         assert table[1, 0] > 0.0
+
+    def test_one_zero_sum_warning_whatever_jobs(self, pool_sizes):
+        # in columns 0, 4 and 5 class B's one sample lies between the grid points
+        # and its bandwidth is far below their spacing: zero-sum in both halves
+        h = [1e-9, 0.3, 0.3, 0.3, 1e-9, 1e-9]
+        densities = [
+            PackedKde([[0.0, 0.2, 0.3, 0.4, 0.0, 0.0], [1.0, 0.9, 0.8, 0.7, 1.0, 1.0]], h, "uniform"),
+            PackedKde([[0.123456, 0.5, 0.5, 0.5, 0.123456, 0.623456]], h, "uniform"),
+        ]
+        reference, reference_warned = _recorded(broadcast_block_distances, densities, 5, block=6)
+        assert reference_warned == ["3 zero-sum density vectors normalized to uniform"]
+        for jobs in (1, 2, 3):
+            table, warned = _table(densities, 5, jobs)
+            np.testing.assert_array_equal(table, reference)
+            assert warned == reference_warned
+        assert pool_sizes == [2, 3]
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -344,14 +376,14 @@ class TestBroadcastOracle:
         for jobs in (1, 2, 3):
             table, warned = _recorded(hellinger_table, d, bank, mu=20, jobs=jobs)
             np.testing.assert_array_equal(table.distances, reference)
-            assert len(warned) == len(reference_warned)
+            assert warned == reference_warned
 
     def test_temporary_memory_does_not_scale_with_mu_times_rows(self):
         # the former (mu, n_c, block) temporary alone was 50 * 400 * 256 * 8 B, about 41 MB
         densities = _densities(np.random.default_rng(9), [400, 400, 400], 300, "gaussian")
         tracemalloc.start()
         try:
-            hellinger_module._block_distances(densities, 50)
+            hellinger_module._block_distances(densities, 50, 0, 300)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from xnb.kde import (
     KERNELS,
     PackedKde,
     beta_coefficient,
+    column_bandwidths,
     kernel_eval,
     scott_bandwidth,
     silverman_adaptive_bandwidth,
@@ -135,6 +138,14 @@ class TestBandwidthRules:
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             bandwidth("silverman", [])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(-100, 100), st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_sigma_equals_plain_std(self, seed, n, decade, offset):
+        rng = np.random.default_rng(seed)
+        values = (rng.normal(size=(n, 4)) + offset) * 10.0**decade
+        expected = silverman_bandwidth(np.std(values, axis=0, ddof=1), n)
+        np.testing.assert_array_equal(column_bandwidths("silverman", values, np.ptp(values, axis=0)), expected)
 
 
 class TestFitKde:
@@ -267,6 +278,14 @@ class TestPackedKde:
         u = np.concatenate([np.linspace(-3.0, 3.0, 601), [-1.0, 1.0], np.nextafter([-1.0, 1.0, -1.0, 1.0], [-2, 2, 0, 0])])
         np.testing.assert_array_equal(kernel_eval(kind, u), broadcast_kernel(kind, u))
         assert kernel_eval(kind, 0.25) == float(broadcast_kernel(kind, np.float64(0.25)))
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_offsets_too_large_to_square_add_zero(self, kind):
+        packed = PackedKde([[0.0], [1.0]], [1e-3], kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = packed.on_grid(np.array([[1e308], [-1e308], [0.0]]))
+        assert dens[0, 0] == dens[1, 0] == 0.0 and dens[2, 0] > 0.0
 
     def test_kernel_eval_leaves_its_input_alone(self):
         u = np.array([0.5, 2.0])
