@@ -13,6 +13,7 @@ subset only, in one vectorized kernel sum per class.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import time
@@ -37,7 +38,10 @@ from .kde import (
 )
 from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_class_specific
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
+
+# the one dtype of an array node in a model file
+_ARRAY_DTYPE = "<f8"
 
 DEFAULT_FLOOR = 1e-12
 
@@ -248,18 +252,31 @@ def fit_gnb(d: Dataset) -> GnbModel:
 
     Class variances use the n-1 denominator and are smoothed by 1e-9 times
     the largest global per-variable variance (an absolute floor keeps them
-    positive when every variable is constant).
+    positive when every variable is constant). The moments are taken of
+    each column scaled by the power of two of its largest magnitude (exact)
+    and scaled back, so sums of values near the largest float do not
+    overflow; a variance that itself exceeds the largest float is a data error.
     """
     if len(d.classes) < 2:
         raise DataError(f"classification needs at least 2 classes, got {len(d.classes)}")
     k, m = len(d.classes), d.m
+    _, exponent = np.frexp(np.abs(d.values).max(axis=0))
+    scaled = np.ldexp(d.values, -exponent)
     means = np.empty((k, m))
     variances = np.empty((k, m))
     for i, c in enumerate(d.classes):
-        sub = d.values[d.class_rows[c]]
+        sub = scaled[d.class_rows[c]]
         means[i] = sub.mean(axis=0)
         variances[i] = np.var(sub, axis=0, ddof=1) if sub.shape[0] > 1 else 0.0
-    global_var = np.var(d.values, axis=0, ddof=1) if d.n > 1 else np.zeros(m)
+    global_var = np.var(scaled, axis=0, ddof=1) if d.n > 1 else np.zeros(m)
+    means = np.ldexp(means, exponent)
+    with np.errstate(over="ignore"):  # a variance beyond the largest float is inf
+        variances = np.ldexp(variances, 2 * exponent)
+        global_var = np.ldexp(global_var, 2 * exponent)
+    too_wide = np.flatnonzero(~(np.isfinite(global_var) & np.isfinite(variances).all(axis=0)))
+    if too_wide.size:
+        names = ", ".join(repr(d.variable_names[j]) for j in too_wide[:5])
+        raise DataError(f"variables {names}: variance exceeds the largest float; gnb cannot model it")
     max_var = float(np.max(global_var)) if m else 0.0
     smoothing = 1e-9 * max_var if max_var > 0 else 1e-9
     return GnbModel(
@@ -327,6 +344,12 @@ def predict(model: XnbModel | GnbModel, sample) -> Prediction:
     return predict_xnb(model, sample)
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """An array node: little-endian float64 bytes, row-major, in base64."""
+    a = np.ascontiguousarray(a, _ARRAY_DTYPE)
+    return {"dtype": _ARRAY_DTYPE, "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
 def _model_payload(model: XnbModel | GnbModel) -> dict:
     payload = {
         "version": MODEL_SCHEMA_VERSION,
@@ -337,8 +360,8 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
     }
     if isinstance(model, GnbModel):
         payload["gnb"] = {
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
+            "means": _encode_array(model.means),
+            "variances": _encode_array(model.variances),
             "smoothing": model.smoothing,
         }
         return payload
@@ -347,8 +370,8 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
     payload["kde"] = {
         c: {
             "kernel": model.kde_bank[c].kernel,
-            "h": model.kde_bank[c].h.tolist(),
-            "samples": model.kde_bank[c].samples.tolist(),
+            "h": _encode_array(model.kde_bank[c].h),
+            "samples": _encode_array(model.kde_bank[c].samples),
         }
         for c in model.classes
     }
@@ -356,9 +379,42 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
 
 
 def save_model(model: XnbModel | GnbModel, path: str | Path) -> None:
-    """Write a model as compact versioned JSON (floats round-trip bit-exactly)."""
+    """Write a model as one compact line of versioned JSON.
+
+    Every numeric array (a class's ``samples`` and ``h``, or the gnb
+    ``means`` and ``variances``) is an ``{"dtype": "<f8", "shape", "data"}``
+    node whose data is the array's little-endian float64 bytes, row-major,
+    in base64; so arrays round-trip bit-exactly. Names, priors, the config
+    and each class's selected variables stay readable JSON.
+    """
     # one dumps call uses the C encoder; json.dump streams through the Python one
     write_output(json.dumps(_model_payload(model), separators=(",", ":"), allow_nan=False) + "\n", path)
+
+
+def _decode_array(node) -> np.ndarray:
+    """The read-only float64 array of a v3 array node; ValueError if the node is malformed."""
+    if not isinstance(node, dict) or set(node) != {"dtype", "shape", "data"}:
+        raise ValueError("an array must be a {dtype, shape, data} object")
+    if node["dtype"] != _ARRAY_DTYPE:
+        raise ValueError(f"array dtype {node['dtype']!r}, expected {_ARRAY_DTYPE!r}")
+    shape = node["shape"]
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise ValueError(f"array shape {shape!r} is not a list of non-negative integers")
+    if not isinstance(node["data"], str):
+        raise ValueError("array data must be a base64 string")
+    try:
+        raw = base64.b64decode(node["data"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"array data is not base64 ({exc})") from None
+    expected = 8 * math.prod(shape)  # Python ints: a huge shape allocates nothing
+    if len(raw) != expected:
+        raise ValueError(f"array of shape {shape} needs {expected} bytes of data, got {len(raw)}")
+    return np.frombuffer(raw, _ARRAY_DTYPE).reshape(shape)
+
+
+def _list_array(value) -> np.ndarray:
+    """The float64 array of a v1/v2 nested list."""
+    return np.array(value, dtype=np.float64)
 
 
 def _v1_to_v2(payload: dict) -> dict:
@@ -387,7 +443,14 @@ def _names(value, what: str) -> tuple[str, ...]:
 
 
 def load_model(path: str | Path) -> XnbModel | GnbModel:
-    """Read a model file; predictions round-trip bit-exactly."""
+    """Read a model file written by ``save_model``; predictions round-trip bit-exactly.
+
+    Version 3 arrays are decoded from their base64 nodes and checked for
+    dtype, shape and byte count; version 1 and 2 files, whose arrays are
+    nested lists of decimal floats, are still read. Either way the arrays
+    then go through the same model constructors, which reject a
+    non-finite value. A malformed file is a ``ModelFormatError``.
+    """
     path = Path(path)
     if not path.exists():
         raise ModelFormatError(f"no such model file: {path}")
@@ -401,13 +464,14 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)"
         )
     version = payload.get("version")
-    if version not in (1, MODEL_SCHEMA_VERSION):
+    if version not in (1, 2, MODEL_SCHEMA_VERSION):
         raise ModelFormatError(
-            f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION} (or 1)"
+            f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION} (or 1 or 2)"
         )
     try:
         if version == 1:
             payload = _v1_to_v2(payload)
+        array = _decode_array if version == MODEL_SCHEMA_VERSION else _list_array
         method = payload["method"]
         classes = _names(payload["classes"], "classes")
         priors = {c: float(p) for c, p in payload["priors"].items()}
@@ -418,8 +482,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
                 classes=classes,
                 priors=priors,
                 variable_names=variables,
-                means=np.array(gnb["means"], dtype=np.float64),
-                variances=np.array(gnb["variances"], dtype=np.float64),
+                means=array(gnb["means"]),
+                variances=array(gnb["variances"]),
                 smoothing=float(gnb["smoothing"]),
             )
         cfg = payload["config"]
@@ -436,7 +500,7 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             theta=config.theta,
         )
         bank = {
-            c: PackedKde(entry["samples"], entry["h"], entry["kernel"])
+            c: PackedKde(array(entry["samples"]), array(entry["h"]), entry["kernel"])
             for c, entry in payload["kde"].items()
         }
         return XnbModel(

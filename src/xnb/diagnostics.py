@@ -100,12 +100,23 @@ def _sw_p_values(w: np.ndarray, n: int) -> list[float]:
     return p
 
 
+def _scale_to_unit(x: np.ndarray, axis: int) -> np.ndarray:
+    """Divide each line of ``x`` along ``axis`` by the power of two of its largest magnitude, in place.
+
+    Exact in the normal range, and it keeps squares of values near the
+    largest float finite; W and r do not depend on the scale.
+    """
+    _, exponent = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
+    return np.ldexp(x, -exponent, out=x)
+
+
 def _shapiro_wilk_rows(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """W and p-value of each row of ``x``, a (k, n) matrix of non-constant rows.
 
-    The rows are sorted in place. Every reduction runs along a row, so a
-    row's result does not depend on the other rows.
+    The rows are scaled and sorted in place. Every reduction runs along a
+    row, so a row's result does not depend on the other rows.
     """
+    _scale_to_unit(x, axis=1)
     x.sort(axis=1)
     n = x.shape[1]
     a = _sw_coefficients(n)
@@ -307,7 +318,7 @@ def conditional_independence_scan(
     if d.n < 4:
         raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
     m = d.m
-    residuals = within_class_residuals(d.values, d.labels)
+    residuals = _scale_to_unit(within_class_residuals(d.values, d.labels), axis=0)
     norms = np.sqrt((residuals**2).sum(axis=0))
     degenerate = norms == 0.0
     if degenerate.any():

@@ -109,29 +109,32 @@ def silverman_adaptive_bandwidth(sigma, iqr, n: int):
 def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     """Bandwidth of every column of an (n, w) sample matrix; never fails.
 
-    sigma is the n-1 sample standard deviation (0 when n == 1), taken of
-    each column scaled by the power of two of its largest magnitude: exact,
-    and the squares of values near the largest float stay finite. The IQR
-    uses linear-interpolation quartiles. A non-positive or non-finite result
-    falls back to ``max(1e-3 * fallback_scale, 1e-9)``, with the column's
-    range over the whole dataset as the scale, so that constant-within-class
-    variables still get finite densities (1e-9 if the scale is not positive).
+    sigma is the n-1 sample standard deviation (0 when n == 1) and the IQR
+    uses linear-interpolation quartiles. Every rule is homogeneous in the
+    values, so it is applied to each column scaled by the power of two of
+    its largest magnitude (exact) and the result is scaled back: squares
+    and products such as ``3.49 sigma`` of values near the largest float
+    stay finite, and only a bandwidth that itself exceeds it overflows. A
+    non-positive or non-finite result falls back to
+    ``max(1e-3 * fallback_scale, 1e-9)``, with the column's range over the
+    whole dataset as the scale, so that constant-within-class variables
+    still get finite densities (1e-9 if the scale is not positive).
     """
     rule = canonical_rule(rule)
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    if n > 1:
-        _, exponent = np.frexp(np.abs(values).max(axis=0))
-        sigma = np.ldexp(np.std(np.ldexp(values, -exponent), axis=0, ddof=1), exponent)
-    else:
-        sigma = np.zeros(values.shape[1])
+    _, exponent = np.frexp(np.abs(values).max(axis=0))
+    scaled = np.ldexp(values, -exponent)
+    sigma = np.std(scaled, axis=0, ddof=1) if n > 1 else np.zeros(values.shape[1])
     if rule == "scott":
         h = scott_bandwidth(sigma, n)
     elif rule == "silverman":
         h = silverman_bandwidth(sigma, n)
     else:
-        q1, q3 = np.percentile(values, [25.0, 75.0], axis=0)
+        q1, q3 = np.percentile(scaled, [25.0, 75.0], axis=0)
         h = silverman_adaptive_bandwidth(sigma, q3 - q1, n)
+    with np.errstate(over="ignore"):  # a bandwidth beyond the largest float is inf
+        h = np.ldexp(h, exponent)
     scale = np.asarray(fallback_scale, dtype=np.float64)
     fallback = np.where(np.isfinite(scale) & (scale > 0.0), np.maximum(1e-3 * scale, 1e-9), 1e-9)
     return np.where(~np.isfinite(h) | (h <= 0.0), fallback, h)

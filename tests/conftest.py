@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xnb.classifier import _decode_array, _encode_array
 from xnb.dataset import Dataset
 
 
@@ -57,3 +58,63 @@ def separated_two_class():
 def separated_three_class():
     d, informative = make_separated(seed=11)
     return d, informative
+
+
+def edit_array(node: dict, edit) -> dict:
+    """The array node of ``edit(array)``, given a copy of the node's array."""
+    return _encode_array(edit(_decode_array(node).copy()))
+
+
+def _set_first(value):
+    def edit(a):
+        a.flat[0] = value
+        return a
+
+    return edit
+
+
+def _with(**fields):
+    return lambda node: {**node, **fields}
+
+
+def _rows(delta: int):
+    return lambda node: {**node, "shape": [node["shape"][0] + delta, node["shape"][1]]}
+
+
+_A_H, _A_SAMPLES, _B_SAMPLES = ("kde", "A", "h"), ("kde", "A", "samples"), ("kde", "B", "samples")
+_MEANS, _VARIANCES = ("gnb", "means"), ("gnb", "variances")
+
+# Malformed array nodes of a v3 model file: (id, method, path to the node,
+# the node's replacement given the valid node, the load error it gives).
+# The models are fitted on ``separated_two_class``: class "A" of the xnb
+# model keeps one variable, so its ``h`` has shape [1] and its samples
+# shape [15, 1].
+MALFORMED_ARRAYS = [
+    ("dtype f4", "xnb", _A_SAMPLES, _with(dtype="<f4"), "array dtype '<f4'"),
+    ("dtype big-endian", "gnb", _MEANS, _with(dtype=">f8"), "array dtype '>f8'"),
+    ("dtype missing", "xnb", _A_H, lambda n: {"shape": n["shape"], "data": n["data"]}, "dtype, shape, data"),
+    ("extra key", "xnb", _A_H, _with(order="C"), "dtype, shape, data"),
+    ("shape not a list", "xnb", _A_H, _with(shape=1), "array shape 1 "),
+    ("negative shape", "xnb", _A_SAMPLES, _rows(-30), r"array shape \[-15, 1\]"),
+    ("bool shape", "xnb", _A_H, _with(shape=[True]), r"array shape \[True\]"),
+    ("float shape", "xnb", _A_H, _with(shape=[1.0]), r"array shape \[1.0\]"),
+    ("data not base64", "xnb", _B_SAMPLES, lambda n: {**n, "data": "!" + n["data"][1:]}, "not base64"),
+    ("data cut", "fnb", _A_SAMPLES, lambda n: {**n, "data": n["data"][:-1]}, "not base64"),
+    ("data not text", "xnb", _A_H, _with(data=12), "base64 string"),
+    ("data not ascii", "gnb", _VARIANCES, lambda n: {**n, "data": "\u00e9" + n["data"][1:]}, "not base64"),
+    ("bytes short", "xnb", _A_SAMPLES, _rows(1), "needs 128 bytes of data, got 120"),
+    ("huge shape", "fnb", _B_SAMPLES, _with(shape=[2**62, 2**62]), f"needs {8 * 2**124} bytes"),
+    ("list, not a node", "xnb", _A_H, lambda n: _decode_array(n).tolist(), "dtype, shape, data"),
+    ("nan sample", "fnb", _B_SAMPLES, lambda n: edit_array(n, _set_first(np.nan)), "samples must be finite"),
+    ("inf bandwidth", "xnb", _A_H, lambda n: edit_array(n, _set_first(np.inf)), "bandwidths must be positive"),
+    ("nan mean", "gnb", _MEANS, lambda n: edit_array(n, _set_first(np.nan)), "means must be finite"),
+    ("inf variance", "gnb", _VARIANCES, lambda n: edit_array(n, _set_first(-np.inf)), "variances must be finite"),
+]
+
+
+def corrupt_node(payload: dict, path: tuple[str, ...], replace) -> None:
+    """Replace the node at ``path`` in a model payload by ``replace(node)``."""
+    *parents, key = path
+    for name in parents:
+        payload = payload[name]
+    payload[key] = replace(payload[key])

@@ -8,18 +8,20 @@ sample. ``broadcast_on_grid`` and ``broadcast_block_distances`` are the
 library's former packed kernel sum and table: one 3-d (mu, n, width)
 broadcast per block, reduced over its middle axis, which adds the samples
 in the same order as the library's row-by-row sum, so the two agree bit
-for bit.
+for bit. ``v2_payload`` is the version 2 model-file writer, whose arrays
+are nested lists of decimal floats; the library still reads that layout.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
+from xnb.classifier import GnbModel
 from xnb.kde import (
     DEFAULT_KERNEL,
     DEFAULT_MU,
@@ -224,3 +226,32 @@ def discriminatory_power(subset, class_i: str, table) -> float:
         for v in subset:
             residual *= 1.0 - table.value(v, class_i, other)
     return 1.0 - residual
+
+
+def v2_payload(model) -> dict:
+    """A model as a version 2 file's JSON payload: every array as nested lists."""
+    payload = {
+        "version": 2,
+        "method": model.method,
+        "classes": list(model.classes),
+        "priors": dict(model.priors),
+        "variables": list(model.variable_names),
+    }
+    if isinstance(model, GnbModel):
+        payload["gnb"] = {
+            "means": model.means.tolist(),
+            "variances": model.variances.tolist(),
+            "smoothing": model.smoothing,
+        }
+        return payload
+    payload["config"] = {**asdict(model.config), "pair_order": "sorted-labels", "tie_break": "lexicographic"}
+    payload["features"] = {c: list(model.features.features[c]) for c in model.classes}
+    payload["kde"] = {
+        c: {
+            "kernel": model.kde_bank[c].kernel,
+            "h": model.kde_bank[c].h.tolist(),
+            "samples": model.kde_bank[c].samples.tolist(),
+        }
+        for c in model.classes
+    }
+    return payload

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -24,8 +25,10 @@ from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
 from xnb.kde import PackedKde
 from xnb.selection import ClassFeatureMap
-from tests.conftest import make_separated
-from tests.oracles import bandwidth
+from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, make_separated
+from tests.oracles import bandwidth, v2_payload
+
+FITS = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}
 
 
 class TestFitXnb:
@@ -236,6 +239,17 @@ class TestGnb:
         with pytest.raises(DataError):
             fit_gnb(d)
 
+    def test_values_near_the_largest_float(self):
+        # a mean whose sum overflows is exact; a variance beyond the largest
+        # float is a data error naming the variable
+        values = np.array([[1e308, 1.0], [1e308, 2.0], [1e308, 4.0], [1e308, 3.0], [1e308, 5.0], [1e308, 7.0]])
+        labels = ("A", "A", "A", "B", "B", "B")
+        model = fit_gnb(Dataset(("big", "small"), values, labels))
+        np.testing.assert_array_equal(model.means, [[1e308, 7.0 / 3.0], [1e308, 5.0]])
+        values[0, 0] = 0.0
+        with pytest.raises(DataError, match="variables 'big': variance exceeds the largest float"):
+            fit_gnb(Dataset(("big", "small"), values, labels))
+
 
 class TestFnb:
     def test_all_variables_kept(self, separated_two_class):
@@ -332,17 +346,70 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="no such model"):
             load_model(tmp_path / "absent.json")
 
-    def test_file_is_compact_v2(self, separated_two_class, tmp_path):
+    def test_file_is_compact_v3(self, separated_two_class, tmp_path):
         path = tmp_path / "model.json"
-        save_model(fit_fnb(separated_two_class), path)
+        model = fit_fnb(separated_two_class)
+        save_model(model, path)
         text = path.read_text()
         assert text.count("\n") == 1
         payload = json.loads(text)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
+        assert payload["features"]["A"] == list(separated_two_class.variable_names)
         entry = payload["kde"]["A"]
-        assert set(entry) == {"kernel", "h", "samples"}
-        assert len(entry["h"]) == 21
-        assert len(entry["samples"]) == 15 and len(entry["samples"][0]) == 21
+        assert set(entry) == {"kernel", "h", "samples"} and entry["kernel"] == "gaussian"
+        assert entry["h"]["dtype"] == "<f8" and entry["h"]["shape"] == [21]
+        assert entry["samples"]["dtype"] == "<f8" and entry["samples"]["shape"] == [15, 21]
+        # little-endian float64, row-major, base64
+        raw = base64.b64decode(entry["samples"]["data"], validate=True)
+        assert raw == model.kde_bank["A"].samples.astype("<f8").tobytes(order="C")
+        gnb_path = tmp_path / "gnb.json"
+        save_model(fit_gnb(separated_two_class), gnb_path)
+        gnb = json.loads(gnb_path.read_text())["gnb"]
+        assert set(gnb) == {"means", "variances", "smoothing"} and isinstance(gnb["smoothing"], float)
+        assert gnb["means"]["shape"] == gnb["variances"]["shape"] == [2, 21]
+
+    @pytest.mark.parametrize("method", ["xnb", "fnb", "gnb"])
+    def test_save_load_save_is_byte_identical(self, separated_two_class, tmp_path, method):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(FITS[method](separated_two_class), first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]))
+    @settings(max_examples=15, deadline=None)
+    def test_v2_and_v3_files_load_the_same_model(self, tmp_path_factory, seed, method):
+        d, _ = make_separated(n=30, m=12, k=3, seed=seed % 1000)
+        model = FITS[method](d)
+        tmp = tmp_path_factory.mktemp("v2v3")
+        (tmp / "v2.json").write_text(json.dumps(v2_payload(model)))
+        save_model(model, tmp / "v3.json")
+        v2, v3 = load_model(tmp / "v2.json"), load_model(tmp / "v3.json")
+        if method == "gnb":
+            arrays = [(m.means, m.variances) for m in (model, v2, v3)]
+        else:
+            arrays = [
+                tuple(a for c in model.classes for a in (m.kde_bank[c].samples, m.kde_bank[c].h))
+                for m in (model, v2, v3)
+            ]
+        for fitted, old, new in zip(*arrays):
+            assert np.array_equal(old, fitted) and np.array_equal(new, fitted)
+        for sample in np.random.default_rng(seed).normal(0.0, 3.0, size=(10, d.m)):
+            a, b, c = predict(model, sample), predict(v2, sample), predict(v3, sample)
+            assert (a.label, a.log_scores) == (b.label, b.log_scores) == (c.label, c.log_scores)
+
+    @pytest.mark.parametrize(
+        "method, path, replace, match",
+        [case[1:] for case in MALFORMED_ARRAYS],
+        ids=[case[0] for case in MALFORMED_ARRAYS],
+    )
+    def test_malformed_array_rejected(self, separated_two_class, tmp_path, method, path, replace, match):
+        model_path = tmp_path / "model.json"
+        save_model(FITS[method](separated_two_class), model_path)
+        payload = json.loads(model_path.read_text())
+        corrupt_node(payload, path, replace)
+        model_path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=f"malformed model file \\(ValueError: .*{match}"):
+            load_model(model_path)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb"]))
     @settings(max_examples=15, deadline=None)
@@ -397,8 +464,11 @@ class TestPersistence:
         "corrupt, match",
         [
             (lambda p: p["features"].update(A=["g1", "nope"]), "not in the model"),
-            (lambda p: p["kde"]["A"].update(h=[1.0, 1.0]), "bandwidths"),
-            (lambda p: p["kde"]["A"]["samples"][0].append(1.0), "malformed"),
+            (lambda p: corrupt_node(p, ("kde", "A", "h"), lambda n: edit_array(n, lambda h: np.ones(2))), "bandwidths"),
+            (
+                lambda p: corrupt_node(p, ("kde", "A", "samples"), lambda n: edit_array(n, lambda a: a[:, :0])),
+                "malformed",
+            ),
             (lambda p: p["kde"].pop("B"), "kde bank"),
             (lambda p: p["priors"].pop("B"), "priors"),
             (lambda p: p.update(priors=[0.5, 0.5]), "AttributeError"),

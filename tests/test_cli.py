@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from xnb.classifier import fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_
 from xnb.cli import main
 from xnb.dataset import Dataset, save_csv
 from xnb.evaluation import METHODS
-from tests.conftest import make_separated
+from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, make_separated
 
 
 @pytest.fixture
@@ -301,14 +302,35 @@ class TestFitPredict:
             payload["features"]["c0"][0] = "absent"
         else:  # drop the density of c0's last selected variable
             entry = payload["kde"]["c0"]
-            entry["h"].pop()
-            for row in entry["samples"]:
-                row.pop()
+            entry["h"] = edit_array(entry["h"], lambda h: h[:-1])
+            entry["samples"] = edit_array(entry["samples"], lambda a: a[:, :-1])
         model_path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 2
         err = capsys.readouterr().err
         assert "c0" in err
+
+    @pytest.mark.parametrize(
+        "method, path, replace, match",
+        [case[1:] for case in MALFORMED_ARRAYS],
+        ids=[case[0] for case in MALFORMED_ARRAYS],
+    )
+    def test_malformed_array_is_data_error(
+        self, separated_two_class, tmp_path, capsys, method, path, replace, match
+    ):
+        d = separated_two_class
+        data = tmp_path / "d.csv"
+        save_csv(d, data)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--model", str(model_path), "--method", method]) == 0
+        payload = json.loads(model_path.read_text())
+        corrupt_node(payload, path, replace)
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert re.search(f"^error: {re.escape(str(model_path))}: malformed model file .*{match}", captured.err)
+        assert captured.out == ""
 
 
 class TestEvaluate:
@@ -400,6 +422,33 @@ class TestSelect:
         h = fitted.kde_bank["A"].h[fitted.features.features["A"].index("g1")]
         assert h == pytest.approx(1.059 * 5e307 * 3**-0.2, rel=1e-15, abs=0)
 
+    def test_diagnose_and_gnb_near_the_largest_float(self, tmp_path, capsys):
+        # squares of g1 overflow: diagnose still writes finite statistics, and
+        # gnb, whose class A variance of g1 is beyond the largest float, says so
+        path = tmp_path / "near.csv"
+        path.write_text("class,g1,g2\n" + "".join(f"{c},{g1},{g2}\n" for c, g1, g2 in zip(
+            "AAABBB", [1e308, 0, 2, 1, 2, 3], [1, 2, 4, 3, 5, 7])))
+        out = tmp_path / "g.json"
+        assert main(["diagnose", "--data", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert all(0.0 < row["w"] <= 1.0 for row in report["shapiro_wilk"]["variables"])
+        capsys.readouterr()
+        assert main(["fit", "--method", "gnb", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 2
+        assert "data error: variables 'g1': variance exceeds the largest float" in capsys.readouterr().err
+
+    def test_scott_bandwidth_beyond_the_largest_float_falls_back_silently(self, tmp_path):
+        # A's g1 has sigma 7.07e307, so 3.49 sigma 2^(-1/3) = 1.96e308 overflows;
+        # the bandwidth takes the fallback 1e-3 x range without a numpy warning
+        path = tmp_path / "scott.csv"
+        path.write_text("class,g1,g2\nA,1e308,1\nA,0,2\nB,1,3\nB,2,4\nB,3,5\n")
+        model = tmp_path / "m.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(xnb.__file__).resolve().parents[1]))
+        argv = ["fit", "--method", "fnb", "--bandwidth", "scott", "--data", str(path), "--model", str(model)]
+        result = subprocess.run([sys.executable, "-m", "xnb.cli", *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stderr == f"saved fnb model to {model} (A:2, B:2)\n"  # and nothing else
+        assert load_model(model).kde_bank["A"].h[0] == 1e305
+
 
 class TestDiagnose:
     def test_json_and_summary(self, data_csv, capsys):
@@ -481,29 +530,42 @@ _ROWS = 12
 _GOOD = np.random.default_rng(11).normal(size=(_ROWS, 3)) + np.repeat([[0.0], [4.0]], _ROWS // 2, axis=0)
 _BAD_CELLS = ["", " ", "nan", "inf", "-inf", "1e999", "abc", '"', '1"2', '"1,2', "1,", "\x00", "é"]
 _ODD_CELLS = [" 1.5 ", "-0", "+2", "1e-300", "0x1", "1_0", "A", "B"]
+# magnitudes at the ends of the float range: the largest, and subnormals
+_EXTREME_CELLS = ["1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308", "5e-324", "-2.5e-320"]
+# bytes that are not UTF-8: a lone continuation byte, a cut two-byte lead, Latin-1 é, 0xff
+_NOT_UTF8 = [b"\x80", b"\xc3", b"\xe9", b"\xff"]
 
 
 @st.composite
 def malformed_csv(draw):
     """The valid file with cells replaced, rows cut short or lengthened, a header
-    name repeated, and the text cut."""
+    name repeated, and the text cut; as UTF-8 bytes, perhaps after a byte order
+    mark. Returns the text and its bytes, which may also hold a byte that is not
+    UTF-8 (then the text is None)."""
     rows = [["g1", "g2", "g3", "class"]]
     rows += [[format(v, ".17g") for v in row] + ["AB"[i * 2 // _ROWS]] for i, row in enumerate(_GOOD)]
+    cells = _BAD_CELLS + _ODD_CELLS + _EXTREME_CELLS
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(rows) - 1))
         kind = draw(st.sampled_from(["cell", "cut", "extend", "repeat"]))
         if kind == "cell":
-            cell = draw(st.one_of(st.sampled_from(_BAD_CELLS + _ODD_CELLS), st.text(max_size=3)))
+            cell = draw(st.one_of(st.sampled_from(cells), st.text(max_size=3)))
             if rows[i]:
                 rows[i][draw(st.integers(0, len(rows[i]) - 1))] = cell
         elif kind == "cut":
             del rows[i][draw(st.integers(0, len(rows[i]))):]
         elif kind == "extend":
-            rows[i].insert(draw(st.integers(0, len(rows[i]))), draw(st.sampled_from(_BAD_CELLS + _ODD_CELLS)))
+            rows[i].insert(draw(st.integers(0, len(rows[i]))), draw(st.sampled_from(cells)))
         elif rows[0]:
             rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(st.sampled_from(rows[0]))
     text = "\n".join(",".join(row) for row in rows) + "\n"
-    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    raw = ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        return None, raw[:at] + draw(st.sampled_from(_NOT_UTF8)) + raw[at:]
+    return text, raw
 
 
 def _misshapen(text: str) -> bool:
@@ -518,6 +580,15 @@ def _misshapen(text: str) -> bool:
     return len(set(header)) < len(header) or any(r and len(r) != len(header) for r in records[1:])
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
+def _strict_json(path: Path):
+    """Parse a JSON output; NaN and Infinity are errors."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+
 @lru_cache(maxsize=None)
 def _good_model_payload(method: str = "xnb") -> dict:
     d = Dataset(("g1", "g2", "g3"), _GOOD, tuple("AB"[i * 2 // _ROWS] for i in range(_ROWS)))
@@ -530,9 +601,26 @@ def _good_model_payload(method: str = "xnb") -> dict:
 _WRONG_VALUES = [None, True, 0, -1, 2.5, "x", "", [], [1, "a"], {}, {"a": 1}, float("nan")]
 
 
+def _wrong_arrays(node: dict) -> list:
+    """Well-typed but wrong versions of a v3 array node."""
+    shape = node["shape"]
+    return [
+        {**node, "dtype": "<f4"},
+        {**node, "shape": shape[::-1] + [2]},
+        {**node, "shape": [2**62] * 2},
+        {**node, "shape": [True] * len(shape)},
+        {**node, "data": node["data"][:-4]},
+        {**node, "data": "*" + node["data"][1:]},
+        edit_array(node, lambda a: np.where(a == a.flat[0], np.nan, a)),
+        edit_array(node, lambda a: -np.abs(a)),
+        edit_array(node, lambda a: np.full_like(a, np.inf)),
+    ]
+
+
 @st.composite
 def malformed_model(draw):
-    """The valid model with one node deleted or replaced by a wrong type, or its text cut."""
+    """The valid model with one node deleted or replaced by a wrong type, an
+    array node replaced by a wrong one, or its text cut."""
     payload = json.loads(json.dumps(_good_model_payload(draw(st.sampled_from(METHODS)))))
     parent, key = None, None
     node = payload
@@ -541,7 +629,9 @@ def malformed_model(draw):
         parent, key = node, draw(st.sampled_from(list(keys)))
         node = parent[key]
     if parent is not None:
-        if isinstance(parent, dict) and draw(st.booleans()):
+        if isinstance(node, dict) and "dtype" in node and draw(st.booleans()):
+            parent[key] = draw(st.sampled_from(_wrong_arrays(node)))
+        elif isinstance(parent, dict) and draw(st.booleans()):
             del parent[key]
         else:
             parent[key] = draw(st.sampled_from(_WRONG_VALUES))
@@ -553,20 +643,29 @@ class TestFuzz:
     """Malformed inputs are usage or data errors (exit 1 or 2), never internal ones."""
 
     @settings(max_examples=60, deadline=None)
-    @given(malformed_csv(), st.sampled_from(["xnb", "fnb", "gnb"]))
-    def test_malformed_csv(self, text, method):
+    @given(malformed_csv(), st.sampled_from(["xnb", "fnb", "gnb"]), st.booleans())
+    def test_malformed_csv(self, text_and_bytes, method, unwritable):
+        text, raw = text_and_bytes
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "d.csv"
-            data.write_text(text, encoding="utf-8")
+            data.write_bytes(raw)
             model = Path(tmp) / "good.json"
             model.write_text(json.dumps(_good_model_payload()))
-            for argv in (
-                ["fit", "--data", str(data), "--model", f"{tmp}/m.json", "--method", method],
-                ["predict", "--data", str(data), "--model", str(model), "--out", f"{tmp}/p.tsv"],
-                ["diagnose", "--data", str(data), "--max-pairs", "2", "--out", f"{tmp}/g.json"],
-            ):
-                # a repeated column or a misshapen row is a data error for every verb
-                assert main(argv) in ((2,) if _misshapen(text) else (0, 1, 2)), argv
+            out = Path(tmp) / ("absent" if unwritable else "")
+            runs = [
+                (["fit", "--data", str(data), "--model", str(out / "m.json"), "--method", method], out / "m.json"),
+                (["predict", "--data", str(data), "--model", str(model), "--format", "json", "--out", str(out / "p.json")],
+                 out / "p.json"),
+                (["diagnose", "--data", str(data), "--max-pairs", "2", "--out", str(out / "g.json")], out / "g.json"),
+            ]
+            for argv, output in runs:
+                # text that is not UTF-8, a repeated column, a misshapen row or
+                # an output that cannot be written is a data error for every verb
+                data_error = unwritable or text is None or _misshapen(text)
+                code = main(argv)
+                assert code in ((2,) if data_error else (0, 1, 2)), argv
+                if code == 0:
+                    _strict_json(output)
 
     @settings(max_examples=60, deadline=None)
     @given(malformed_model())
@@ -576,5 +675,8 @@ class TestFuzz:
             data.write_text("g1,g2,g3\n0.5,1.5,-2\n4,4,4\n", encoding="utf-8")
             model = Path(tmp) / "m.json"
             model.write_text(text, encoding="utf-8")
-            argv = ["predict", "--data", str(data), "--model", str(model), "--out", f"{tmp}/p"]
-            assert main(argv) in (0, 1, 2)
+            argv = ["predict", "--data", str(data), "--model", str(model), "--format", "json", "--out", f"{tmp}/p"]
+            code = main(argv)
+            assert code in (0, 1, 2)
+            if code == 0:
+                _strict_json(Path(tmp) / "p")

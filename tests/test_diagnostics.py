@@ -67,6 +67,14 @@ class TestShapiroWilk:
             w, _ = shapiro_wilk(a * x + b)
             assert w == pytest.approx(w_base, abs=1e-10)
 
+    def test_values_near_the_largest_float(self):
+        # W and p of a sample whose squares overflow equal those of the
+        # same sample scaled down by an exact power of two
+        x = np.random.default_rng(12).normal(5.0, 1.0, size=40) * 1e307
+        w, p = shapiro_wilk(x)
+        assert (w, p) == shapiro_wilk(np.ldexp(x, -1000))
+        assert 0.0 < w <= 1.0
+
     def test_statistic_within_unit_interval(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -302,6 +310,18 @@ class TestConditionalIndependenceScan:
             ref = stats.pearsonr(residuals[:, i], residuals[:, j])
             assert r == pytest.approx(ref.statistic, abs=1e-10)
             assert p == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
+
+    def test_values_near_the_largest_float(self):
+        # residual norms that overflow give the same r and p as the same
+        # data scaled down by an exact power of two
+        rng = np.random.default_rng(14)
+        base = rng.normal(size=30)
+        values = np.column_stack([base, base + 0.1 * rng.normal(size=30), rng.normal(size=30)])
+        labels = tuple(rng.choice(["A", "B"], 30))
+        huge = Dataset(("v1", "v2", "v3"), np.ldexp(values, 1020), labels)
+        result = conditional_independence_scan(huge, max_pairs=None)
+        assert result == conditional_independence_scan(Dataset(huge.variable_names, values, labels), max_pairs=None)
+        assert [(a, b) for a, b, _, _ in result.flagged] == [("v1", "v2")]
 
     def test_too_few_samples(self):
         d = Dataset(("x", "y"), np.zeros((3, 2)), ("A", "B", "A"))

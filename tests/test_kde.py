@@ -142,10 +142,19 @@ class TestBandwidthRules:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(-100, 100), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_scaled_sigma_equals_plain_std(self, seed, n, decade, offset):
+        # each rule applied to power-of-two-scaled columns and scaled back is
+        # bitwise the rule applied to the plain std and quartiles
         rng = np.random.default_rng(seed)
         values = (rng.normal(size=(n, 4)) + offset) * 10.0**decade
-        expected = silverman_bandwidth(np.std(values, axis=0, ddof=1), n)
-        np.testing.assert_array_equal(column_bandwidths("silverman", values, np.ptp(values, axis=0)), expected)
+        sigma = np.std(values, axis=0, ddof=1)
+        q1, q3 = np.percentile(values, [25.0, 75.0], axis=0)
+        expected = {
+            "scott": scott_bandwidth(sigma, n),
+            "silverman": silverman_bandwidth(sigma, n),
+            "silverman_adaptive": silverman_adaptive_bandwidth(sigma, q3 - q1, n),
+        }
+        for rule, h in expected.items():
+            np.testing.assert_array_equal(column_bandwidths(rule, values, np.ptp(values, axis=0)), h, err_msg=rule)
 
 
 class TestFitKde:
