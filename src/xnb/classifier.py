@@ -113,6 +113,9 @@ class XnbModel:
             width = self.kde_bank[c].width
             if width != len(feats):
                 raise ValueError(f"class {c!r}: kde holds {width} variables, {len(feats)} selected")
+            kernel = self.kde_bank[c].kernel
+            if kernel != self.config.kernel:
+                raise ValueError(f"class {c!r}: kde kernel {kernel!r}, config kernel {self.config.kernel!r}")
 
     @property
     def m(self) -> int:

@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Verbs: fit, predict, evaluate, select, diagnose, inspect hellinger.
+Each flag is declared once, with its domain, in ``_FLAGS``; each verb
+takes only the flags it reads, so any other flag is a usage error.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 All randomness flows from --seed.
 """
@@ -8,7 +10,6 @@ All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
-from .dataset import csv_records, load_csv, read_numeric, write_output
+from .dataset import csv_records, load_csv, read_numeric, write_json, write_output
 from .diagnostics import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_PAIRS,
@@ -46,7 +47,7 @@ def _class_col(token: str) -> str | int:
         try:
             return int(token[1:])
         except ValueError:
-            raise _UsageError(f"invalid class column index {token!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid class column index {token!r}") from None
     return token
 
 
@@ -65,24 +66,29 @@ def _checked(cast, ok, domain: str):
     return parse
 
 
+def _method_list(token: str) -> tuple[str, ...]:
+    """`--methods A,B,...`: one or more of METHODS, each named once."""
+    methods = tuple(tok.strip() for tok in token.split(",") if tok.strip())
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise argparse.ArgumentTypeError(f"must name one or more of {', '.join(METHODS)}, each once, got {token!r}")
+    return methods
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"at least {low}")
+
+
+_OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def _config_from(args) -> XnbConfig:
-    try:
-        return XnbConfig(
-            kernel=args.kernel,
-            bandwidth_rule=args.bandwidth,
-            mu=args.mu,
-            theta=args.theta,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _load(args):
-    return load_csv(args.data, _class_col(args.class_col))
+    """The pipeline settings of a verb's flags; a verb without --theta keeps the default."""
+    theta = getattr(args, "theta", DEFAULT_THETA)
+    return XnbConfig(kernel=args.kernel, bandwidth_rule=args.bandwidth, mu=args.mu, theta=theta)
 
 
 def _cmd_fit(args) -> int:
-    d = _load(args)
+    d = load_csv(args.data, args.class_col)
     if args.method == "gnb":
         model = fit_gnb(d)
     elif args.method == "fnb":
@@ -114,13 +120,12 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     samples = _read_samples(args.data, model.variable_names)
     results = [predict(model, row) for row in samples]
-    fmt = args.format or "tsv"
-    if fmt == "json":
+    if args.format == "json":
         payload = [
             {"label": r.label, "log_scores": {c: r.log_scores[c] for c in model.classes}}
             for r in results
         ]
-        write_output(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
+        write_json(payload, args.out)
     else:
         lines = ["label\t" + "\t".join(f"score_{c}" for c in model.classes)]
         for r in results:
@@ -131,22 +136,18 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    d = _load(args)
-    methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise _UsageError(f"unknown methods: {', '.join(sorted(unknown))}")
+    d = load_csv(args.data, args.class_col)
     if args.k > d.n:
         raise DataError(f"--k {args.k} exceeds the sample count n={d.n}")
     report = evaluate_cv(
-        d, methods=methods, k=args.k, seed=args.seed, config=_config_from(args), jobs=args.jobs
+        d, methods=args.methods, k=args.k, seed=args.seed, config=_config_from(args), jobs=args.jobs
     )
-    emit_report(report, format=args.format or "json", path=args.out, m_variables=d.m)
+    emit_report(report, format=args.format, path=args.out, m_variables=d.m)
     return 0
 
 
 def _cmd_select(args) -> int:
-    d = _load(args)
+    d = load_csv(args.data, args.class_col)
     model = fit_xnb(d, _config_from(args), jobs=args.jobs)
     fmap = model.features
     payload = {
@@ -161,12 +162,12 @@ def _cmd_select(args) -> int:
         ]
         for c in fmap.classes
     }
-    write_output(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
+    write_json(payload, args.out)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    d = _load(args)
+    d = load_csv(args.data, args.class_col)
     report = run_diagnostics(
         d,
         alpha=args.alpha,
@@ -175,13 +176,13 @@ def _cmd_diagnose(args) -> int:
         max_pairs=args.max_pairs,
         seed=args.seed,
     )
-    write_output(json.dumps(report.to_dict(), indent=1, allow_nan=False) + "\n", args.out)
+    write_json(report.to_dict(), args.out)
     print(report.summary(), file=sys.stderr)
     return 0
 
 
 def _cmd_inspect_hellinger(args) -> int:
-    d = _load(args)
+    d = load_csv(args.data, args.class_col)
     config = _config_from(args)
     # the all-variable model's bank is the one the table is built from
     bank = fit_fnb(d, config).kde_bank
@@ -193,65 +194,53 @@ def _cmd_inspect_hellinger(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    common = _Parser(add_help=False)
-    common.add_argument("--kernel", default=DEFAULT_KERNEL, choices=KERNELS)
-    common.add_argument(
-        "--bandwidth",
-        default=DEFAULT_RULE,
-        choices=tuple(r.replace("_", "-") for r in BANDWIDTH_RULES),
-    )
-    common.add_argument("--mu", type=int, default=DEFAULT_MU)
-    common.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    common.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
-    common.add_argument("--class-col", default="class", metavar="NAME|@INDEX")
-    common.add_argument("--format", choices=("json", "tsv"), default=None)
-    common.add_argument("--jobs", type=_checked(int, lambda v: v >= 1, "at least 1"), default=1)
-    common.add_argument("--model", default=None, help="model file path")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
+# Every flag once, as its add_argument keywords; a verb adds only the flags its _cmd_* reads.
+_FLAGS = {
+    "data": dict(required=True),
+    "class-col": dict(type=_class_col, default="class", metavar="NAME|@INDEX"),
+    "kernel": dict(default=DEFAULT_KERNEL, choices=KERNELS),
+    "bandwidth": dict(default=DEFAULT_RULE, choices=tuple(r.replace("_", "-") for r in BANDWIDTH_RULES)),
+    "mu": dict(type=_at_least(2), default=DEFAULT_MU),
+    "jobs": dict(type=_at_least(1), default=1),
+    "theta": dict(type=_OPEN_UNIT, default=DEFAULT_THETA),
+    "seed": dict(type=_at_least(0), default=0),
+    "model": dict(required=True, help="model file path"),
+    "out": dict(help="output path (default: stdout)"),
+    "format": dict(choices=("json", "tsv")),  # each verb sets its own default
+    "method": dict(choices=METHODS, default="xnb"),
+    "methods": dict(type=_method_list, default=DEFAULT_METHODS),
+    "k": dict(type=_at_least(2), default=10),
+    "alpha": dict(type=_OPEN_UNIT, default=DEFAULT_ALPHA),
+    "p-max": dict(type=_OPEN_UNIT, default=DEFAULT_P_MAX),
+    "r-min": dict(type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"), default=DEFAULT_R_MIN),
+    "max-pairs": dict(type=_at_least(1), default=DEFAULT_MAX_PAIRS),
+}
+# the flags that read a labeled CSV and build its densities and Hellinger table
+_PIPELINE = ("data", "class-col", "kernel", "bandwidth", "mu", "jobs")
 
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="xnb", description="class-specific KDE naive Bayes toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    inspect = sub.add_parser("inspect", help="inspect pipeline intermediates")
+    inspect_sub = inspect.add_subparsers(dest="what", required=True)
 
-    p = sub.add_parser("fit", parents=[common], help="fit a model and save it")
-    p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=METHODS, default="xnb")
-    p.set_defaults(func=_cmd_fit)
+    def verb(group, name, help_text, func, flags, **defaults):
+        p = group.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("predict", parents=[common], help="label unlabeled samples")
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("evaluate", parents=[common], help="stratified cross-validation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
-    p.add_argument("--k", type=_checked(int, lambda v: v >= 2, "at least 2"), default=10)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("select", parents=[common], help="per-class variable selection")
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("diagnose", parents=[common], help="normality and dependence scans")
-    p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=open_unit, default=DEFAULT_ALPHA)
-    p.add_argument("--p-max", type=open_unit, default=DEFAULT_P_MAX)
-    p.add_argument(
-        "--r-min", type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"), default=DEFAULT_R_MIN
-    )
-    p.add_argument(
-        "--max-pairs", type=_checked(int, lambda v: v >= 1, "at least 1"), default=DEFAULT_MAX_PAIRS
-    )
-    p.set_defaults(func=_cmd_diagnose)
-
-    p = sub.add_parser("inspect", help="inspect pipeline intermediates")
-    inspect_sub = p.add_subparsers(dest="what", required=True)
-    ph = inspect_sub.add_parser("hellinger", parents=[common], help="emit the distance table")
-    ph.add_argument("--data", required=True)
-    ph.set_defaults(func=_cmd_inspect_hellinger)
-
+    verb(sub, "fit", "fit a model and save it", _cmd_fit, (*_PIPELINE, "theta", "model", "method"))
+    verb(sub, "predict", "label unlabeled samples", _cmd_predict, ("data", "model", "out", "format"),
+         format="tsv")
+    verb(sub, "evaluate", "stratified cross-validation", _cmd_evaluate,
+         (*_PIPELINE, "theta", "seed", "out", "methods", "k", "format"), format="json")
+    verb(sub, "select", "per-class variable selection", _cmd_select, (*_PIPELINE, "theta", "out"))
+    verb(sub, "diagnose", "normality and dependence scans", _cmd_diagnose,
+         ("data", "class-col", "seed", "out", "alpha", "p-max", "r-min", "max-pairs"))
+    verb(inspect_sub, "hellinger", "emit the distance table", _cmd_inspect_hellinger, (*_PIPELINE, "out"))
     return parser
 
 
@@ -259,8 +248,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "fit" and not args.model:
-            raise _UsageError("fit requires --model")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ stage iterates per-variable over all samples.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
 from contextlib import contextmanager
@@ -152,6 +153,11 @@ def write_output(text: str, path: str | Path | None = None) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _cannot_write(path, exc) from None
+
+
+def write_json(payload, path: str | Path | None = None) -> None:
+    """Write ``payload`` as JSON indented by one space; a NaN or infinity in it is a ValueError."""
+    write_output(json.dumps(payload, indent=1, allow_nan=False) + "\n", path)
 
 
 def _cannot_write(path, exc: OSError) -> DataError:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from .classifier import (
     fit_xnb,
     predict,
 )
-from .dataset import FOLD_GENERATOR, Dataset, stratified_kfold, write_output
+from .dataset import FOLD_GENERATOR, Dataset, stratified_kfold, write_json, write_output
 from .errors import XnbError
 
 METHODS = ("gnb", "fnb", "xnb")
@@ -207,9 +206,8 @@ def emit_report(
 ) -> None:
     """Write a report as JSON (full detail) or TSV (one row per method)."""
     if format == "json":
-        text = json.dumps(report.to_dict(), indent=1, allow_nan=False) + "\n"
+        write_json(report.to_dict(), path)
     elif format == "tsv":
-        text = "\n".join(_tsv_lines(report, m_variables)) + "\n"
+        write_output("\n".join(_tsv_lines(report, m_variables)) + "\n", path)
     else:
         raise ValueError(f"unknown report format {format!r}")
-    write_output(text, path)

@@ -473,6 +473,7 @@ class TestPersistence:
             (lambda p: p["priors"].pop("B"), "priors"),
             (lambda p: p.update(priors=[0.5, 0.5]), "AttributeError"),
             (lambda p: p["features"].update(A=["g1", ""]), "not in the model: ''"),
+            (lambda p: p["kde"]["A"].update(kernel="uniform"), "class 'A': kde kernel 'uniform', config kernel 'gaussian'"),
         ],
     )
     def test_inconsistent_model_rejected(self, separated_two_class, tmp_path, corrupt, match):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import xnb
 from xnb.classifier import fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
-from xnb.cli import main
+from xnb.cli import build_parser, main
 from xnb.dataset import Dataset, save_csv
 from xnb.evaluation import METHODS
 from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, make_separated
@@ -51,6 +52,10 @@ class TestExitCodes:
 
     def test_fit_without_model_is_usage_error(self, data_csv):
         assert main(["fit", "--data", str(data_csv)]) == 1
+
+    def test_predict_without_model_is_usage_error(self, samples_csv, capsys):
+        assert main(["predict", "--data", str(samples_csv)]) == 1
+        assert capsys.readouterr().err == "usage error: the following arguments are required: --model\n"
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["evaluate", "--data", str(tmp_path / "absent.csv"), "--k", "2"]) == 2
@@ -136,12 +141,24 @@ class TestExitCodes:
             ("diagnose", ["--r-min", "1"], 1),
             ("fit", ["--jobs", "0"], 1),
             ("fit", ["--jobs", "-3"], 1),
-            ("fit", ["--seed", "x"], 1),
+            ("fit", ["--mu", "1"], 1),
             ("select", ["--jobs", "0"], 1),
+            ("evaluate", ["--seed", "x"], 1),
+            ("fit", ["--mu", "x"], 1),
+            ("fit", ["--theta", "1.5"], 1),
+            ("fit", ["--theta", "0"], 1),
+            ("evaluate", ["--mu", "0"], 1),
+            ("evaluate", ["--theta", "1"], 1),
+            ("select", ["--theta", "nan"], 1),
+            ("evaluate", ["--methods", ","], 1),
+            ("evaluate", ["--methods", "gnb,xnb,gnb"], 1),
+            ("evaluate", ["--methods", "gnb,svm"], 1),
+            ("select", ["--class-col", "@x"], 1),
         ],
     )
     def test_out_of_domain_flag(self, data_csv, tmp_path, capsys, verb, flags, code):
-        args = [verb, "--data", str(data_csv), "--model", str(tmp_path / "m.json"), *flags]
+        model = ["--model", str(tmp_path / "m.json")] if verb == "fit" else []
+        args = [verb, "--data", str(data_csv), *model, *flags]
         assert main(args) == code
         err = capsys.readouterr().err
         if code == 1:
@@ -153,6 +170,64 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [["--r-min", "0"], ["--alpha", "0.999"], ["--max-pairs", "1"]])
     def test_flag_domain_edges_accepted(self, data_csv, capsys, flags):
         assert main(["diagnose", "--data", str(data_csv), *flags]) == 0
+
+
+# The flags each verb reads, and so accepts.
+_PIPELINE = ("--data", "--class-col", "--kernel", "--bandwidth", "--mu", "--jobs")
+_VERB_FLAGS = {
+    ("fit",): {*_PIPELINE, "--theta", "--model", "--method"},
+    ("predict",): {"--data", "--model", "--out", "--format"},
+    ("evaluate",): {*_PIPELINE, "--theta", "--seed", "--out", "--methods", "--k", "--format"},
+    ("select",): {*_PIPELINE, "--theta", "--out"},
+    ("diagnose",): {"--data", "--class-col", "--seed", "--out", "--alpha", "--p-max", "--r-min", "--max-pairs"},
+    ("inspect", "hellinger"): {*_PIPELINE, "--out"},
+}
+# the flags that more than one verb reads, apart from --data, which all do
+_SHARED_FLAGS = ("--class-col", "--kernel", "--bandwidth", "--mu", "--theta", "--seed", "--jobs", "--model",
+                "--out", "--format")
+# a value each shared flag would accept on a verb that reads it
+_SHARED_VALUES = {"--class-col": "class", "--kernel": "uniform", "--bandwidth": "scott", "--mu": "7",
+                  "--theta": "0.5", "--seed": "1", "--jobs": "2", "--model": "m.json", "--out": "o.txt",
+                  "--format": "tsv"}
+_REMOVED_PAIRS = [(verb, flag) for verb, flags in _VERB_FLAGS.items() for flag in _SHARED_FLAGS if flag not in flags]
+
+
+def _verb_parsers(parser, path=()):
+    """Each verb's parser by its path of subcommand names."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _verb_parsers(sub, (*path, name))
+            return
+    yield path, parser
+
+
+class TestFlagSurface:
+    def test_each_verb_takes_exactly_the_flags_it_reads(self):
+        surface = {
+            path: {s for action in p._actions for s in action.option_strings if s not in ("-h", "--help")}
+            for path, p in _verb_parsers(build_parser())
+        }
+        assert surface == _VERB_FLAGS
+        assert sum(map(len, _VERB_FLAGS.values())) == 48
+        assert len(_REMOVED_PAIRS) == 25
+
+    @pytest.mark.parametrize("verb, flag", _REMOVED_PAIRS, ids=[f"{' '.join(v)} {f}" for v, f in _REMOVED_PAIRS])
+    def test_flag_the_verb_does_not_read_is_usage_error(self, data_csv, tmp_path, capsys, verb, flag):
+        model = ["--model", str(tmp_path / "m.json")] if "--model" in _VERB_FLAGS[verb] else []
+        assert main([*verb, "--data", str(data_csv), *model, flag, _SHARED_VALUES[flag]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: unrecognized arguments: {flag} {_SHARED_VALUES[flag]}\n"
+        assert captured.out == "" and not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evaluate", "--method", "gnb"], ["evaluate", "--form", "tsv"], ["diagnose", "--alp", "0.1"], ["select", "--the", "0.5"]],
+    )
+    def test_abbreviated_flag_is_usage_error(self, data_csv, capsys, argv):
+        verb, flag, value = argv
+        assert main([verb, "--data", str(data_csv), flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestFitPredict:
@@ -293,13 +368,15 @@ class TestFitPredict:
         assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 2
         assert "not an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["unknown feature", "kde mismatch"])
+    @pytest.mark.parametrize("edit", ["unknown feature", "kde mismatch", "kernel mismatch"])
     def test_inconsistent_model_is_data_error(self, data_csv, samples_csv, tmp_path, capsys, edit):
         model_path = tmp_path / "model.json"
         main(["fit", "--data", str(data_csv), "--model", str(model_path)])
         payload = json.loads(model_path.read_text())
         if edit == "unknown feature":
             payload["features"]["c0"][0] = "absent"
+        elif edit == "kernel mismatch":  # c0 scored with another kernel than the config names
+            payload["kde"]["c0"]["kernel"] = "uniform"
         else:  # drop the density of c0's last selected variable
             entry = payload["kde"]["c0"]
             entry["h"] = edit_array(entry["h"], lambda h: h[:-1])
