@@ -21,6 +21,7 @@ from .classifier import (
     predict_gnb,
     predict_xnb,
     save_model,
+    score,
 )
 from .dataset import Dataset, FoldPlan, class_priors, load_csv, save_csv, stratified_kfold
 from .diagnostics import (
@@ -81,6 +82,7 @@ __all__ = [
     "predict",
     "predict_xnb",
     "predict_gnb",
+    "score",
     "save_model",
     "load_model",
     "DiagnosticsReport",

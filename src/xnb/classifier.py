@@ -8,7 +8,10 @@ variable, the Hellinger table, the per-class variable selection, and a
 final restriction of each class's density to its selected columns
 (bandwidths are unchanged). Prediction scores each class with its own
 variable subset: log prior plus the sum of floored log densities over that
-subset only, in one vectorized kernel sum per class.
+subset only, in one vectorized kernel sum per class. Every model names the
+columns some class scores (``scored_columns``); ``score`` takes a sample's
+values at those columns only, and ``predict`` checks a full sample and
+passes it on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset, class_priors, write_output
 from .errors import DataError, ModelFormatError
-from .hellinger import hellinger_table
+from .hellinger import MAX_MU, hellinger_table
 from .kde import (
     DEFAULT_KERNEL,
     DEFAULT_MU,
@@ -61,8 +64,8 @@ class XnbConfig:
     def __post_init__(self):
         object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
         object.__setattr__(self, "bandwidth_rule", canonical_rule(self.bandwidth_rule))
-        if self.mu < 2:
-            raise ValueError(f"mu must be at least 2, got {self.mu}")
+        if not 2 <= self.mu <= MAX_MU:
+            raise ValueError(f"mu must lie in [2, {MAX_MU}], got {self.mu}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not 0.0 < self.floor < 1.0:
@@ -133,6 +136,16 @@ class XnbModel:
             for c in self.classes
         }
 
+    @cached_property
+    def scored_columns(self) -> np.ndarray:
+        """The sorted union of the classes' feature columns: the only ones ``score`` reads."""
+        return np.sort(np.array([self.variable_index[v] for v in self.features.union()], dtype=np.intp))
+
+    @cached_property
+    def class_positions(self) -> dict[str, np.ndarray]:
+        """Each class's feature columns as positions in ``scored_columns``."""
+        return {c: np.searchsorted(self.scored_columns, cols) for c, cols in self.feature_columns.items()}
+
 
 @dataclass(frozen=True)
 class GnbModel:
@@ -165,6 +178,11 @@ class GnbModel:
     @property
     def m(self) -> int:
         return len(self.variable_names)
+
+    @cached_property
+    def scored_columns(self) -> np.ndarray:
+        """Every column: each class scores all variables."""
+        return np.arange(self.m)
 
 
 def _check_trainable(d: Dataset) -> None:
@@ -310,41 +328,45 @@ def _check_sample(sample, m: int) -> np.ndarray:
     return sample
 
 
-def predict_xnb(model: XnbModel, sample) -> Prediction:
-    """Score each class over its own variable subset and take the argmax.
+def score(model: XnbModel | GnbModel, values) -> Prediction:
+    """Score every class on a sample given by its values at ``model.scored_columns`` only.
 
-    Densities below the configured floor are clamped so that log scores
-    stay finite for samples outside every training range.
+    ``values`` is a finite float64 vector in that column order; ``predict``
+    is the checked entry point that takes the full sample. A KDE class
+    scores its own variables: log prior plus the sum of log densities,
+    each clamped below at the configured floor so that scores stay finite
+    for samples outside every training range. A gnb class sums Gaussian
+    log densities over every variable.
     """
-    sample = _check_sample(sample, model.m)
-    floor = model.config.floor
-    log_scores = {}
-    for c in model.classes:
-        density = model.kde_bank[c].density_at(sample[model.feature_columns[c]])
-        log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, floor)).sum())
-    label = _pick_label(log_scores, model.priors)
-    return Prediction(label=label, log_scores=log_scores, used_features=dict(model.features.features))
-
-
-def predict_gnb(model: GnbModel, sample) -> Prediction:
-    """Gaussian log-likelihood scoring over all variables."""
-    sample = _check_sample(sample, model.m)
-    log_density = -0.5 * (
-        np.log(2.0 * np.pi * model.variances) + (sample - model.means) ** 2 / model.variances
-    )
-    log_scores = {
-        c: float(math.log(model.priors[c]) + log_density[i].sum())
-        for i, c in enumerate(model.classes)
-    }
-    label = _pick_label(log_scores, model.priors)
-    used = {c: model.variable_names for c in model.classes}
-    return Prediction(label=label, log_scores=log_scores, used_features=used)
+    if isinstance(model, GnbModel):
+        log_density = -0.5 * (
+            np.log(2.0 * np.pi * model.variances) + (values - model.means) ** 2 / model.variances
+        )
+        log_scores = {
+            c: float(math.log(model.priors[c]) + log_density[i].sum())
+            for i, c in enumerate(model.classes)
+        }
+        used = {c: model.variable_names for c in model.classes}
+    else:
+        floor = model.config.floor
+        log_scores = {}
+        for c in model.classes:
+            density = model.kde_bank[c].density_at(values[model.class_positions[c]])
+            log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, floor)).sum())
+        used = dict(model.features.features)
+    return Prediction(label=_pick_label(log_scores, model.priors), log_scores=log_scores, used_features=used)
 
 
 def predict(model: XnbModel | GnbModel, sample) -> Prediction:
-    if isinstance(model, GnbModel):
-        return predict_gnb(model, sample)
-    return predict_xnb(model, sample)
+    """Check a full sample (length m, finite) and ``score`` its scored columns."""
+    sample = _check_sample(sample, model.m)
+    columns = model.scored_columns
+    # a model that scores every column takes the sample itself, not a copy
+    return score(model, sample if len(columns) == model.m else sample[columns])
+
+
+# the names of ``predict`` for each model type
+predict_xnb = predict_gnb = predict
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -530,6 +552,7 @@ __all__ = [
     "predict_xnb",
     "predict_gnb",
     "predict",
+    "score",
     "save_model",
     "load_model",
     "MODEL_SCHEMA_VERSION",

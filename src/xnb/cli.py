@@ -26,8 +26,8 @@ from .diagnostics import (
     run_diagnostics,
 )
 from .errors import DataError, XnbError
-from .evaluation import DEFAULT_METHODS, METHODS, emit_report, evaluate_cv
-from .hellinger import hellinger_table
+from .evaluation import DEFAULT_METHODS, METHODS, check_methods, emit_report, evaluate_cv
+from .hellinger import MAX_MU, hellinger_table
 from .kde import BANDWIDTH_RULES, DEFAULT_KERNEL, DEFAULT_MU, DEFAULT_RULE, KERNELS
 from .selection import DEFAULT_THETA
 
@@ -67,11 +67,11 @@ def _checked(cast, ok, domain: str):
 
 
 def _method_list(token: str) -> tuple[str, ...]:
-    """`--methods A,B,...`: one or more of METHODS, each named once."""
-    methods = tuple(tok.strip() for tok in token.split(",") if tok.strip())
-    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
-        raise argparse.ArgumentTypeError(f"must name one or more of {', '.join(METHODS)}, each once, got {token!r}")
-    return methods
+    """`--methods A,B,...`: the methods ``evaluate_cv`` accepts."""
+    try:
+        return check_methods(tok.strip() for tok in token.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (from {token!r})") from None
 
 
 def _at_least(low: int):
@@ -105,20 +105,31 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _read_samples(path: str, variables) -> np.ndarray:
-    """Read a headered CSV of unlabeled samples in model variable order."""
+def _read_samples(path: str, model) -> np.ndarray:
+    """Read a headered CSV of unlabeled samples as (n, m) rows in model variable order.
+
+    The header must name every model variable, but only the columns some
+    class scores (``model.scored_columns``) are parsed; the others are
+    never read and stand as 0.0, which no score looks at.
+    """
     path = Path(path)
     with csv_records(path) as (header, records):
         positions = {name: i for i, name in enumerate(header)}
-        missing = [v for v in variables if v not in positions]
+        missing = [v for v in model.variable_names if v not in positions]
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
-        return read_numeric(path, records, [positions[v] for v in variables])[0]
+        columns = model.scored_columns
+        values = read_numeric(path, records, [positions[model.variable_names[j]] for j in columns])[0]
+    if len(columns) == model.m:
+        return values
+    samples = np.zeros((len(values), model.m))
+    samples[:, columns] = values
+    return samples
 
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    samples = _read_samples(args.data, model.variable_names)
+    samples = _read_samples(args.data, model)
     results = [predict(model, row) for row in samples]
     if args.format == "json":
         payload = [
@@ -200,7 +211,7 @@ _FLAGS = {
     "class-col": dict(type=_class_col, default="class", metavar="NAME|@INDEX"),
     "kernel": dict(default=DEFAULT_KERNEL, choices=KERNELS),
     "bandwidth": dict(default=DEFAULT_RULE, choices=tuple(r.replace("_", "-") for r in BANDWIDTH_RULES)),
-    "mu": dict(type=_at_least(2), default=DEFAULT_MU),
+    "mu": dict(type=_checked(int, lambda v: 2 <= v <= MAX_MU, f"in [2, {MAX_MU}]"), default=DEFAULT_MU),
     "jobs": dict(type=_at_least(1), default=1),
     "theta": dict(type=_OPEN_UNIT, default=DEFAULT_THETA),
     "seed": dict(type=_at_least(0), default=0),

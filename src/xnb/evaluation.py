@@ -24,6 +24,21 @@ DEFAULT_METHODS = ("gnb", "xnb")
 REPORT_SCHEMA_VERSION = 1
 
 
+def check_methods(methods) -> tuple[str, ...]:
+    """The methods as a tuple: one or more of ``METHODS``, each named once; ValueError otherwise."""
+    methods = tuple(methods)
+    unknown = [str(m) for m in methods if m not in METHODS]
+    if unknown:
+        problem = f"unknown methods: {', '.join(unknown)}"
+    elif len(set(methods)) < len(methods):
+        problem = f"repeated methods: {', '.join(sorted({m for m in methods if methods.count(m) > 1}))}"
+    elif not methods:
+        problem = "no methods"
+    else:
+        return methods
+    raise ValueError(f"{problem}; expected one or more of {', '.join(METHODS)}, each once")
+
+
 def accuracy(predictions, truth) -> float:
     """Fraction of matching labels."""
     predictions = list(predictions)
@@ -142,10 +157,7 @@ def evaluate_cv(
     folds and vary run to run; everything else is reproducible.
     """
     config = config or XnbConfig()
-    methods = tuple(methods)
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {', '.join(sorted(unknown))}")
+    methods = check_methods(methods)
     smallest = min(len(rows) for rows in d.class_rows.values())
     if k > smallest:
         warnings.warn(

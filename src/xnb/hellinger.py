@@ -34,6 +34,9 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # widest block of variables whose grid densities are held at once
 _BLOCK = 1024
+# the most grid points per variable: one class's grid densities over a block,
+# mu x _BLOCK float64, then take at most 8 MiB
+MAX_MU = 8 * 2**20 // (8 * _BLOCK)
 
 
 def hellinger(p, q):

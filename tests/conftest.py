@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from xnb.classifier import _decode_array, _encode_array
+from xnb.classifier import XnbConfig, XnbModel, _decode_array, _encode_array
 from xnb.dataset import Dataset
+from xnb.kde import PackedKde
+from xnb.selection import ClassFeatureMap
 
 
 def make_separated(
@@ -39,6 +41,19 @@ def make_separated(
             if cross_shift:
                 values[rows_by_class[neighbor], j] += cross_shift
     return Dataset(names, values, tuple(labels)), informative
+
+
+def empty_union_model() -> XnbModel:
+    """A loadable xnb model over variables x and y in which no class scores any variable."""
+    empty = PackedKde(np.zeros((3, 0)), np.zeros(0))
+    return XnbModel(
+        classes=("A", "B"),
+        priors={"A": 0.25, "B": 0.75},
+        features=ClassFeatureMap(classes=("A", "B"), features={"A": (), "B": ()}),
+        kde_bank={"A": empty, "B": empty},
+        config=XnbConfig(),
+        variable_names=("x", "y"),
+    )
 
 
 @pytest.fixture

@@ -19,13 +19,15 @@ from xnb.classifier import (
     predict_gnb,
     predict_xnb,
     save_model,
+    score,
 )
+from xnb.hellinger import MAX_MU
 from xnb.dataset import Dataset, class_priors
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
 from xnb.kde import PackedKde
 from xnb.selection import ClassFeatureMap
-from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, make_separated
+from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
 from tests.oracles import bandwidth, v2_payload
 
 FITS = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}
@@ -165,6 +167,61 @@ class TestPredictXnb:
         for _ in range(20):
             sample = rng.normal(50, 60, size=d.m)
             assert predict_xnb(coarse, sample).log_scores == predict_xnb(fine, sample).log_scores
+
+
+class TestScoredColumns:
+    def test_kde_union_and_positions(self, separated_three_class):
+        d, _ = separated_three_class
+        model = fit_xnb(d)
+        union = sorted({j for cols in model.feature_columns.values() for j in cols})
+        assert model.scored_columns.tolist() == union and len(union) < d.m
+        for c in model.classes:
+            assert np.array_equal(model.scored_columns[model.class_positions[c]], model.feature_columns[c])
+
+    @pytest.mark.parametrize("method", ["fnb", "gnb"])
+    def test_baselines_score_every_column(self, separated_two_class, method):
+        model = FITS[method](separated_two_class)
+        assert np.array_equal(model.scored_columns, np.arange(separated_two_class.m))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]))
+    @settings(max_examples=20, deadline=None)
+    def test_predict_is_score_on_the_scored_columns(self, seed, method):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        d, _ = make_separated(n=int(rng.integers(3 * k, 40)), m=int(rng.integers(2 * k, 16)), k=k,
+                              seed=seed % 1000)
+        model = FITS[method](d)
+        for row in rng.normal(0.0, 3.0, size=(5, d.m)):
+            a, b = predict(model, row), score(model, row[model.scored_columns])
+            assert (a.label, a.log_scores, a.used_features) == (b.label, b.log_scores, b.used_features)
+
+    def test_predict_checks_the_full_row(self, separated_three_class):
+        d, _ = separated_three_class
+        model = fit_xnb(d)
+        unscored = np.setdiff1d(np.arange(d.m), model.scored_columns)[0]
+        row = d.values[0].copy()
+        row[unscored] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, row)
+        with pytest.raises(ValueError, match=f"length {d.m}"):
+            predict(model, row[model.scored_columns])
+
+    def test_empty_union_loads_and_scores_the_priors(self, tmp_path):
+        model = empty_union_model()
+        assert model.scored_columns.size == 0
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for loaded in (model, load_model(path)):
+            pred = predict(loaded, [1.0, 2.0])
+            assert pred.log_scores == {"A": np.log(0.25), "B": np.log(0.75)} and pred.label == "B"
+            assert score(loaded, np.empty(0)) == pred
+
+    def test_mu_bound(self):
+        assert XnbConfig(mu=MAX_MU).mu == MAX_MU
+        with pytest.raises(ValueError, match=f"mu must lie in \\[2, {MAX_MU}\\], got {MAX_MU + 1}"):
+            XnbConfig(mu=MAX_MU + 1)
+        with pytest.raises(ValueError, match="mu must lie in"):
+            XnbConfig(mu=1)
 
 
 class TestPriorShift:

@@ -20,7 +20,8 @@ from xnb.classifier import fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_
 from xnb.cli import build_parser, main
 from xnb.dataset import Dataset, save_csv
 from xnb.evaluation import METHODS
-from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, make_separated
+from xnb.hellinger import MAX_MU
+from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
 
 
 @pytest.fixture
@@ -229,6 +230,37 @@ class TestFlagSurface:
         assert main([verb, "--data", str(data_csv), flag, value]) == 1
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, flags",
+        [
+            ("gnb", ["--kernel", "biweight", "--bandwidth", "scott", "--mu", "7", "--theta", "0.3", "--jobs", "2"]),
+            ("fnb", ["--jobs", "2"]),
+        ],
+    )
+    def test_flags_a_method_ignores_leave_its_model_file_unchanged(self, data_csv, tmp_path, capsys, method, flags):
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main(["fit", "--data", str(data_csv), "--model", str(plain), "--method", method]) == 0
+        assert main(["fit", "--data", str(data_csv), "--model", str(flagged), "--method", method, *flags]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+
+    @pytest.mark.parametrize("verb", [("fit",), ("evaluate",), ("select",), ("inspect", "hellinger")])
+    def test_mu_above_its_bound_is_usage_error(self, tmp_path, capsys, verb):
+        # rejected as the flag is parsed: the (absent) data file is never opened
+        model = ["--model", str(tmp_path / "m.json")] if verb == ("fit",) else []
+        argv = [*verb, "--data", str(tmp_path / "absent.csv"), *model, "--mu", str(MAX_MU + 1)]
+        assert main(argv) == 1
+        assert f"--mu: must be in [2, {MAX_MU}], got {MAX_MU + 1}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_mu_at_its_bound_is_accepted(self, data_csv, tmp_path):
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data_csv), "--model", str(model_path), "--mu", str(MAX_MU)]) == 0
+        assert load_model(model_path).config.mu == MAX_MU
+
+    def test_methods_rule_is_the_library_one(self, data_csv, capsys):
+        assert main(["evaluate", "--data", str(data_csv), "--methods", "xnb,gnb,xnb"]) == 1
+        assert "repeated methods: xnb; expected one or more of gnb, fnb, xnb, each once" in capsys.readouterr().err
+
 
 class TestFitPredict:
     def test_fit_then_predict_tsv(self, data_csv, samples_csv, tmp_path, capsys):
@@ -320,13 +352,52 @@ class TestFitPredict:
         main(["fit", "--data", str(data_csv), "--model", str(model_path)])
         lines = samples_csv.read_text().splitlines()
         fields = lines[2].split(",")
-        fields[2] = " x "
+        fields[3] = " x "  # v03: a column the model scores
         lines[2] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
-        assert "row 3, column 'v02': cannot parse 'x'" in capsys.readouterr().err
+        assert "row 3, column 'v03': cannot parse 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["x", "nan", " not a number "])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_unscored_column_is_not_parsed(self, data_csv, samples_csv, tmp_path, capsys, cell, fmt):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        assert 2 not in load_model(model_path).scored_columns  # no class scores v02
+        lines = samples_csv.read_text().splitlines()
+        for i in range(1, len(lines)):
+            fields = lines[i].split(",")
+            fields[2] = cell
+            lines[i] = ",".join(fields)
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("\n".join(lines) + "\n")
+        outputs = []
+        for data in (samples_csv, dirty):
+            out = tmp_path / f"{data.stem}.{fmt}"
+            assert main(["predict", "--model", str(model_path), "--data", str(data), "--format", fmt,
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_model_that_scores_no_column_parses_no_cell(self, tmp_path, capsys):
+        model_path, data = tmp_path / "model.json", tmp_path / "samples.csv"
+        save_model(empty_union_model(), model_path)
+        data.write_text("y,x\nnan,text\n,\n")
+        assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 0
+        assert capsys.readouterr().out == "label\tscore_A\tscore_B\n" + "B\t-1.386294\t-0.287682\n" * 2
+
+    def test_header_missing_an_unscored_variable_is_data_error(self, data_csv, samples_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        assert 2 not in load_model(model_path).scored_columns
+        rows = [line.split(",") for line in samples_csv.read_text().splitlines()]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(",".join(r[:2] + r[3:]) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
+        assert "missing model variables: v02" in capsys.readouterr().err
 
     def test_sample_row_longer_than_header_is_located_data_error(
         self, data_csv, samples_csv, tmp_path, capsys

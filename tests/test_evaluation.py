@@ -111,6 +111,14 @@ class TestEvaluateCv:
         with pytest.raises(ValueError, match="unknown methods"):
             evaluate_cv(small_dataset(7), methods=("xgb",), k=2)
 
+    @pytest.mark.parametrize(
+        "methods, problem",
+        [((), "no methods"), (("xnb", "xnb"), "repeated methods: xnb"), (("gnb", "xnb", "gnb"), "repeated methods: gnb")],
+    )
+    def test_empty_or_repeated_methods_rejected(self, methods, problem):
+        with pytest.raises(ValueError, match=f"^{problem}; expected one or more of gnb, fnb, xnb, each once$"):
+            evaluate_cv(small_dataset(7), methods=methods, k=2)
+
     def test_timings_cover_fit_stages(self):
         report = evaluate_cv(small_dataset(8), methods=("xnb",), k=3, seed=0)
         assert set(report.timings) == {"bandwidth", "kde", "hellinger", "select", "build"}
