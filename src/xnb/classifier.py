@@ -184,6 +184,11 @@ class GnbModel:
         """Every column: each class scores all variables."""
         return np.arange(self.m)
 
+    @cached_property
+    def _log_2pi_variances(self) -> np.ndarray:
+        """log(2 pi variance) per (class, variable): the part of ``score`` that no sample changes."""
+        return np.log(2.0 * np.pi * self.variances)
+
 
 def _check_trainable(d: Dataset) -> None:
     if len(d.classes) < 2:
@@ -339,9 +344,7 @@ def score(model: XnbModel | GnbModel, values) -> Prediction:
     log densities over every variable.
     """
     if isinstance(model, GnbModel):
-        log_density = -0.5 * (
-            np.log(2.0 * np.pi * model.variances) + (values - model.means) ** 2 / model.variances
-        )
+        log_density = -0.5 * (model._log_2pi_variances + (values - model.means) ** 2 / model.variances)
         log_scores = {
             c: float(math.log(model.priors[c]) + log_density[i].sum())
             for i, c in enumerate(model.classes)

@@ -26,9 +26,12 @@ DEFAULT_ALPHA = 0.05
 DEFAULT_P_MAX = 1e-6
 DEFAULT_R_MIN = 0.7
 DEFAULT_MAX_PAIRS = 200_000
-# Pairs per step of the dependence scan: each step gathers two (n, chunk)
-# copies of residual columns, which bounds its peak memory (2 x 26 MB at n=200).
-CI_CHUNK_PAIRS = 16_384
+# Bytes per side of a dependence-scan step, which takes max(1, CI_STEP_BYTES
+# // 8n) pairs: the scan holds the (m, n) residuals plus two gathered blocks
+# of at most 4 MiB each, whatever n (one row a side above n = 524 288). When
+# sampling, the sampler holds one int64 per pair of all m(m-1)/2 while the cap
+# exceeds a 50th of them (27 MB at m = 2 500 under the default cap).
+CI_STEP_BYTES = 4 << 20
 
 # Royston 1992 polynomial coefficients, ascending powers.
 _G = (-2.273, 0.459)
@@ -327,7 +330,10 @@ def conditional_independence_scan(
             int(degenerate.sum()),
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = np.where(degenerate, np.nan, 1.0) * residuals / np.where(degenerate, 1.0, norms)
+        residuals *= np.where(degenerate, np.nan, 1.0)
+        residuals /= np.where(degenerate, 1.0, norms)
+    unit = np.ascontiguousarray(residuals.T)  # one row per variable
+    del residuals
 
     total = m * (m - 1) // 2
     sampled = max_pairs is not None and total > max_pairs
@@ -340,14 +346,17 @@ def conditional_independence_scan(
     names = d.variable_names
     flagged = []
     skipped = 0
-    for lo in range(0, ii.size, CI_CHUNK_PAIRS):
-        bi, bj = ii[lo : lo + CI_CHUNK_PAIRS], jj[lo : lo + CI_CHUNK_PAIRS]
-        r = np.clip(np.einsum("ij,ij->j", unit[:, bi], unit[:, bj]), -1.0, 1.0)
+    step = max(1, CI_STEP_BYTES // (8 * d.n))
+    for lo in range(0, ii.size, step):
+        bi, bj = ii[lo : lo + step], jj[lo : lo + step]
+        r = np.clip(np.einsum("ij,ij->i", unit[bi], unit[bj]), -1.0, 1.0)
         finite = np.isfinite(r)
         skipped += int(r.size - finite.sum())
         # only strong pairs can be flagged, so only they need a p-value:
         # the two-sided t test of r with dof degrees of freedom
         strong = np.flatnonzero(finite & (np.abs(r) > r_min))
+        if not strong.size:
+            continue
         p = _betainc(0.5 * dof, 0.5, 1.0 - r[strong] ** 2)
         hit = p < p_max
         flagged += [

@@ -98,6 +98,8 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
     # candidate order sorts by -H, then by the name's rank
     name_rank = np.empty(m, dtype=np.intp)
     name_rank[sorted(range(m), key=names.__getitem__)] = np.arange(m)
+    # (ci, cj) and (cj, ci) read the same table column, so share one order
+    orders = {pair: np.lexsort((name_rank, -table.pair_column(*pair))) for pair in table.class_pairs}
     features: dict[str, tuple[str, ...]] = {}
     steps: dict[str, tuple[SelectionStep, ...]] = {}
     pair_h: dict[str, dict[str, dict[str, float]]] = {}
@@ -113,7 +115,7 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
             residual = 1.0
             for j in selected:
                 residual *= 1.0 - float(h_pair[j])
-            order = np.lexsort((name_rank, -h_pair))
+            order = orders[min(ci, cj), max(ci, cj)]
             cursor = 0
             while 1.0 - residual <= cfg.theta and len(selected) < m:
                 while taken[order[cursor]]:

@@ -10,6 +10,10 @@ broadcast per block, reduced over its middle axis, which adds the samples
 in the same order as the library's row-by-row sum, so the two agree bit
 for bit. ``v2_payload`` is the version 2 model-file writer, whose arrays
 are nested lists of decimal floats; the library still reads that layout.
+``column_layout_ci_scan`` is the library's former dependence scan: unit
+residuals kept one variable per column, and each step of 16 384 pairs
+gathers two strided (n, step) column blocks and reduces them over the
+samples; every step also computes p-values, for however few strong pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ from itertools import combinations
 import numpy as np
 
 from xnb.classifier import GnbModel
+from xnb.diagnostics import (
+    CiScanResult,
+    _betainc,
+    _sample_pairs,
+    _scale_to_unit,
+    within_class_residuals,
+)
 from xnb.kde import (
     DEFAULT_KERNEL,
     DEFAULT_MU,
@@ -255,3 +266,40 @@ def v2_payload(model) -> dict:
         for c in model.classes
     }
     return payload
+
+
+def column_layout_ci_scan(d, p_max: float, r_min: float, max_pairs: int | None, seed: int = 0):
+    """``conditional_independence_scan`` over (n, m) unit residuals, 16 384 pairs a step."""
+    chunk = 16_384
+    m = d.m
+    residuals = _scale_to_unit(within_class_residuals(d.values, d.labels), axis=0)
+    norms = np.sqrt((residuals**2).sum(axis=0))
+    degenerate = norms == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.where(degenerate, np.nan, 1.0) * residuals / np.where(degenerate, 1.0, norms)
+    sampled = max_pairs is not None and m * (m - 1) // 2 > max_pairs
+    ii, jj = _sample_pairs(m, max_pairs, seed) if sampled else np.triu_indices(m, k=1)
+    names = d.variable_names
+    flagged = []
+    skipped = 0
+    for lo in range(0, ii.size, chunk):
+        bi, bj = ii[lo : lo + chunk], jj[lo : lo + chunk]
+        r = np.clip(np.einsum("ij,ij->j", unit[:, bi], unit[:, bj]), -1.0, 1.0)
+        finite = np.isfinite(r)
+        skipped += int(r.size - finite.sum())
+        strong = np.flatnonzero(finite & (np.abs(r) > r_min))
+        p = _betainc(0.5 * (d.n - 2), 0.5, 1.0 - r[strong] ** 2)
+        hit = p < p_max
+        flagged += [
+            (names[bi[k]], names[bj[k]], float(r[k]), pk)
+            for k, pk in zip(strong[hit].tolist(), p[hit].tolist())
+        ]
+    involved = sorted({a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged})
+    return CiScanResult(
+        ratio=len(involved) / m,
+        examined_pairs=int(ii.size - skipped),
+        flagged=tuple(flagged),
+        skipped_pairs=skipped,
+        sampled=sampled,
+        dependent_variables=tuple(involved),
+    )

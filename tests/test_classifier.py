@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 
 import numpy as np
 import pytest
@@ -295,6 +296,21 @@ class TestGnb:
         d = Dataset(("x",), np.zeros((2, 1)), ("A", "A"))
         with pytest.raises(DataError):
             fit_gnb(d)
+
+    def test_scores_equal_the_uncached_formula(self, tmp_path):
+        d, _ = make_separated(n=60, m=12, k=3, seed=5)
+        fitted = fit_gnb(d)
+        path = tmp_path / "gnb.json"
+        save_model(fitted, path)
+        loaded = load_model(path)
+        for row in d.values[:20]:
+            means, variances = fitted.means, fitted.variances
+            log_density = -0.5 * (np.log(2.0 * np.pi * variances) + (row - means) ** 2 / variances)
+            expected = {
+                c: float(math.log(fitted.priors[c]) + log_density[i].sum()) for i, c in enumerate(fitted.classes)
+            }
+            assert predict(fitted, row).log_scores == expected
+            assert predict(loaded, row).log_scores == expected
 
     def test_values_near_the_largest_float(self):
         # a mean whose sum overflows is exact; a variance beyond the largest

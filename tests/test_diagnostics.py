@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,8 @@ from scipy import special, stats
 import xnb.diagnostics as diagnostics_module
 from xnb.dataset import Dataset
 from xnb.diagnostics import (
+    DEFAULT_P_MAX,
+    DEFAULT_R_MIN,
     conditional_independence_scan,
     normality_scan,
     run_diagnostics,
@@ -17,6 +20,8 @@ from xnb.diagnostics import (
     within_class_residuals,
 )
 from xnb.errors import DataError
+
+from tests.oracles import column_layout_ci_scan
 
 
 class TestShapiroWilk:
@@ -336,8 +341,42 @@ class TestConditionalIndependenceScan:
         d = Dataset(d.variable_names, values, d.labels)
         default = conditional_independence_scan(d, max_pairs=max_pairs, seed=4)
         assert default.flagged
-        monkeypatch.setattr(diagnostics_module, "CI_CHUNK_PAIRS", 7)
+        monkeypatch.setattr(diagnostics_module, "CI_STEP_BYTES", 7 * 8 * d.n)  # 7 pairs a step
         assert conditional_independence_scan(d, max_pairs=max_pairs, seed=4) == default
+
+    @pytest.mark.parametrize("step_bytes", [None, 1, 13 * 8 * 50])
+    @pytest.mark.parametrize("max_pairs", [None, 300])
+    @pytest.mark.parametrize("p_max, r_min", [(DEFAULT_P_MAX, DEFAULT_R_MIN), (1.1, -0.1)])
+    def test_matches_column_layout_oracle(self, monkeypatch, step_bytes, max_pairs, p_max, r_min):
+        # r, p, flagged pairs and skipped count bit for bit, with every pair
+        # flagged under the second thresholds
+        d = _noise_dataset(15, n=50, m=40)  # 780 pairs
+        values = np.array(d.values)
+        values[:, 20:28] = values[:, :8] + 1e-2 * values[:, 30:38]  # eight dependent pairs
+        values[:, 5] = 3.0  # zero variance
+        labels = np.array(d.labels)
+        values[:, 6] = np.where(labels == labels[0], 1.0, -2.0)  # constant within each class
+        d = Dataset(d.variable_names, values, d.labels)
+        expected = column_layout_ci_scan(d, p_max, r_min, max_pairs, seed=2)
+        assert expected.flagged and expected.skipped_pairs
+        if step_bytes is not None:  # one pair a step, or 13
+            monkeypatch.setattr(diagnostics_module, "CI_STEP_BYTES", step_bytes)
+        result = conditional_independence_scan(d, p_max=p_max, r_min=r_min, max_pairs=max_pairs, seed=2)
+        assert result == expected
+
+    def test_tall_scan_memory_is_bounded_by_steps(self):
+        # the residuals plus two gathered blocks of at most 4 MiB each; the
+        # former column layout gathered two (n, 780) blocks, 31 MB each
+        d = _noise_dataset(16, n=5000, m=40)  # 780 pairs
+        bound = 2 * (4 << 20) + 3 * d.values.nbytes  # 12.6 MiB
+        tracemalloc.start()
+        try:
+            result = conditional_independence_scan(d, max_pairs=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.examined_pairs == 780
+        assert peak < bound
 
 
 class TestPairDecoding:
