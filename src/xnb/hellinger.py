@@ -8,12 +8,13 @@ sqrt(2)`` is tabulated for every unordered class pair.
 
 Table construction is the pipeline's hot loop at genomic widths, so the
 variables are cut once into blocks of nearly equal width, at most
-``_BLOCK``. Per class and block, ``on_grid`` needs one (n_c, block)
-buffer, not one value per grid point, sample and variable, and the square
-roots of the class's distributions are taken once for all of its class
-pairs. ``jobs`` only chooses how the blocks are mapped: in turn, or over a
-thread pool (numpy releases the GIL inside each ufunc call) with at most
-one thread per CPU; the result does not depend on it.
+``_BLOCK``. Per class and block, ``on_grid`` needs one buffer of at most
+512 KiB (or one grid row), not one value per grid point, sample and
+variable, and the square roots of the class's distributions are taken
+once for all of its class pairs. ``jobs`` only chooses how the blocks are
+mapped: in turn, or over a thread pool (numpy releases the GIL inside
+each ufunc call) with at most one thread per CPU; the result does not
+depend on it.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _block_distances(densities, mu, lo, hi):
     zero_sum_columns = 0
     for p in blocks:
         dens = p.on_grid(grids)
-        totals = dens.sum(axis=0)
+        totals = np.ascontiguousarray(dens.T).sum(axis=1)  # each column as one vector: pairwise
         zero = totals <= 0.0
         if zero.any():
             zero_sum_columns += int(zero.sum())

@@ -9,20 +9,21 @@ Bandwidths come from reference rules (Scott, Silverman, and Silverman's
 adaptive variant), one per column of a sample matrix. ``PackedKde`` holds
 one class's densities over many variables as one sample matrix; its
 ``on_grid`` is the one kernel sum, used for the Hellinger table's grids
-and, with a one-point grid, for prediction. It walks the grid a row at a
-time: one (n, w) buffer takes each row's scaled offsets, the kernel
-overwrites them in place and they are summed over the samples, so the
-temporary memory is O(n x w) however many grid points there are. Point
-evaluation is the exact sum over samples, never a grid interpolation, so
-prediction accuracy does not depend on the grid resolution used
-elsewhere. A one-column ``PackedKde`` is a single one-dimensional density.
+and, with a one-point grid, for prediction. It walks the grid in steps of
+rows: one (step, n, w) buffer of at most 512 KiB (or one row) takes the
+steps' scaled offsets, the kernel body overwrites them in place and they
+are summed over the samples, so the temporary memory is bounded however
+many grid points there are. The kernel's constant, ``1 / n`` and ``1 / h``
+are applied once to the sums. Point evaluation is the exact sum over
+samples, never a grid interpolation, so prediction accuracy does not
+depend on the grid resolution used elsewhere. A one-column ``PackedKde``
+is a single one-dimensional density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,13 @@ KERNELS = ("gaussian",) + tuple(_BETA_EXPONENT)
 BANDWIDTH_RULES = ("scott", "silverman", "silverman_adaptive")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# the smallest bandwidth: the smallest normal float, so that every density,
+# at most K(0) / h, stays below 5e307
+MIN_BANDWIDTH = float(np.finfo(np.float64).tiny)
+
+# the most bytes of the (step, n, w) buffer that ``PackedKde.on_grid`` fills at once
+_STEP_BYTES = 512 << 10
 
 
 def _double_factorial(n: int) -> int:
@@ -64,22 +72,31 @@ def canonical_rule(name: str) -> str:
 
 def kernel_eval(kind: str, u):
     """Evaluate kernel ``kind`` at ``u`` (scalar or array)."""
-    out = _kernel_in_place(canonical_kernel(kind), np.array(u, dtype=np.float64))
+    kind = canonical_kernel(kind)
+    out = _kernel_body_in_place(kind, np.array(u, dtype=np.float64))
+    if kind == "gaussian":
+        out /= _SQRT_2PI
+    else:
+        out *= _kernel_constant(kind)
     return float(out) if out.ndim == 0 else out
 
 
-def _kernel_in_place(kind: str, u: np.ndarray) -> np.ndarray:
-    """Overwrite the float64 array ``u`` with the kernel's values at ``u``; return it.
+def _kernel_constant(kind: str) -> float:
+    """The constant factor c of kernel ``kind`` (canonical): K(u) = c * body(u)."""
+    return 1.0 / _SQRT_2PI if kind == "gaussian" else beta_coefficient(_BETA_EXPONENT[kind])
 
-    ``kind`` must be canonical. Every step is an in-place ufunc, so no
-    temporary the size of ``u`` is made.
+
+def _kernel_body_in_place(kind: str, u: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array ``u`` with the kernel's body at ``u``; return it.
+
+    The body is the kernel without its constant factor: ``exp(-u^2/2)``
+    or ``(1 - u^2)^s`` on [-1, 1]. ``kind`` must be canonical. Every step
+    is an in-place ufunc, so no temporary the size of ``u`` is made.
     """
     np.multiply(u, u, out=u)
     if kind == "gaussian":
         u *= -0.5
-        np.exp(u, out=u)
-        u /= _SQRT_2PI
-        return u
+        return np.exp(u, out=u)
     s = _BETA_EXPONENT[kind]
     np.subtract(1.0, u, out=u)  # 1 - u^2 is negative exactly where |u| > 1
     if s:
@@ -87,7 +104,6 @@ def _kernel_in_place(kind: str, u: np.ndarray) -> np.ndarray:
         u **= s
     else:
         np.greater_equal(u, 0.0, out=u)
-    u *= beta_coefficient(s)
     return u
 
 
@@ -115,10 +131,11 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     its largest magnitude (exact) and the result is scaled back: squares
     and products such as ``3.49 sigma`` of values near the largest float
     stay finite, and only a bandwidth that itself exceeds it overflows. A
-    non-positive or non-finite result falls back to
-    ``max(1e-3 * fallback_scale, 1e-9)``, with the column's range over the
-    whole dataset as the scale, so that constant-within-class variables
-    still get finite densities (1e-9 if the scale is not positive).
+    result that is not finite or below ``MIN_BANDWIDTH`` (zero or
+    subnormal) falls back to ``max(1e-3 * fallback_scale, 1e-9)``, with the
+    column's range over the whole dataset as the scale, so that
+    constant-within-class variables still get finite densities (1e-9 if the
+    scale is not positive).
     """
     rule = canonical_rule(rule)
     values = np.asarray(values, dtype=np.float64)
@@ -137,7 +154,7 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
         h = np.ldexp(h, exponent)
     scale = np.asarray(fallback_scale, dtype=np.float64)
     fallback = np.where(np.isfinite(scale) & (scale > 0.0), np.maximum(1e-3 * scale, 1e-9), 1e-9)
-    return np.where(~np.isfinite(h) | (h <= 0.0), fallback, h)
+    return np.where(np.isfinite(h) & (h >= MIN_BANDWIDTH), h, fallback)
 
 
 @dataclass(frozen=True)
@@ -161,8 +178,8 @@ class PackedKde:
             raise ValueError(f"samples must be a nonempty (n, w) matrix, got shape {samples.shape}")
         if h.shape != (samples.shape[1],):
             raise ValueError(f"{samples.shape[1]} sample columns but {h.size} bandwidths")
-        if not np.all(np.isfinite(h) & (h > 0)):
-            raise ValueError("bandwidths must be positive and finite")
+        if not np.all(np.isfinite(h) & (h >= MIN_BANDWIDTH)):
+            raise ValueError(f"bandwidths must be positive and finite, and not below {MIN_BANDWIDTH} (subnormal)")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         samples.setflags(write=False)
@@ -175,11 +192,6 @@ class PackedKde:
     def width(self) -> int:
         return self.samples.shape[1]
 
-    @cached_property
-    def _scale(self) -> np.ndarray:
-        """n h per column: divides a column's kernel sum into its density."""
-        return len(self.samples) * self.h
-
     def take(self, columns) -> "PackedKde":
         """The densities of the given columns (indices or a slice) only, in that order."""
         return PackedKde(self.samples[:, columns], self.h[columns], self.kernel)
@@ -188,22 +200,29 @@ class PackedKde:
         """Density of each column at each point of its grid column.
 
         ``grids`` is (mu, w): column j holds the points at which column j's
-        density is evaluated. Each value is the exact (1/nh) sum of scaled
-        kernels over that column's samples. One grid row at a time goes
-        through a single (n, w) buffer, whose rows are added in order (numpy
-        sums a one-column buffer pairwise instead). An offset too large to
-        square is far outside every kernel's support and adds 0.
+        density is evaluated. Each value is the exact sum over column j's
+        samples of the kernel body at ``(g - s) / h``, times ``c / n``, then
+        divided by ``h``, where c is the kernel's constant. Grid rows go in
+        steps of ``_STEP_BYTES // (8 n w)`` (at least one) through a single
+        (step, n, w) buffer, summed over its samples in order (numpy sums a
+        one-column buffer pairwise instead). An offset too large to square
+        is far outside every kernel's support and adds 0.
         """
         samples, h = self.samples, self.h
+        n, w = samples.shape
+        mu = len(grids)
+        step = max(1, _STEP_BYTES // (8 * n * max(w, 1)))
         out = np.empty(grids.shape)
-        u = np.empty(samples.shape)
+        buffer = np.empty((min(step, mu), n, w))
         with np.errstate(over="ignore"):
-            for g, row in zip(grids, out):
-                np.subtract(g, samples, out=u)
+            for lo in range(0, mu, step):
+                u = buffer[: mu - lo]
+                np.subtract(grids[lo : lo + step, None], samples, out=u)
                 u /= h
-                _kernel_in_place(self.kernel, u)
-                np.add.reduce(u, axis=0, out=row)
-        out /= self._scale
+                _kernel_body_in_place(self.kernel, u)
+                np.add.reduce(u, axis=1, out=out[lo : lo + step])
+        out *= _kernel_constant(self.kernel) / n
+        out /= h
         return out
 
     def density_at(self, x) -> np.ndarray:

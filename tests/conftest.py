@@ -122,6 +122,7 @@ MALFORMED_ARRAYS = [
     ("list, not a node", "xnb", _A_H, lambda n: _decode_array(n).tolist(), "dtype, shape, data"),
     ("nan sample", "fnb", _B_SAMPLES, lambda n: edit_array(n, _set_first(np.nan)), "samples must be finite"),
     ("inf bandwidth", "xnb", _A_H, lambda n: edit_array(n, _set_first(np.inf)), "bandwidths must be positive"),
+    ("subnormal bandwidth", "xnb", _A_H, lambda n: edit_array(n, _set_first(1e-320)), "bandwidths must be positive"),
     ("nan mean", "gnb", _MEANS, lambda n: edit_array(n, _set_first(np.nan)), "means must be finite"),
     ("inf variance", "gnb", _VARIANCES, lambda n: edit_array(n, _set_first(-np.inf)), "variances must be finite"),
 ]

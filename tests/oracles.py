@@ -5,11 +5,13 @@ one-dimensional density (``KdeModel``) at a time, one grid per variable,
 one Python loop per Hellinger sum, one ``table.value`` lookup per factor
 of a subset's power. ``bandwidth`` is ``column_bandwidths`` applied to one
 sample. ``broadcast_on_grid`` and ``broadcast_block_distances`` are the
-library's former packed kernel sum and table: one 3-d (mu, n, width)
-broadcast per block, reduced over its middle axis, which adds the samples
-in the same order as the library's row-by-row sum, so the two agree bit
-for bit. ``v2_payload`` is the version 2 model-file writer, whose arrays
-are nested lists of decimal floats; the library still reads that layout.
+library's packed kernel sum and table as one 3-d (mu, n, width) broadcast
+per block, reduced over its middle axis: that adds the samples in the same
+order as the library's steps of grid rows, the kernel's constant goes on
+after the sum, and each column total is a pairwise sum of one vector, so
+the two agree bit for bit. ``v2_payload`` is the version 2 model-file
+writer, whose arrays are nested lists of decimal floats; the library still
+reads that layout.
 ``column_layout_ci_scan`` is the library's former dependence scan: unit
 residuals kept one variable per column, and each step of 16 384 pairs
 gathers two strided (n, step) column blocks and reduces them over the
@@ -165,20 +167,34 @@ def per_variable_oracle(d, bank, mu: int = DEFAULT_MU) -> np.ndarray:
     return out
 
 
+def broadcast_kernel_body(kind: str, u):
+    """The kernel without its constant factor at ``u``, as whole-array expressions."""
+    kind = canonical_kernel(kind)
+    if kind == "gaussian":
+        return np.exp(-0.5 * u * u)
+    s = _BETA_EXPONENT[kind]
+    body = (1.0 - u * u) ** s if s else np.ones_like(u)
+    return np.where(np.abs(u) <= 1.0, body, 0.0)
+
+
 def broadcast_kernel(kind: str, u):
     """Kernel values at ``u`` as whole-array expressions (no in-place steps)."""
     kind = canonical_kernel(kind)
     if kind == "gaussian":
-        return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    s = _BETA_EXPONENT[kind]
-    body = (1.0 - u * u) ** s if s else np.ones_like(u)
-    return beta_coefficient(s) * np.where(np.abs(u) <= 1.0, body, 0.0)
+        return broadcast_kernel_body(kind, u) / math.sqrt(2.0 * math.pi)
+    return beta_coefficient(_BETA_EXPONENT[kind]) * broadcast_kernel_body(kind, u)
 
 
 def broadcast_on_grid(kde, grids) -> np.ndarray:
-    """``PackedKde.on_grid`` as one (mu, n, w) broadcast summed over samples."""
+    """``PackedKde.on_grid`` as one (mu, n, w) broadcast.
+
+    The kernel bodies are summed over the samples, and the kernel's
+    constant c goes on after the sum: times ``c / n``, then over ``h``.
+    """
+    kind = kde.kernel
+    c = 1.0 / math.sqrt(2.0 * math.pi) if kind == "gaussian" else beta_coefficient(_BETA_EXPONENT[kind])
     u = (grids[:, None, :] - kde.samples[None]) / kde.h
-    return broadcast_kernel(kde.kernel, u).sum(axis=1) / (len(kde.samples) * kde.h)
+    return broadcast_kernel_body(kind, u).sum(axis=1) * (c / len(kde.samples)) / kde.h
 
 
 def broadcast_block_distances(densities, mu, block):
@@ -208,7 +224,7 @@ def broadcast_block_distances(densities, mu, block):
         dists = []
         for p in blocks:
             dens = broadcast_on_grid(p, grids)
-            totals = dens.sum(axis=0)
+            totals = np.array([column.sum() for column in dens.T])
             zero = totals <= 0.0
             if zero.any():
                 zero_sum_columns += int(zero.sum())

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -596,6 +597,34 @@ class TestSelect:
         assert result.returncode == 0
         assert result.stderr == f"saved fnb model to {model} (A:2, B:2)\n"  # and nothing else
         assert load_model(model).kde_bank["A"].h[0] == 1e305
+
+    def test_subnormal_column_gets_the_fallback_bandwidth(self, tmp_path):
+        # column a holds multiples of 5e-324, so its rule bandwidths are
+        # subnormal and take the fallback: no density overflows, no numpy
+        # warning, and every JSON output is finite
+        a = [0.0, 1e-323, 4.4e-323, 2e-323, 5e-324, 3e-323, 1.5e-323, 0.0, 2.5e-323, 1e-323, 5e-323, 3.5e-323]
+        b = np.random.default_rng(1).normal(size=len(a)).tolist()
+        path = tmp_path / "subnormal.csv"
+        path.write_text("class,a,b\n" + "".join(f"{'AB'[i % 2]},{x!r},{y!r}\n" for i, (x, y) in enumerate(zip(a, b))))
+        data = ["--data", str(path)]
+        runs = []
+        for method in ("xnb", "fnb"):
+            model = tmp_path / f"{method}.json"
+            runs += [
+                (["fit", "--method", method, *data, "--model", str(model)], model),
+                (["predict", *data, "--model", str(model), "--format", "json", "--out", str(tmp_path / "p.json")],
+                 tmp_path / "p.json"),
+            ]
+        runs += [
+            (["select", *data, "--out", str(tmp_path / "s.json")], tmp_path / "s.json"),
+            (["evaluate", *data, "--k", "2", "--out", str(tmp_path / "e.json")], tmp_path / "e.json"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv, output in runs:
+                assert main(argv) == 0, argv
+                _strict_json(output)
+        assert load_model(tmp_path / "fnb.json").kde_bank["A"].h[0] == 1e-9
 
 
 class TestDiagnose:

@@ -22,6 +22,7 @@ from xnb.kde import KERNELS, PackedKde
 
 # the module, not the `xnb.hellinger` function that the package exports
 hellinger_module = importlib.import_module("xnb.hellinger")
+kde_module = importlib.import_module("xnb.kde")
 
 
 def random_distribution(rng, size):
@@ -235,6 +236,9 @@ class TestTable:
         st.integers(2, 4),
         st.sampled_from(KERNELS),
     )
+    # uniform-kernel draws that meet the bound only with column totals summed pairwise, as the oracle sums them
+    @example(seed=54619912, n=11, m=10, k=4, kernel="uniform")
+    @example(seed=2905808154, n=10, m=10, k=4, kernel="uniform")
     @settings(max_examples=40, deadline=None)
     def test_table_matches_per_variable_oracle(self, seed, n, m, k, kernel):
         rng = np.random.default_rng(seed)
@@ -289,7 +293,7 @@ def _densities(rng, sizes, w, kernel):
 
 
 class TestBroadcastOracle:
-    """The table equals the former 3-d broadcast table bit for bit (one block: see the oracle)."""
+    """The table equals the 3-d broadcast table bit for bit (one block: see the oracle)."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -376,6 +380,17 @@ class TestBroadcastOracle:
         for jobs in (1, 2, 3):
             table, warned = _recorded(hellinger_table, d, bank, mu=20, jobs=jobs)
             np.testing.assert_array_equal(table.distances, reference)
+            assert warned == reference_warned
+
+    @pytest.mark.parametrize("step_bytes", [1, 1 << 40])
+    def test_every_step_size_gives_the_same_table(self, pool_sizes, monkeypatch, step_bytes):
+        # blocks of 515 variables (343 with 3 jobs): by default, steps of 10 to 21 of the 50 grid rows
+        densities = _densities(np.random.default_rng(5), [10, 12, 9], 1030, "epanechnikov")
+        reference, reference_warned = _table(densities, 50)
+        monkeypatch.setattr(kde_module, "_STEP_BYTES", step_bytes)
+        for jobs in (1, 2, 3):
+            table, warned = _table(densities, 50, jobs)
+            np.testing.assert_array_equal(table, reference)
             assert warned == reference_warned
 
     def test_temporary_memory_does_not_scale_with_mu_times_rows(self):

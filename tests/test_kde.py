@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -15,8 +16,10 @@ from tests.oracles import (
     kde_on_grid,
     make_grid,
 )
+from xnb import kde
 from xnb.kde import (
     KERNELS,
+    MIN_BANDWIDTH,
     PackedKde,
     beta_coefficient,
     column_bandwidths,
@@ -138,6 +141,13 @@ class TestBandwidthRules:
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             bandwidth("silverman", [])
+
+    @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman-adaptive"])
+    def test_subnormal_bandwidth_falls_back(self, rule):
+        # multiples of the smallest subnormal: every rule gives a bandwidth below MIN_BANDWIDTH
+        values = np.array([[0.0], [1e-323], [4.4e-323], [2e-323], [5e-324], [3e-323]])
+        np.testing.assert_array_equal(column_bandwidths(rule, values, [2.0]), [2e-3])
+        assert MIN_BANDWIDTH <= column_bandwidths(rule, values * 2.0**60, [2.0])[0] < 1e-300  # a rule bandwidth
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(-100, 100), st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
@@ -296,6 +306,29 @@ class TestPackedKde:
             dens = packed.on_grid(np.array([[1e308], [-1e308], [0.0]]))
         assert dens[0, 0] == dens[1, 0] == 0.0 and dens[2, 0] > 0.0
 
+    def test_bandwidth_near_the_largest_float(self):
+        # n h = 3e308 is beyond the largest float; the density is not
+        packed = PackedKde([[0.0], [1e308], [1.0]], [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            density = packed.density_at(np.array([0.0]))
+        expected = (2.0 + math.exp(-0.5)) / (3.0 * math.sqrt(2.0 * math.pi)) / 1e308
+        assert density[0] == pytest.approx(expected, rel=1e-12) and 3.4e-309 < density[0] < 3.5e-309
+
+    @pytest.mark.parametrize("step_bytes", [1, 1 << 40])
+    @pytest.mark.parametrize("n, w", [(5, 0), (40, 1), (200, 50)])
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_every_step_size_sums_alike(self, monkeypatch, step_bytes, n, w, kind):
+        # at (200, 50) the default steps are 6 grid rows: 4 full steps and 1 of one row
+        rng = np.random.default_rng(n + w)
+        packed = PackedKde(rng.normal(size=(n, w)), rng.uniform(0.05, 2.0, size=w), kind)
+        grids = rng.normal(scale=2.0, size=(25, w))
+        on_grid, at_point = packed.on_grid(grids), packed.density_at(grids[3])
+        monkeypatch.setattr(kde, "_STEP_BYTES", step_bytes)
+        np.testing.assert_array_equal(packed.on_grid(grids), on_grid)
+        np.testing.assert_array_equal(packed.density_at(grids[3]), at_point)
+        assert on_grid.shape == (25, w)
+
     def test_kernel_eval_leaves_its_input_alone(self):
         u = np.array([0.5, 2.0])
         kernel_eval("biweight", u)
@@ -322,6 +355,7 @@ class TestPackedKde:
             (np.zeros((0, 2)), [1.0, 1.0], "matrix"),
             (np.zeros((3, 2)), [1.0], "bandwidths"),
             (np.zeros((3, 2)), [1.0, 0.0], "positive"),
+            (np.zeros((3, 2)), [1.0, MIN_BANDWIDTH / 2], "positive"),
             (np.array([[0.0, np.nan]]), [1.0, 1.0], "finite"),
         ],
     )
