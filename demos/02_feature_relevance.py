@@ -2,19 +2,20 @@
 
 Builds a small labeled matrix where only a few variables carry signal,
 tabulates the Hellinger distance between class-conditional densities, and
-walks the greedy class-specific selection with its explanation trace.
+walks the greedy class-specific selection. Its trace is the explanation:
+each step names the variable that entered, the class pair it entered for,
+and that pair's power right after.
 """
 
 import numpy as np
 
 from xnb import (
     Dataset,
-    explain_selection,
+    SelectionConfig,
     fit_fnb,
     hellinger_table,
     select_class_specific,
 )
-from xnb.selection import SelectionConfig
 
 rng = np.random.default_rng(7)
 
@@ -56,16 +57,20 @@ print("\nselected variables per class (threshold 0.999):")
 for c in fmap.classes:
     print(f"  {c}: {list(fmap.features[c])}")
 
-rows, membership = explain_selection(fmap)
 print("\ngreedy trace (which variable entered for which pair, and why):")
-for r in rows:
-    print(
-        f"  class {r.class_label}: step {r.order} added {r.variable!r} "
-        f"for pair vs {r.other_class} (H={r.h:.3f}) -> power {r.attained:.6f}"
-    )
+for c in fmap.classes:
+    for i, s in enumerate(fmap.steps[c]):
+        print(
+            f"  class {c}: step {i} added {s.variable!r} "
+            f"for pair vs {s.other_class} (H={s.h:.3f}) -> power {s.attained:.6f}"
+        )
+
+# a class whose pairs stay at or below the threshold with every variable
+# taken is exhausted: it keeps every variable
+print("\nexhausted (ran out of candidates):", fmap.exhausted)
 
 print("\nmembership matrix over the union of selected variables:")
 union = fmap.union()
 print(f"  {'':3s}" + "".join(f"{v:>8s}" for v in union))
 for c in fmap.classes:
-    print(f"  {c:3s}" + "".join(f"{membership[c][v]:>8d}" for v in union))
+    print(f"  {c:3s}" + "".join(f"{int(v in fmap.features[c]):>8d}" for v in union))

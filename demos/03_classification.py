@@ -70,7 +70,7 @@ for c in xnb_model.classes:
     marker = " <-- argmax" if c == pred.label else ""
     print(
         f"  {c}: log score {pred.log_scores[c]:9.2f} "
-        f"using {len(pred.used_features[c])} variables{marker}"
+        f"using {xnb_model.features.count(c)} variables{marker}"
     )
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -46,7 +46,6 @@ from .kde import (
 from .selection import (
     ClassFeatureMap,
     SelectionConfig,
-    explain_selection,
     select_class_specific,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "ClassFeatureMap",
     "SelectionConfig",
     "select_class_specific",
-    "explain_selection",
     "XnbConfig",
     "XnbModel",
     "GnbModel",

@@ -76,7 +76,6 @@ class XnbConfig:
 class Prediction:
     label: str
     log_scores: dict[str, float]
-    used_features: dict[str, tuple[str, ...]]
 
 
 def _check_priors(priors: dict[str, float], classes) -> None:
@@ -258,7 +257,6 @@ def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
     features = ClassFeatureMap(
         classes=d.classes,
         features={c: d.variable_names for c in d.classes},
-        theta=config.theta,
     )
 
     return XnbModel(
@@ -349,15 +347,13 @@ def score(model: XnbModel | GnbModel, values) -> Prediction:
             c: float(math.log(model.priors[c]) + log_density[i].sum())
             for i, c in enumerate(model.classes)
         }
-        used = {c: model.variable_names for c in model.classes}
     else:
         floor = model.config.floor
         log_scores = {}
         for c in model.classes:
             density = model.kde_bank[c].density_at(values[model.class_positions[c]])
             log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, floor)).sum())
-        used = dict(model.features.features)
-    return Prediction(label=_pick_label(log_scores, model.priors), log_scores=log_scores, used_features=used)
+    return Prediction(label=_pick_label(log_scores, model.priors), log_scores=log_scores)
 
 
 def predict(model: XnbModel | GnbModel, sample) -> Prediction:
@@ -525,7 +521,6 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
         features = ClassFeatureMap(
             classes=classes,
             features={c: tuple(payload["features"][c]) for c in classes},
-            theta=config.theta,
         )
         bank = {
             c: PackedKde(array(entry["samples"]), array(entry["h"]), entry["kernel"])

@@ -27,9 +27,9 @@ from .diagnostics import (
 )
 from .errors import DataError, XnbError
 from .evaluation import DEFAULT_METHODS, METHODS, check_methods, emit_report, evaluate_cv
-from .hellinger import MAX_MU, hellinger_table
+from .hellinger import MAX_MU, HellingerTable, hellinger_table
 from .kde import BANDWIDTH_RULES, DEFAULT_KERNEL, DEFAULT_MU, DEFAULT_RULE, KERNELS
-from .selection import DEFAULT_THETA
+from .selection import DEFAULT_THETA, SelectionConfig, select_class_specific
 
 
 class _UsageError(Exception):
@@ -85,6 +85,15 @@ def _config_from(args) -> XnbConfig:
     """The pipeline settings of a verb's flags; a verb without --theta keeps the default."""
     theta = getattr(args, "theta", DEFAULT_THETA)
     return XnbConfig(kernel=args.kernel, bandwidth_rule=args.bandwidth, mu=args.mu, theta=theta)
+
+
+def _table_from(args) -> HellingerTable:
+    """The Hellinger table of a verb's --data, built as ``fit_xnb`` builds it."""
+    d = load_csv(args.data, args.class_col)
+    config = _config_from(args)
+    # the all-variable model's bank is the one the table is built from
+    bank = fit_fnb(d, config).kde_bank
+    return hellinger_table(d, bank, mu=config.mu, jobs=args.jobs)
 
 
 def _cmd_fit(args) -> int:
@@ -158,21 +167,23 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    d = load_csv(args.data, args.class_col)
-    model = fit_xnb(d, _config_from(args), jobs=args.jobs)
-    fmap = model.features
-    payload = {
-        c: [
+    table = _table_from(args)
+    fmap = select_class_specific(table, SelectionConfig(theta=args.theta))
+    row = {v: j for j, v in enumerate(table.variable_names)}
+    payload = {}
+    for c in fmap.classes:
+        columns = {other: table.pair_column(c, other) for other in table.classes if other != c}
+        payload[c] = [
             {
-                "variable": v,
+                "variable": s.variable,
                 "pairs": [
-                    {"other_class": other, "h": h} for other, h in fmap.pair_h[c][v].items()
+                    {"other_class": other, "h": float(h[row[s.variable]])} for other, h in columns.items()
                 ],
+                "entered_for": s.other_class,
+                "attained": s.attained,
             }
-            for v in fmap.features[c]
+            for s in fmap.steps[c]
         ]
-        for c in fmap.classes
-    }
     write_json(payload, args.out)
     return 0
 
@@ -193,11 +204,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_inspect_hellinger(args) -> int:
-    d = load_csv(args.data, args.class_col)
-    config = _config_from(args)
-    # the all-variable model's bank is the one the table is built from
-    bank = fit_fnb(d, config).kde_bank
-    table = hellinger_table(d, bank, mu=config.mu, jobs=args.jobs)
+    table = _table_from(args)
     lines = ["variable\tclass_i\tclass_j\th"]
     for v, ci, cj, h in table.rows():
         lines.append(f"{v}\t{ci}\t{cj}\t{h:.6f}")

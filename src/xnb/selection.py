@@ -6,7 +6,11 @@ For each class the selector walks its class pairs in sorted label order
 and greedily adds the highest-H variable for the current pair until the
 pair's contribution pushes the power past the threshold, reusing variables
 selected for earlier pairs. If candidates run out first, every variable is
-selected.
+selected and the class is marked exhausted.
+
+The greedy trace is the one explanation of a selection: each step names
+the variable that entered, the class pair it entered for, that pair's H
+and the pair's power right after it entered.
 """
 
 from __future__ import annotations
@@ -38,22 +42,22 @@ class SelectionStep:
     other_class: str
     h: float
     attained: float  # the pair's 1 - residual right after this addition
-    order: int       # 0-based entry order within the class's subset
 
 
 @dataclass(frozen=True)
 class ClassFeatureMap:
     """Ordered selected variables per class, with the trace that chose them.
 
-    ``pair_h`` retains each selected variable's Hellinger distance against
-    every other class, for explanation output.
+    ``steps[c][i]`` is the addition of ``features[c][i]``. ``exhausted[c]``
+    is true when some pair of class c is still at or below the threshold
+    with every variable taken. Both are empty on a map that no selection
+    made (a loaded model, or fnb).
     """
 
     classes: tuple[str, ...]
     features: dict[str, tuple[str, ...]]
     steps: dict[str, tuple[SelectionStep, ...]] = field(default_factory=dict)
-    pair_h: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
-    theta: float = DEFAULT_THETA
+    exhausted: dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
         for c in self.classes:
@@ -86,13 +90,6 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
     m = len(names)
     if len(table.classes) < 2:
         warnings.warn("single-class table: nothing to discriminate, empty selection")
-        return ClassFeatureMap(
-            classes=table.classes,
-            features={c: () for c in table.classes},
-            steps={c: () for c in table.classes},
-            pair_h={c: {} for c in table.classes},
-            theta=cfg.theta,
-        )
 
     # ties in H resolve to the lexicographically smaller name: each pair's
     # candidate order sorts by -H, then by the name's rank
@@ -102,11 +99,12 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
     orders = {pair: np.lexsort((name_rank, -table.pair_column(*pair))) for pair in table.class_pairs}
     features: dict[str, tuple[str, ...]] = {}
     steps: dict[str, tuple[SelectionStep, ...]] = {}
-    pair_h: dict[str, dict[str, dict[str, float]]] = {}
+    exhausted: dict[str, bool] = {}
     for ci in table.classes:
         selected: list[int] = []
         taken = np.zeros(m, dtype=bool)
         trace: list[SelectionStep] = []
+        exhausted[ci] = False
         for cj in table.classes:
             if cj == ci:
                 continue
@@ -130,45 +128,12 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = N
                         other_class=cj,
                         h=float(h_pair[j]),
                         attained=1.0 - residual,
-                        order=len(selected) - 1,
                     )
                 )
+            # the loop stops short of theta only when no candidate is left
+            exhausted[ci] |= bool(1.0 - residual <= cfg.theta)
         features[ci] = tuple(names[j] for j in selected)
         steps[ci] = tuple(trace)
-        pair_h[ci] = {
-            v: {cj: table.value(v, ci, cj) for cj in table.classes if cj != ci}
-            for v in features[ci]
-        }
     return ClassFeatureMap(
-        classes=table.classes, features=features, steps=steps, pair_h=pair_h, theta=cfg.theta
+        classes=table.classes, features=features, steps=steps, exhausted=exhausted
     )
-
-
-@dataclass(frozen=True)
-class ExplanationRow:
-    class_label: str
-    variable: str
-    other_class: str
-    h: float
-    attained: float
-    order: int
-
-
-def explain_selection(fmap: ClassFeatureMap):
-    """Flatten the greedy trace into explanation rows plus a membership matrix.
-
-    Returns ``(rows, membership)`` where membership maps each class to a
-    0/1 indicator over the union of selected variables.
-    """
-    rows = [
-        ExplanationRow(c, s.variable, s.other_class, s.h, s.attained, s.order)
-        for c in fmap.classes
-        for s in fmap.steps.get(c, ())
-    ]
-    if not rows and all(not fmap.features[c] for c in fmap.classes):
-        warnings.warn("empty selection: no class pairs to explain")
-    union = fmap.union()
-    membership = {
-        c: {v: int(v in fmap.features[c]) for v in union} for c in fmap.classes
-    }
-    return rows, membership

@@ -142,7 +142,7 @@ def test_criterion_5_selection_semantics():
     names = tuple(f"v{i}" for i in range(7))
     zero = HellingerTable(names, ("A", "B"), np.zeros((7, 1)))
     zmap = select_class_specific(zero)
-    b_ok = all(set(zmap.features[c]) == set(names) for c in ("A", "B"))
+    b_ok = all(set(zmap.features[c]) == set(names) and zmap.exhausted[c] for c in ("A", "B"))
 
     # (c) the documented two-variable greedy trace
     two = HellingerTable(("v1", "v2"), ("A", "B"), np.array([[0.99], [0.95]]))
@@ -150,6 +150,7 @@ def test_criterion_5_selection_semantics():
     steps = tmap.steps["A"]
     c_ok = (
         tmap.features["A"] == ("v1", "v2")
+        and not tmap.exhausted["A"]
         and abs(steps[0].attained - 0.99) < 1e-12
         and abs(steps[1].attained - 0.9995) < 1e-12
     )

@@ -152,11 +152,6 @@ class TestPredictXnb:
             perturbed[model.feature_columns[c]] += 10.0
             assert predict_xnb(model, perturbed).log_scores[c] != base[c]
 
-    def test_used_features_reported(self, separated_two_class):
-        model = fit_xnb(separated_two_class)
-        pred = predict_xnb(model, np.zeros(21))
-        assert pred.used_features["A"] == ("g1",)
-
     def test_scores_independent_of_grid_resolution(self, separated_two_class):
         # mu only shapes the selection-time distance grid; once the same
         # variables are selected, scoring is an exact sum over samples
@@ -194,7 +189,7 @@ class TestScoredColumns:
         model = FITS[method](d)
         for row in rng.normal(0.0, 3.0, size=(5, d.m)):
             a, b = predict(model, row), score(model, row[model.scored_columns])
-            assert (a.label, a.log_scores, a.used_features) == (b.label, b.log_scores, b.used_features)
+            assert (a.label, a.log_scores) == (b.label, b.log_scores)
 
     def test_predict_checks_the_full_row(self, separated_three_class):
         d, _ = separated_three_class

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xnb
-from xnb.classifier import fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
+from xnb.classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
 from xnb.cli import build_parser, main
 from xnb.dataset import Dataset, save_csv
 from xnb.evaluation import METHODS
-from xnb.hellinger import MAX_MU
+from xnb.hellinger import MAX_MU, hellinger_table
+from xnb.selection import SelectionConfig, select_class_specific
 from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
 
 
@@ -543,7 +544,7 @@ class TestSelect:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"c0", "c1"}
         entry = payload["c0"][0]
-        assert set(entry) == {"variable", "pairs"}
+        assert set(entry) == {"variable", "pairs", "entered_for", "attained"}
         assert entry["pairs"][0]["other_class"] == "c1"
         assert 0.0 <= entry["pairs"][0]["h"] <= 1.0
 
@@ -554,6 +555,36 @@ class TestSelect:
         tight = json.loads(capsys.readouterr().out)
         assert sum(len(v) for v in tight.values()) >= sum(len(v) for v in loose.values())
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            XnbConfig(),
+            XnbConfig(kernel="uniform", bandwidth_rule="scott", mu=20, theta=0.5),
+            XnbConfig(bandwidth_rule="silverman_adaptive", theta=0.999999),
+        ],
+    )
+    def test_entries_are_the_fitted_features_trace_and_table(self, tmp_path, capsys, config):
+        d, _ = make_separated(n=45, m=8, k=3, seed=9)
+        path = tmp_path / "train.csv"
+        save_csv(d, path)
+        bandwidth = config.bandwidth_rule.replace("_", "-")
+        flags = ["--data", str(path), "--kernel", config.kernel, "--bandwidth", bandwidth,
+                 "--mu", str(config.mu), "--theta", repr(config.theta)]
+        assert main(["select", *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["fit", *flags, "--model", str(tmp_path / "m.json")]) == 0
+        fitted = json.loads((tmp_path / "m.json").read_text())["features"]
+        table = hellinger_table(d, fit_fnb(d, config).kde_bank, mu=config.mu)
+        fmap = select_class_specific(table, SelectionConfig(theta=config.theta))
+        assert list(payload) == list(d.classes)
+        for c, entries in payload.items():
+            assert [e["variable"] for e in entries] == fitted[c]
+            trace = [(s.other_class, s.attained) for s in fmap.steps[c]]
+            assert [(e["entered_for"], e["attained"]) for e in entries] == trace
+            for e in entries:
+                assert [p["other_class"] for p in e["pairs"]] == [o for o in d.classes if o != c]
+                for p in e["pairs"]:
+                    assert p["h"].hex() == table.value(e["variable"], c, p["other_class"]).hex()
 
     def test_values_near_the_largest_float_fit_silently(self, tmp_path):
         path = tmp_path / "near.csv"

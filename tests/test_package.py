@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import xnb
+import xnb.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,6 +16,37 @@ def test_every_export_resolves():
     missing = [name for name in xnb.__all__ if not hasattr(xnb, name)]
     assert missing == []
     assert len(set(xnb.__all__)) == len(xnb.__all__)
+
+
+def _xnb_attribute_chains(tree: ast.AST):
+    """Each dotted name ``xnb.a.b...`` in a module, as ("a", "b", ...), prefixes included."""
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "xnb":
+            yield tuple(reversed(chain))
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the benchmark reaches the library through attributes of the xnb module;
+    # a refactor that drops one would otherwise fail only the benchmark's own run
+    chains = {
+        (path.name, chain)
+        for path in sorted((ROOT / "bench").glob("*.py"))
+        for chain in _xnb_attribute_chains(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert chains  # the benchmark does read the library through the module
+    missing = []
+    for name, chain in sorted(chains):
+        target = xnb
+        for attr in chain:
+            if not hasattr(target, attr):
+                missing.append(f"{name}: xnb.{'.'.join(chain)}")
+                break
+            target = getattr(target, attr)
+    assert missing == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from tests.oracles import discriminatory_power
 from xnb.hellinger import HellingerTable
-from xnb.selection import (
-    ClassFeatureMap,
-    SelectionConfig,
-    SelectionStep,
-    explain_selection,
-    select_class_specific,
-)
+from xnb.selection import SelectionConfig, SelectionStep, select_class_specific
 
 
 def two_class_table(h_by_variable: dict[str, float]) -> HellingerTable:
@@ -38,11 +32,13 @@ def exhaustive_minimum(h_by_variable: dict[str, float], theta: float) -> int:
 def sorted_oracle(table: HellingerTable, theta: float):
     """The greedy walk with one Python ``sorted`` per class pair, by name.
 
-    Returns ``(features, steps, pair_h)`` as ``select_class_specific`` does.
+    Returns ``(features, steps, exhausted)`` as ``select_class_specific``
+    does. A class is exhausted when, with every variable taken, some pair's
+    power (its product taken in selection order) is still at most theta.
     """
     names = table.variable_names
     m = len(names)
-    features, steps, pair_h = {}, {}, {}
+    features, steps, exhausted = {}, {}, {}
     for ci in table.classes:
         selected, trace = [], []
         for cj in table.classes:
@@ -60,14 +56,19 @@ def sorted_oracle(table: HellingerTable, theta: float):
                 j = order[cursor]
                 selected.append(names[j])
                 residual *= 1.0 - h_pair[j]
-                step = SelectionStep(names[j], cj, float(h_pair[j]), 1.0 - residual, len(selected) - 1)
-                trace.append(step)
+                trace.append(SelectionStep(names[j], cj, float(h_pair[j]), 1.0 - residual))
         features[ci] = tuple(selected)
         steps[ci] = tuple(trace)
-        pair_h[ci] = {
-            v: {cj: table.value(v, ci, cj) for cj in table.classes if cj != ci} for v in selected
-        }
-    return features, steps, pair_h
+        short = []
+        for cj in table.classes:
+            if cj == ci:
+                continue
+            residual = 1.0
+            for v in selected:
+                residual *= 1.0 - table.value(v, ci, cj)
+            short.append(1.0 - residual <= theta)
+        exhausted[ci] = len(selected) == m and any(short)
+    return features, steps, exhausted
 
 
 @st.composite
@@ -146,6 +147,21 @@ class TestSelect:
         for c in ("A", "B"):
             assert set(fmap.features[c]) == set(names)
 
+    def test_unreachable_theta_exhausts_every_class(self):
+        names = tuple(f"v{i}" for i in range(6))
+        table = HellingerTable(names, ("A", "B", "C"), np.zeros((6, 3)))
+        fmap = select_class_specific(table)
+        assert fmap.exhausted == {"A": True, "B": True, "C": True}
+        assert all(fmap.count(c) == 6 for c in table.classes)
+
+    def test_last_variable_past_theta_is_not_exhausted(self):
+        # the pair needs both variables, and the second carries it past theta:
+        # every variable is taken, yet no pair ran out of candidates
+        table = two_class_table({"v1": 0.99, "v2": 0.95})
+        fmap = select_class_specific(table, SelectionConfig(theta=0.999))
+        assert fmap.features == {"A": ("v1", "v2"), "B": ("v1", "v2")}
+        assert fmap.exhausted == {"A": False, "B": False}
+
     def test_threshold_is_strict(self):
         # power exactly theta must not stop the loop
         theta = 0.5
@@ -195,11 +211,11 @@ class TestSelect:
             for other in table.classes:
                 if other == c:
                     continue
-                pair_steps = [s for s in fmap.steps[c] if s.other_class == other]
+                pair_steps = [i for i, s in enumerate(fmap.steps[c]) if s.other_class == other]
                 if not pair_steps:
                     continue
                 last = pair_steps[-1]
-                before = [v for v in selected[: last.order]]
+                before = [v for v in selected[:last]]
                 residual = 1.0
                 for v in before:
                     residual *= 1.0 - table.value(v, c, other)
@@ -218,10 +234,10 @@ class TestSelectionProperties:
     def test_equals_sorted_oracle(self, case):
         table, theta = case
         fmap = select_class_specific(table, SelectionConfig(theta=theta))
-        features, steps, pair_h = sorted_oracle(table, theta)
+        features, steps, exhausted = sorted_oracle(table, theta)
         assert fmap.features == features
         assert fmap.steps == steps
-        assert fmap.pair_h == pair_h
+        assert fmap.exhausted == exhausted
 
     @settings(max_examples=100, deadline=None)
     @given(tied_tables())
@@ -242,32 +258,3 @@ class TestConfig:
         with pytest.raises(ValueError):
             SelectionConfig(theta=theta)
 
-
-class TestExplain:
-    def test_single_variable_selection(self):
-        table = two_class_table({"v": 0.9995})
-        fmap = select_class_specific(table)
-        rows, membership = explain_selection(fmap)
-        assert len(rows) == 2  # one entry per class
-        assert all(r.attained > 0.999 for r in rows)
-        assert membership == {"A": {"v": 1}, "B": {"v": 1}}
-
-    def test_membership_matrix_shape(self):
-        rng = np.random.default_rng(8)
-        names = tuple(f"v{i}" for i in range(10))
-        distances = rng.uniform(0.8, 1.0, size=(10, 10))
-        classes = tuple("ABCDE")
-        table = HellingerTable(names, classes, distances)
-        fmap = select_class_specific(table)
-        rows, membership = explain_selection(fmap)
-        union = fmap.union()
-        assert set(membership) == set(classes)
-        for c in classes:
-            assert set(membership[c]) == set(union)
-            assert set(v for v, bit in membership[c].items() if bit) == set(fmap.features[c])
-
-    def test_empty_selection_warns(self):
-        fmap = ClassFeatureMap(classes=("A",), features={"A": ()})
-        with pytest.warns(UserWarning, match="empty selection"):
-            rows, membership = explain_selection(fmap)
-        assert rows == []
