@@ -28,10 +28,13 @@ DEFAULT_R_MIN = 0.7
 DEFAULT_MAX_PAIRS = 200_000
 # Bytes per side of a dependence-scan step, which takes max(1, CI_STEP_BYTES
 # // 8n) pairs: the scan holds the (m, n) residuals plus two gathered blocks
-# of at most 4 MiB each, whatever n (one row a side above n = 524 288). When
-# sampling, the sampler holds one int64 per pair of all m(m-1)/2 while the cap
-# exceeds a 50th of them (27 MB at m = 2 500 under the default cap).
-CI_STEP_BYTES = 4 << 20
+# of at most 1 MiB each, whatever n (one row a side above n = 131 072), and
+# decodes each step's pair indices as it goes. A sampled scan also holds its
+# cap of int64 pair indices (1.6 MB under the default cap), whatever m.
+CI_STEP_BYTES = 1 << 20
+# blocks the pair sampler cuts the m(m-1)/2 pair indices into: it draws
+# within one block at a time, so no array spans every pair
+_SAMPLE_BLOCKS = 32
 
 # Royston 1992 polynomial coefficients, ascending powers.
 _G = (-2.273, 0.459)
@@ -109,7 +112,8 @@ def _scale_to_unit(x: np.ndarray, axis: int) -> np.ndarray:
     Exact in the normal range, and it keeps squares of values near the
     largest float finite; W and r do not depend on the scale.
     """
-    _, exponent = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
+    largest = np.maximum(x.max(axis=axis, keepdims=True), -x.min(axis=axis, keepdims=True))
+    _, exponent = np.frexp(largest)
     return np.ldexp(x, -exponent, out=x)
 
 
@@ -272,24 +276,45 @@ def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def _decode_pair(linear: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear indices in [0, m(m-1)/2) to (i, j) with i < j."""
-    linear = linear.astype(np.float64)
-    b = 2.0 * m - 1.0
-    i = np.floor((b - np.sqrt(b * b - 8.0 * linear)) / 2.0).astype(np.int64)
-    # guard against float rounding at block boundaries
-    first = i * (2 * m - i - 1) // 2
-    i = np.where(linear.astype(np.int64) < first, i - 1, i)
-    first = i * (2 * m - i - 1) // 2
-    j = linear.astype(np.int64) - first + i + 1
-    return i, j
+    """Map linear indices in [0, m(m-1)/2) to (i, j) with i < j, in ``triu_indices`` order.
+
+    Row i starts at i(b - i)/2 with b = 2m - 1, so i is the floor of the
+    smaller root of i^2 - b i + 2 linear. Rounding can put the float root
+    one row late at a row's last pair (it does at m = 1.3e8), which the
+    guard takes back; at a row's first pair b^2 - 8 linear is a square,
+    whose root is exact while b^2 < 2^53.
+    """
+    linear = np.asarray(linear, dtype=np.int64)
+    b = 2 * m - 1
+    i = ((b - np.sqrt(float(b * b) - 8.0 * linear)) * 0.5).astype(np.int64)
+    i -= linear < i * (b - i) // 2
+    return i, linear - i * (b - i) // 2 + i + 1
 
 
-def _sample_pairs(m: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cap`` distinct pairs drawn uniformly from all m(m-1)/2, in linear order."""
+def _sample_pairs(m: int, cap: int, seed: int) -> np.ndarray:
+    """``cap`` distinct linear pair indices drawn uniformly from all m(m-1)/2, sorted.
+
+    Each index is first kept with probability p, block by block: a
+    Bernoulli sample, which is uniform given its size. p puts the expected
+    number kept 6 sqrt(cap) + 16 above ``cap``, about six standard
+    deviations, and every block count is redrawn in the rare case that
+    fewer were kept. A uniform subset of the surplus is then dropped, so
+    the result is uniform among all subsets of size ``cap``. It holds
+    O(cap) indices, whatever m.
+    """
     total = m * (m - 1) // 2
     rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = np.sort(rng.choice(total, size=cap, replace=False))
-    return _decode_pair(chosen, m)
+    starts = [total * block // _SAMPLE_BLOCKS for block in range(_SAMPLE_BLOCKS + 1)]
+    sizes = np.diff(starts)
+    p = min(1.0, (cap + 6.0 * math.sqrt(cap) + 16.0) / total)
+    counts = rng.binomial(sizes, p)
+    while counts.sum() < cap:
+        counts = rng.binomial(sizes, p)
+    kept = np.concatenate([
+        start + np.sort(rng.choice(size, count, replace=False, shuffle=False))
+        for start, size, count in zip(starts, sizes.tolist(), counts.tolist())
+    ])
+    return np.delete(kept, rng.choice(kept.size, kept.size - cap, replace=False, shuffle=False))
 
 
 @dataclass(frozen=True)
@@ -337,18 +362,17 @@ def conditional_independence_scan(
 
     total = m * (m - 1) // 2
     sampled = max_pairs is not None and total > max_pairs
-    if sampled:
-        ii, jj = _sample_pairs(m, max_pairs, seed)
-    else:
-        ii, jj = np.triu_indices(m, k=1)
+    linear = _sample_pairs(m, max_pairs, seed) if sampled else None
+    count = linear.size if sampled else total
 
     dof = d.n - 2
     names = d.variable_names
     flagged = []
     skipped = 0
     step = max(1, CI_STEP_BYTES // (8 * d.n))
-    for lo in range(0, ii.size, step):
-        bi, bj = ii[lo : lo + step], jj[lo : lo + step]
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        bi, bj = _decode_pair(linear[lo:hi] if sampled else np.arange(lo, hi), m)
         r = np.clip(np.einsum("ij,ij->i", unit[bi], unit[bj]), -1.0, 1.0)
         finite = np.isfinite(r)
         skipped += int(r.size - finite.sum())
@@ -367,7 +391,7 @@ def conditional_independence_scan(
     involved = sorted({a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged})
     return CiScanResult(
         ratio=len(involved) / m,
-        examined_pairs=int(ii.size - skipped),
+        examined_pairs=count - skipped,
         flagged=tuple(flagged),
         skipped_pairs=skipped,
         sampled=sampled,

@@ -19,6 +19,7 @@ depend on it.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset
-from .kde import DEFAULT_MU, PackedKde
+from .kde import DEFAULT_MU, KERNELS, PackedKde, kernel_eval
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -38,6 +39,9 @@ _BLOCK = 1024
 # the most grid points per variable: one class's grid densities over a block,
 # mu x _BLOCK float64, then take at most 8 MiB
 MAX_MU = 8 * 2**20 // (8 * _BLOCK)
+# a power of two at least MAX_MU times the largest K(0): every density is at
+# most K(0) / h < 5e307, so a grid column divided by it sums to a finite total
+_TOTAL_SCALE = 2.0 ** math.ceil(math.log2(MAX_MU * max(kernel_eval(k, 0.0) for k in KERNELS)))
 
 
 def hellinger(p, q):
@@ -121,13 +125,19 @@ class HellingerTable:
                 yield v, ci, cj, float(h)
 
 
+def _column_totals(dens):
+    """Sum of each column of ``dens``, each as one contiguous vector: pairwise."""
+    return np.ascontiguousarray(dens.T).sum(axis=1)
+
+
 def _block_distances(densities, mu, lo, hi):
     """Table rows ``lo:hi`` and the number of zero-sum columns among them.
 
     ``densities`` cover the same variables and share one kernel. Each
     variable gets ``mu`` equally spaced grid points over its range in all
     classes (widened to +-1 around a constant variable); each class's grid
-    densities are sum-normalized (a zero-sum column becomes uniform), their
+    densities are sum-normalized (a zero-sum column becomes uniform, and a
+    column whose total overflows is first divided by ``_TOTAL_SCALE``), their
     square roots are taken once, and every class pair is compared as
     ``hellinger`` compares it.
     """
@@ -143,7 +153,12 @@ def _block_distances(densities, mu, lo, hi):
     zero_sum_columns = 0
     for p in blocks:
         dens = p.on_grid(grids)
-        totals = np.ascontiguousarray(dens.T).sum(axis=1)  # each column as one vector: pairwise
+        with np.errstate(over="ignore"):
+            totals = _column_totals(dens)
+        huge = np.isinf(totals)  # densities near 5e307, from bandwidths near the smallest
+        if huge.any():
+            dens[:, huge] /= _TOTAL_SCALE
+            totals[huge] = _column_totals(dens[:, huge])
         zero = totals <= 0.0
         if zero.any():
             zero_sum_columns += int(zero.sum())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,14 @@ def corrupt_node(payload: dict, path: tuple[str, ...], replace) -> None:
     for name in parents:
         payload = payload[name]
     payload[key] = replace(payload[key])
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

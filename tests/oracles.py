@@ -13,9 +13,10 @@ the two agree bit for bit. ``v2_payload`` is the version 2 model-file
 writer, whose arrays are nested lists of decimal floats; the library still
 reads that layout.
 ``column_layout_ci_scan`` is the library's former dependence scan: unit
-residuals kept one variable per column, and each step of 16 384 pairs
-gathers two strided (n, step) column blocks and reduces them over the
-samples; every step also computes p-values, for however few strong pairs.
+residuals kept one variable per column, all pairs decoded up front (or
+``triu_indices`` when exhaustive), and each step of 16 384 pairs gathers
+two strided (n, step) column blocks and reduces them over the samples;
+every step also computes p-values, for however few strong pairs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from xnb.classifier import GnbModel
 from xnb.diagnostics import (
     CiScanResult,
     _betainc,
+    _decode_pair,
     _sample_pairs,
     _scale_to_unit,
     within_class_residuals,
@@ -294,7 +296,7 @@ def column_layout_ci_scan(d, p_max: float, r_min: float, max_pairs: int | None, 
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = np.where(degenerate, np.nan, 1.0) * residuals / np.where(degenerate, 1.0, norms)
     sampled = max_pairs is not None and m * (m - 1) // 2 > max_pairs
-    ii, jj = _sample_pairs(m, max_pairs, seed) if sampled else np.triu_indices(m, k=1)
+    ii, jj = _decode_pair(_sample_pairs(m, max_pairs, seed), m) if sampled else np.triu_indices(m, k=1)
     names = d.variable_names
     flagged = []
     skipped = 0

@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -21,6 +20,7 @@ from xnb.diagnostics import (
 )
 from xnb.errors import DataError
 
+from tests.conftest import traced_peak
 from tests.oracles import column_layout_ci_scan
 
 
@@ -365,18 +365,36 @@ class TestConditionalIndependenceScan:
         assert result == expected
 
     def test_tall_scan_memory_is_bounded_by_steps(self):
-        # the residuals plus two gathered blocks of at most 4 MiB each; the
-        # former column layout gathered two (n, 780) blocks, 31 MB each
+        # the residuals plus two gathered blocks of at most CI_STEP_BYTES
+        # each; the former column layout gathered two (n, 780) blocks, 31 MB each
         d = _noise_dataset(16, n=5000, m=40)  # 780 pairs
-        bound = 2 * (4 << 20) + 3 * d.values.nbytes  # 12.6 MiB
-        tracemalloc.start()
-        try:
-            result = conditional_independence_scan(d, max_pairs=None)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        bound = 2 * diagnostics_module.CI_STEP_BYTES + 3 * d.values.nbytes  # 6.6 MiB
+        result, peak = traced_peak(lambda: conditional_independence_scan(d, max_pairs=None))
         assert result.examined_pairs == 780
         assert peak < bound
+
+    def test_exhaustive_scan_memory_is_bounded_by_steps(self):
+        # each step decodes its own pair indices: the unit residuals, two
+        # gathered blocks and one step's indices, where the (2, m(m-1)/2)
+        # int64 `triu_indices` alone took 18 MB
+        conditional_independence_scan(_noise_dataset(17, n=40, m=10), max_pairs=None)  # numpy's lazy imports
+        d = _noise_dataset(17, n=40, m=1500)  # 1 124 250 pairs
+        bound = d.values.nbytes + 2 * diagnostics_module.CI_STEP_BYTES + (1 << 20)  # 3.5 MiB
+        result, peak = traced_peak(lambda: conditional_independence_scan(d, max_pairs=None))
+        assert result.examined_pairs == 1500 * 1499 // 2
+        assert peak < bound
+
+
+def _exact_pair(linear: int, m: int) -> tuple[int, int]:
+    """(i, j) of a linear pair index by integer bisection over the row starts."""
+    lo, hi = 0, m - 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + 1) * (2 * m - mid - 2) // 2 > linear:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, linear - lo * (2 * m - lo - 1) // 2 + lo + 1
 
 
 class TestPairDecoding:
@@ -389,23 +407,100 @@ class TestPairDecoding:
             ii, jj = _decode_pair(np.arange(total, dtype=np.int64), m)
             assert list(zip(ii.tolist(), jj.tolist())) == expected
 
-    def test_sampled_pairs_are_valid_and_unique(self):
-        from xnb.diagnostics import _sample_pairs
+    def test_decoding_equals_triu_indices(self):
+        from xnb.diagnostics import _decode_pair
 
-        ii, jj = _sample_pairs(m=100, cap=500, seed=1)
+        for m in [*range(2, 200), 1000, 4472]:
+            ii, jj = _decode_pair(np.arange(m * (m - 1) // 2), m)
+            ti, tj = np.triu_indices(m, k=1)
+            assert np.array_equal(ii, ti) and np.array_equal(jj, tj), m
+
+    @pytest.mark.parametrize("m", [10**5, 10**6, 10**8, 130_000_000])
+    def test_row_boundaries_at_large_m(self, m):
+        # the first and last pair of random rows, where float rounding of
+        # the row could put it one off (at every row's last pair at 1.3e8)
+        from xnb.diagnostics import _decode_pair
+
+        rows = np.random.default_rng(m).integers(1, m - 1, 300)
+        starts = rows * (2 * m - rows - 1) // 2
+        linear = np.concatenate([starts, starts - 1, [0, m * (m - 1) // 2 - 1]])
+        ii, jj = _decode_pair(linear, m)
+        assert list(zip(ii.tolist(), jj.tolist())) == [_exact_pair(v, m) for v in linear.tolist()]
+
+    def test_sampled_pairs_are_valid_and_unique(self):
+        from xnb.diagnostics import _decode_pair, _sample_pairs
+
+        ii, jj = _decode_pair(_sample_pairs(m=100, cap=500, seed=1), 100)
         assert ii.size == 500
         assert np.all(ii < jj)
         assert np.all(jj < 100)
         assert len({(a, b) for a, b in zip(ii.tolist(), jj.tolist())}) == 500
 
     def test_sampled_pairs_cover_the_whole_range(self):
-        from xnb.diagnostics import DEFAULT_MAX_PAIRS, _sample_pairs
+        from xnb.diagnostics import DEFAULT_MAX_PAIRS, _decode_pair, _sample_pairs
 
         m = 2000  # 1,999,000 pairs, ten times the default cap
-        ii, jj = _sample_pairs(m=m, cap=DEFAULT_MAX_PAIRS, seed=0)
+        ii, jj = _decode_pair(_sample_pairs(m=m, cap=DEFAULT_MAX_PAIRS, seed=0), m)
         assert np.all(np.diff(ii * m + jj) > 0)  # sorted in linear order
         assert np.any(ii >= 0.9 * m)  # the first index reaches the top decile
         assert np.any(jj >= 0.9 * m) and np.any(ii < 0.1 * m)
+
+
+@st.composite
+def _sampler_arguments(draw):
+    m = draw(st.integers(2, 3000))
+    total = m * (m - 1) // 2
+    return m, draw(st.integers(0, total)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestPairSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(_sampler_arguments())
+    @example((10, 44, 0))  # cap = total - 1
+    @example((10, 20, 3))  # p = 1: every index is kept, then the surplus dropped
+    @example((2, 1, 0))  # the one pair
+    @example((10**6, 200_000, 5))  # 499 999 500 000 pairs, beyond the hypergeometric's 1e9
+    def test_cap_distinct_sorted_indices_in_range(self, args):
+        from xnb.diagnostics import _sample_pairs
+
+        m, cap, seed = args
+        linear = _sample_pairs(m, cap, seed)
+        assert linear.dtype == np.int64 and linear.shape == (cap,)
+        assert np.all(np.diff(linear) > 0)  # sorted and distinct
+        assert cap == 0 or (linear[0] >= 0 and linear[-1] < m * (m - 1) // 2)
+        assert np.array_equal(_sample_pairs(m, cap, seed), linear)
+
+    @pytest.mark.parametrize(
+        "m, cap",
+        [
+            (40, 20),  # sparse: 780 pairs, p = 0.08
+            (100, 1000),  # 4 950 pairs, p = 0.24
+            (10, 30),  # dense: 45 pairs, p = 1
+        ],
+    )
+    def test_inclusion_is_uniform(self, m, cap):
+        # over 2 000 seeds, each pair's inclusion count is Binomial(2000,
+        # cap / total) at the margin; every count lies within 5 standard
+        # deviations of its mean
+        from xnb.diagnostics import _sample_pairs
+
+        draws = 2000
+        total = m * (m - 1) // 2
+        counts = np.zeros(total, dtype=np.int64)
+        for seed in range(draws):
+            counts[_sample_pairs(m, cap, seed)] += 1
+        q = cap / total
+        assert np.abs(counts - draws * q).max() < 5.0 * math.sqrt(draws * q * (1.0 - q))
+
+    @pytest.mark.parametrize("m", [2500, 4472])
+    def test_memory_is_bounded_by_the_cap(self, m):
+        # numpy's choice without replacement permutes all m(m-1)/2 indices
+        # once the cap exceeds a 50th of them: 27 and 82 MB here
+        from xnb.diagnostics import DEFAULT_MAX_PAIRS, _sample_pairs
+
+        linear, peak = traced_peak(lambda: _sample_pairs(m, DEFAULT_MAX_PAIRS, seed=0))
+        assert linear.size == DEFAULT_MAX_PAIRS
+        assert peak < 10e6
 
 
 class TestReport:

@@ -1,5 +1,4 @@
 import importlib
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import traced_peak
 from tests.oracles import (
     bandwidth,
     broadcast_block_distances,
@@ -265,6 +265,23 @@ class TestTable:
         with pytest.raises(KeyError, match="nope"):
             table.value("nope", "A", "B")
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("scale", [2e-308, 2.5e-308, 3e-308])
+    def test_bandwidths_near_the_smallest_float(self, kernel, scale):
+        # bandwidths near 1e-308 put densities near 1e307 on the grid, whose
+        # column sums overflowed: the distance read 0.0, with a warning
+        column = np.array([0, 1, 2, 3, 4, 5, 6, 2, 3, 1, 4, 6], dtype=np.float64)[:, None]
+        labels = ("A",) * 6 + ("B",) * 6
+
+        def distance(values):
+            d = Dataset(("a",), values, labels)
+            return float(hellinger_table(d, _bank(d, kernel), mu=50).distances[0, 0])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = distance(column * scale)
+        assert tiny == pytest.approx(distance(column), abs=1e-9)
+
 
 def _recorded(fn, *args, **kwargs):
     """``fn``'s result and the messages of the warnings it raised."""
@@ -396,10 +413,5 @@ class TestBroadcastOracle:
     def test_temporary_memory_does_not_scale_with_mu_times_rows(self):
         # the former (mu, n_c, block) temporary alone was 50 * 400 * 256 * 8 B, about 41 MB
         densities = _densities(np.random.default_rng(9), [400, 400, 400], 300, "gaussian")
-        tracemalloc.start()
-        try:
-            hellinger_module._block_distances(densities, 50, 0, 300)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: hellinger_module._block_distances(densities, 50, 0, 300))
         assert peak < 8 * 2**20

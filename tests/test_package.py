@@ -49,10 +49,25 @@ def test_every_name_the_benchmark_reads_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo):
+def _run_demo(demo: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    result = _run_demo(demo)
     assert result.returncode == 0, result.stderr
+
+
+def test_feature_relevance_demo_selects_proper_subsets():
+    # the demo shows minimal per-class subsets: no class may run out of
+    # candidates and take every variable
+    lines = _run_demo("02_feature_relevance.py").stdout.splitlines()
+    exhausted = next(line for line in lines if line.startswith("exhausted"))
+    assert ast.literal_eval(exhausted.split(":", 1)[1].strip()) == {"a": False, "b": False, "c": False}
+    start = next(i for i, line in enumerate(lines) if line.startswith("selected variables per class"))
+    subsets = [ast.literal_eval(line.split(":", 1)[1].strip()) for line in lines[start + 1 : start + 4]]
+    assert all(0 < len(subset) < 8 for subset in subsets)
