@@ -40,8 +40,8 @@ table = hellinger_table(d, bank, mu=50)
 print("Hellinger distance per variable and class pair (0=identical, 1=disjoint):")
 header = "  ".join(f"{ci}/{cj}" for ci, cj in table.class_pairs)
 print(f"  {'variable':8s}  {header}")
-for v in d.variable_names:
-    row = "   ".join(f"{table.value(v, ci, cj):.3f}" for ci, cj in table.class_pairs)
+for v, h in zip(table.variable_names, table.distances):
+    row = "   ".join(f"{x:.3f}" for x in h)
     print(f"  {v:8s}  {row}")
 
 # a subset's power for class a: 1 - prod(1 - H) over every other class

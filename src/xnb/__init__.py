@@ -18,8 +18,6 @@ from .classifier import (
     fit_xnb,
     load_model,
     predict,
-    predict_gnb,
-    predict_xnb,
     save_model,
     score,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "fit_fnb",
     "fit_gnb",
     "predict",
-    "predict_xnb",
-    "predict_gnb",
     "score",
     "save_model",
     "load_model",

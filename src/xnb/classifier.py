@@ -364,10 +364,6 @@ def predict(model: XnbModel | GnbModel, sample) -> Prediction:
     return score(model, sample if len(columns) == model.m else sample[columns])
 
 
-# the names of ``predict`` for each model type
-predict_xnb = predict_gnb = predict
-
-
 def _encode_array(a: np.ndarray) -> dict:
     """An array node: little-endian float64 bytes, row-major, in base64."""
     a = np.ascontiguousarray(a, _ARRAY_DTYPE)
@@ -437,27 +433,8 @@ def _decode_array(node) -> np.ndarray:
 
 
 def _list_array(value) -> np.ndarray:
-    """The float64 array of a v1/v2 nested list."""
+    """The float64 array of a v2 nested list."""
     return np.array(value, dtype=np.float64)
-
-
-def _v1_to_v2(payload: dict) -> dict:
-    """The v2 layout of a v1 payload, whose kde held one entry per (class, variable)."""
-    kde = {}
-    for c, per_var in payload.get("kde", {}).items():  # gnb payloads have none
-        names = payload["features"][c]
-        if set(per_var) != set(names):
-            raise ValueError(f"class {c!r}: kde entries do not match the selected variables")
-        entries = [per_var[v] for v in names]
-        kernels = {e["kernel"] for e in entries}
-        if len(kernels) != 1 or len({len(e["samples"]) for e in entries}) != 1:
-            raise ValueError(f"class {c!r}: kde entries are empty or mix kernels or sample counts")
-        kde[c] = {
-            "kernel": kernels.pop(),
-            "h": [e["h"] for e in entries],
-            "samples": [list(row) for row in zip(*(e["samples"] for e in entries))],
-        }
-    return {**payload, "kde": kde}
 
 
 def _names(value, what: str) -> tuple[str, ...]:
@@ -470,8 +447,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
     """Read a model file written by ``save_model``; predictions round-trip bit-exactly.
 
     Version 3 arrays are decoded from their base64 nodes and checked for
-    dtype, shape and byte count; version 1 and 2 files, whose arrays are
-    nested lists of decimal floats, are still read. Either way the arrays
+    dtype, shape and byte count; version 2 files, whose arrays are nested
+    lists of decimal floats, are still read. Either way the arrays
     then go through the same model constructors, which reject a
     non-finite value. A malformed file is a ``ModelFormatError``.
     """
@@ -488,13 +465,11 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)"
         )
     version = payload.get("version")
-    if version not in (1, 2, MODEL_SCHEMA_VERSION):
+    if version not in (2, MODEL_SCHEMA_VERSION):
         raise ModelFormatError(
-            f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION} (or 1 or 2)"
+            f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION} (or 2)"
         )
     try:
-        if version == 1:
-            payload = _v1_to_v2(payload)
         array = _decode_array if version == MODEL_SCHEMA_VERSION else _list_array
         method = payload["method"]
         classes = _names(payload["classes"], "classes")
@@ -547,8 +522,6 @@ __all__ = [
     "fit_xnb",
     "fit_fnb",
     "fit_gnb",
-    "predict_xnb",
-    "predict_gnb",
     "predict",
     "score",
     "save_model",

@@ -94,14 +94,6 @@ class Dataset:
         labels = np.asarray(self.labels)
         return {c: np.flatnonzero(labels == c) for c in self.classes}
 
-    def column(self, var: int | str) -> np.ndarray:
-        j = self.variable_index[var] if isinstance(var, str) else var
-        return self.values[:, j]
-
-    def class_column(self, cls: str, var: int | str) -> np.ndarray:
-        """Values of one variable restricted to one class."""
-        return self.column(var)[self.class_rows[cls]]
-
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset over a row subset (classes recomputed)."""
         rows = np.asarray(rows)
@@ -115,7 +107,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    generator: str = FOLD_GENERATOR
 
     def test_rows(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)

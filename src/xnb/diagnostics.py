@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -324,7 +324,6 @@ class CiScanResult:
     flagged: tuple[tuple[str, str, float, float], ...]
     skipped_pairs: int
     sampled: bool
-    dependent_variables: tuple[str, ...] = field(default=())
 
 
 def conditional_independence_scan(
@@ -388,14 +387,13 @@ def conditional_independence_scan(
             for k, pk in zip(strong[hit].tolist(), p[hit].tolist())
         ]
 
-    involved = sorted({a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged})
+    involved = {a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged}
     return CiScanResult(
         ratio=len(involved) / m,
         examined_pairs=count - skipped,
         flagged=tuple(flagged),
         skipped_pairs=skipped,
         sampled=sampled,
-        dependent_variables=tuple(involved),
     )
 
 
@@ -417,11 +415,10 @@ class DiagnosticsReport:
     ci_flagged_pairs: tuple[tuple[str, str, float, float], ...]
     ci_skipped_pairs: int
     ci_sampled: bool
-    schema_version: int = 1
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": 1,
             "n_samples": self.n_samples,
             "n_variables": self.n_variables,
             "parameters": {

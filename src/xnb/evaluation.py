@@ -61,8 +61,6 @@ class EvaluationReport:
     fold_accuracies: dict[str, tuple[float, ...]]
     xnb_fold_class_counts: tuple[dict[str, int], ...] | None
     timings: dict[str, float] = field(default_factory=dict)
-    fold_generator: str = FOLD_GENERATOR
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     @property
     def mean_accuracy(self) -> dict[str, float]:
@@ -93,11 +91,11 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "methods": list(self.methods),
             "k": self.k,
             "seed": self.seed,
-            "fold_generator": self.fold_generator,
+            "fold_generator": FOLD_GENERATOR,
             "config": dict(self.config),
             "fold_accuracies": {m: list(a) for m, a in self.fold_accuracies.items()},
             "mean_accuracy": self.mean_accuracy,
@@ -113,24 +111,6 @@ class EvaluationReport:
             "xnb_mean_selected": self.xnb_mean_selected,
             "timings": dict(self.timings),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvaluationReport":
-        return cls(
-            methods=tuple(payload["methods"]),
-            k=int(payload["k"]),
-            seed=int(payload["seed"]),
-            config=dict(payload["config"]),
-            fold_accuracies={m: tuple(a) for m, a in payload["fold_accuracies"].items()},
-            xnb_fold_class_counts=(
-                tuple(dict(c) for c in payload["xnb_fold_class_counts"])
-                if payload["xnb_fold_class_counts"] is not None
-                else None
-            ),
-            timings=dict(payload["timings"]),
-            fold_generator=payload["fold_generator"],
-            schema_version=int(payload["schema_version"]),
-        )
 
 
 def _fit_for(method: str, train: Dataset, config: XnbConfig, jobs: int):

@@ -93,25 +93,8 @@ class HellingerTable:
         return tuple(combinations(self.classes, 2))
 
     @cached_property
-    def _variable_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.variable_names)}
-
-    @cached_property
     def _pair_index(self) -> dict[tuple[str, str], int]:
         return {pair: i for i, pair in enumerate(self.class_pairs)}
-
-    def value(self, variable: str, class_i: str, class_j: str) -> float:
-        """H for one variable and one (unordered) class pair."""
-        try:
-            row = self._variable_index[variable]
-        except KeyError:
-            raise KeyError(f"variable {variable!r} not in table") from None
-        pair = (class_i, class_j) if class_i < class_j else (class_j, class_i)
-        try:
-            col = self._pair_index[pair]
-        except KeyError:
-            raise KeyError(f"no class pair {class_i!r}/{class_j!r} in table") from None
-        return float(self.distances[row, col])
 
     def pair_column(self, class_i: str, class_j: str) -> np.ndarray:
         """H of every variable for one class pair."""

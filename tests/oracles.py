@@ -241,6 +241,12 @@ def broadcast_block_distances(densities, mu, block):
     return out
 
 
+def table_value(table, variable: str, class_i: str, class_j: str) -> float:
+    """H of one variable for one (unordered) class pair; KeyError for an absent variable."""
+    row = {name: i for i, name in enumerate(table.variable_names)}[variable]
+    return float(table.pair_column(class_i, class_j)[row])
+
+
 def discriminatory_power(subset, class_i: str, table) -> float:
     """Power ``1 - prod(1 - H)`` of ``subset`` to separate ``class_i`` from all other classes."""
     subset = tuple(subset)
@@ -253,7 +259,7 @@ def discriminatory_power(subset, class_i: str, table) -> float:
         if other == class_i:
             continue
         for v in subset:
-            residual *= 1.0 - table.value(v, class_i, other)
+            residual *= 1.0 - table_value(table, v, class_i, other)
     return 1.0 - residual
 
 
@@ -286,6 +292,19 @@ def v2_payload(model) -> dict:
     return payload
 
 
+def v1_payload(model) -> dict:
+    """A kde model as a version 1 file's JSON payload: one kde entry per (class, variable)."""
+    payload = {**v2_payload(model), "version": 1}
+    payload["kde"] = {
+        c: {
+            v: {"samples": density.samples[:, j].tolist(), "h": float(density.h[j]), "kernel": density.kernel}
+            for j, v in enumerate(model.features.features[c])
+        }
+        for c, density in model.kde_bank.items()
+    }
+    return payload
+
+
 def column_layout_ci_scan(d, p_max: float, r_min: float, max_pairs: int | None, seed: int = 0):
     """``conditional_independence_scan`` over (n, m) unit residuals, 16 384 pairs a step."""
     chunk = 16_384
@@ -312,12 +331,11 @@ def column_layout_ci_scan(d, p_max: float, r_min: float, max_pairs: int | None, 
             (names[bi[k]], names[bj[k]], float(r[k]), pk)
             for k, pk in zip(strong[hit].tolist(), p[hit].tolist())
         ]
-    involved = sorted({a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged})
+    involved = {a for a, _, _, _ in flagged} | {b for _, b, _, _ in flagged}
     return CiScanResult(
         ratio=len(involved) / m,
         examined_pairs=int(ii.size - skipped),
         flagged=tuple(flagged),
         skipped_pairs=skipped,
         sampled=sampled,
-        dependent_variables=tuple(involved),
     )

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from tests.conftest import make_separated
 from tests.oracles import bandwidth, hellinger_oracle
-from xnb.classifier import fit_gnb, fit_xnb, predict_gnb, predict_xnb
+from xnb.classifier import fit_gnb, fit_xnb, predict
 from xnb.dataset import Dataset, stratified_kfold
 from xnb.diagnostics import conditional_independence_scan, normality_scan
 from xnb.evaluation import accuracy
@@ -198,10 +198,10 @@ def test_criterion_6_synthetic_end_to_end():
         xnb_model = fit_xnb(train)
         gnb_model = fit_gnb(train)
         xnb_acc.append(
-            accuracy([predict_xnb(xnb_model, d.values[i]).label for i in test_rows], truth)
+            accuracy([predict(xnb_model, d.values[i]).label for i in test_rows], truth)
         )
         gnb_acc.append(
-            accuracy([predict_gnb(gnb_model, d.values[i]).label for i in test_rows], truth)
+            accuracy([predict(gnb_model, d.values[i]).label for i in test_rows], truth)
         )
         for c in d.classes:
             if set(informative[c]) <= set(xnb_model.features.features[c]):

@@ -17,8 +17,6 @@ from xnb.classifier import (
     fit_xnb,
     load_model,
     predict,
-    predict_gnb,
-    predict_xnb,
     save_model,
     score,
 )
@@ -29,7 +27,7 @@ from xnb.evaluation import accuracy
 from xnb.kde import PackedKde
 from xnb.selection import ClassFeatureMap
 from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
-from tests.oracles import bandwidth, v2_payload
+from tests.oracles import bandwidth, v1_payload, v2_payload
 
 FITS = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}
 
@@ -40,7 +38,7 @@ class TestFitXnb:
         model = fit_xnb(d)
         assert model.features.features["A"] == ("g1",)
         assert model.features.features["B"] == ("g1",)
-        labels = [predict_xnb(model, row).label for row in d.values]
+        labels = [predict(model, row).label for row in d.values]
         assert accuracy(labels, d.labels) == 1.0
 
     def test_single_variable_dataset(self):
@@ -69,7 +67,7 @@ class TestFitXnb:
         model = fit_xnb(d)
         assert set(model.kde_bank) == {"A", "B"}
         for c in d.classes:
-            np.testing.assert_array_equal(model.kde_bank[c].samples, d.class_column(c, "g1")[:, None])
+            np.testing.assert_array_equal(model.kde_bank[c].samples, d.values[d.class_rows[c], 0][:, None])
 
     def test_timings_cover_all_stages(self, separated_two_class):
         model = fit_xnb(separated_two_class)
@@ -88,7 +86,7 @@ class TestBandwidthMatrix:
         for c in d.classes:
             for j, v in enumerate(d.variable_names):
                 expected = bandwidth(
-                    rule, d.class_column(c, v), fallback_scale=float(np.ptp(d.column(v)))
+                    rule, d.values[d.class_rows[c], j], fallback_scale=float(np.ptp(d.values[:, j]))
                 )
                 assert bank[c].h[j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -97,19 +95,19 @@ class TestPredictXnb:
     def test_separated_sample_goes_to_near_class(self, separated_two_class):
         model = fit_xnb(separated_two_class)
         sample = np.zeros(21)
-        assert predict_xnb(model, sample).label == "A"
+        assert predict(model, sample).label == "A"
         sample[0] = 100.0
-        assert predict_xnb(model, sample).label == "B"
+        assert predict(model, sample).label == "B"
 
     def test_dimension_mismatch(self, separated_two_class):
         model = fit_xnb(separated_two_class)
         with pytest.raises(ValueError, match="length 21"):
-            predict_xnb(model, np.zeros(5))
+            predict(model, np.zeros(5))
 
     def test_floor_saturation_far_from_support(self, separated_two_class):
         model = fit_xnb(separated_two_class)
         sample = np.full(21, 1e9)
-        pred = predict_xnb(model, sample)
+        pred = predict(model, sample)
         floor = model.config.floor
         for c in model.classes:
             expected = np.log(model.priors[c]) + model.features.count(c) * np.log(floor)
@@ -125,7 +123,7 @@ class TestPredictXnb:
             config=XnbConfig(),
             variable_names=("x",),
         )
-        pred = predict_xnb(model, [1.0])
+        pred = predict(model, [1.0])
         assert pred.log_scores["A"] == pred.log_scores["B"]
         assert pred.label == "A"
 
@@ -141,16 +139,16 @@ class TestPredictXnb:
         d, _ = separated_three_class
         model = fit_xnb(d)
         assert sum(model.features.count(c) for c in model.classes) < d.m * len(model.classes)
-        base = predict_xnb(model, d.values[0]).log_scores
+        base = predict(model, d.values[0]).log_scores
         rng = np.random.default_rng(31)
         for c in model.classes:
             outside = np.setdiff1d(np.arange(d.m), model.feature_columns[c])
             assert outside.size > 0
             perturbed = d.values[0].copy()
             perturbed[outside] += rng.normal(0.0, 10.0, size=outside.size)
-            assert predict_xnb(model, perturbed).log_scores[c] == base[c]
+            assert predict(model, perturbed).log_scores[c] == base[c]
             perturbed[model.feature_columns[c]] += 10.0
-            assert predict_xnb(model, perturbed).log_scores[c] != base[c]
+            assert predict(model, perturbed).log_scores[c] != base[c]
 
     def test_scores_independent_of_grid_resolution(self, separated_two_class):
         # mu only shapes the selection-time distance grid; once the same
@@ -162,7 +160,7 @@ class TestPredictXnb:
         rng = np.random.default_rng(12)
         for _ in range(20):
             sample = rng.normal(50, 60, size=d.m)
-            assert predict_xnb(coarse, sample).log_scores == predict_xnb(fine, sample).log_scores
+            assert predict(coarse, sample).log_scores == predict(fine, sample).log_scores
 
 
 class TestScoredColumns:
@@ -251,6 +249,8 @@ class TestGnb:
         model = fit_gnb(d)
         assert model.variances[0, 0] == pytest.approx(model.smoothing)
         assert model.variances[0, 0] > 0
+        # the smoothing is 1e-9 times the largest global (ddof=1) variance
+        assert model.smoothing == pytest.approx(1e-9 * np.var(values, axis=0, ddof=1).max(), rel=1e-12)
 
     def test_priors_match_dataset_priors(self):
         rng = np.random.default_rng(2)
@@ -263,14 +263,14 @@ class TestGnb:
         values = np.concatenate([rng.normal(0, 1, 50), rng.normal(10, 1, 50)])[:, None]
         d = Dataset(("x",), values, ("A",) * 50 + ("B",) * 50)
         model = fit_gnb(d)
-        assert predict_gnb(model, [1.0]).label == "A"
-        assert predict_gnb(model, [9.0]).label == "B"
+        assert predict(model, [1.0]).label == "A"
+        assert predict(model, [9.0]).label == "B"
 
     def test_exact_midpoint_tie_breaks_lexicographically(self):
         values = np.array([[-1.0], [1.0], [9.0], [11.0]])
         d = Dataset(("x",), values, ("A", "A", "B", "B"))
         model = fit_gnb(d)
-        pred = predict_gnb(model, [5.0])
+        pred = predict(model, [5.0])
         assert pred.log_scores["A"] == pred.log_scores["B"]
         assert pred.label == "A"
 
@@ -285,7 +285,7 @@ class TestGnb:
         m1 = fit_gnb(extended)
         probes = rng.normal(3, 4, size=25)
         for x in probes:
-            assert predict_gnb(m0, [x]).label == predict_gnb(m1, [x, 20.0]).label
+            assert predict(m0, [x]).label == predict(m1, [x, 20.0]).label
 
     def test_single_class_rejected(self):
         d = Dataset(("x",), np.zeros((2, 1)), ("A", "A"))
@@ -328,7 +328,7 @@ class TestFnb:
     def test_training_accuracy_on_separated(self, separated_two_class):
         d = separated_two_class
         model = fit_fnb(d)
-        labels = [predict_xnb(model, row).label for row in d.values]
+        labels = [predict(model, row).label for row in d.values]
         assert accuracy(labels, d.labels) == 1.0
 
     def test_single_variable_equals_xnb(self):
@@ -341,8 +341,8 @@ class TestFnb:
         assert fnb.priors == xnb_model.priors
         probes = rng.normal(4, 5, size=20)
         for x in probes:
-            a = predict_xnb(fnb, [x])
-            b = predict_xnb(xnb_model, [x])
+            a = predict(fnb, [x])
+            b = predict(xnb_model, [x])
             assert a.label == b.label
             assert a.log_scores == b.log_scores
 
@@ -358,7 +358,7 @@ class TestFnb:
         picks = rng.integers(0, 2, size=1000)
         samples = rng.normal(means[picks], 1.0)
         agree = sum(
-            predict_xnb(fnb, s).label == predict_gnb(gnb, s).label for s in samples
+            predict(fnb, s).label == predict(gnb, s).label for s in samples
         )
         assert agree / 1000 >= 0.99
 
@@ -373,8 +373,8 @@ class TestPersistence:
         rng = np.random.default_rng(8)
         for _ in range(100):
             sample = rng.normal(50, 60, size=d.m)
-            a = predict_xnb(model, sample)
-            b = predict_xnb(loaded, sample)
+            a = predict(model, sample)
+            b = predict(loaded, sample)
             assert a.label == b.label
             assert a.log_scores == b.log_scores
 
@@ -492,41 +492,13 @@ class TestPersistence:
             a, b = predict(model, sample), predict(loaded, sample)
             assert (a.label, a.log_scores) == (b.label, b.log_scores)
 
-    def test_v1_file_read(self, separated_three_class, tmp_path):
-        d, _ = separated_three_class
-        model = fit_xnb(d)
-        v1 = {
-            "version": 1,
-            "method": "xnb",
-            "classes": list(model.classes),
-            "priors": model.priors,
-            "variables": list(model.variable_names),
-            "config": {"kernel": "gaussian", "bandwidth_rule": "silverman", "mu": 50,
-                       "theta": 0.999, "floor": 1e-12},
-            "features": {c: list(model.features.features[c]) for c in model.classes},
-            "kde": {
-                c: {
-                    v: {"samples": d.class_column(c, v).tolist(), "h": float(density.h[j]),
-                        "kernel": "gaussian"}
-                    for j, v in enumerate(model.features.features[c])
-                }
-                for c, density in model.kde_bank.items()
-            },
-        }
+    def test_v1_file_rejected(self, separated_two_class, tmp_path):
+        # no writer has produced version 1 since version 2
         path = tmp_path / "v1.json"
-        path.write_text(json.dumps(v1, indent=1))
-        loaded = load_model(path)
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            sample = rng.normal(2.0, 3.0, size=d.m)
-            a, b = predict(model, sample), predict(loaded, sample)
-            assert (a.label, a.log_scores) == (b.label, b.log_scores)
-        c = model.classes[0]
-        first = v1["features"][c][0]
-        v1["kde"][c][first]["kernel"] = "epanechnikov"
-        path.write_text(json.dumps(v1))
-        with pytest.raises(ModelFormatError, match="mix kernels"):
+        path.write_text(json.dumps(v1_payload(fit_xnb(separated_two_class))))
+        with pytest.raises(ModelFormatError) as info:
             load_model(path)
+        assert str(info.value) == f"{path}: schema version 1, expected 3 (or 2)"
 
     @pytest.mark.parametrize(
         "corrupt, match",

@@ -24,6 +24,7 @@ from xnb.evaluation import METHODS
 from xnb.hellinger import MAX_MU, hellinger_table
 from xnb.selection import SelectionConfig, select_class_specific
 from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
+from tests.oracles import table_value, v1_payload
 
 
 @pytest.fixture
@@ -482,11 +483,23 @@ class TestFitPredict:
         assert re.search(f"^error: {re.escape(str(model_path))}: malformed model file .*{match}", captured.err)
         assert captured.out == ""
 
+    def test_v1_model_is_data_error(self, separated_two_class, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_csv(separated_two_class, data)
+        model_path = tmp_path / "v1.json"
+        model_path.write_text(json.dumps(v1_payload(fit_xnb(separated_two_class))))
+        assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model_path}: schema version 1, expected 3 (or 2)\n"
+        assert captured.out == ""
+
 
 class TestEvaluate:
     def test_json_report(self, data_csv, capsys):
         assert main(["evaluate", "--data", str(data_csv), "--k", "3", "--seed", "5"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == 1
+        assert payload["fold_generator"] == "pcg64"
         assert payload["methods"] == ["gnb", "xnb"]
         assert payload["k"] == 3
         assert payload["seed"] == 5
@@ -584,7 +597,7 @@ class TestSelect:
             for e in entries:
                 assert [p["other_class"] for p in e["pairs"]] == [o for o in d.classes if o != c]
                 for p in e["pairs"]:
-                    assert p["h"].hex() == table.value(e["variable"], c, p["other_class"]).hex()
+                    assert p["h"].hex() == table_value(table, e["variable"], c, p["other_class"]).hex()
 
     def test_values_near_the_largest_float_fit_silently(self, tmp_path):
         path = tmp_path / "near.csv"
@@ -663,6 +676,7 @@ class TestDiagnose:
         assert main(["diagnose", "--data", str(data_csv), "--max-pairs", "20"]) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
+        assert payload["schema_version"] == 1
         assert "shapiro_wilk" in payload and "conditional_independence" in payload
         assert "SW=" in captured.err
 

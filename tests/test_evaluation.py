@@ -7,7 +7,7 @@ import pytest
 
 from xnb.classifier import XnbConfig
 from xnb.dataset import Dataset
-from xnb.evaluation import EvaluationReport, accuracy, emit_report, evaluate_cv
+from xnb.evaluation import accuracy, emit_report, evaluate_cv
 
 
 class TestAccuracy:
@@ -103,9 +103,13 @@ class TestEvaluateCv:
                 evaluate_cv(d, methods=("xnb",), k=3, seed=0)
 
     def test_warns_when_k_exceeds_class_size(self):
+        # k equal to the smallest class still puts that class in every fold
         d = small_dataset(6, n_per=4)
-        with pytest.warns(UserWarning, match="smallest class"):
-            evaluate_cv(d, methods=("gnb",), k=6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate_cv(d, methods=("gnb",), k=4, seed=0)
+        with pytest.warns(UserWarning, match="k=5 exceeds the smallest class size 4"):
+            evaluate_cv(d, methods=("gnb",), k=5, seed=0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -150,9 +154,7 @@ class TestEmitReport:
         report = evaluate_cv(small_dataset(10), methods=("gnb", "xnb"), k=3, seed=1)
         path = tmp_path / "report.json"
         emit_report(report, format="json", path=path)
-        payload = json.loads(path.read_text())
-        rebuilt = EvaluationReport.from_dict(payload)
-        assert rebuilt == report
+        assert json.loads(path.read_text()) == report.to_dict()
 
     def test_tsv_one_row_per_method(self, tmp_path):
         report = evaluate_cv(small_dataset(11), methods=("gnb", "fnb", "xnb"), k=3, seed=1)

@@ -49,6 +49,32 @@ def test_every_name_the_benchmark_reads_resolves():
     assert missing == []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; its ``__all__`` counts as a read."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion that leaves its imports behind fails here, not in a linter
+    # the project does not depend on
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "xnb").glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
+
+
 def _run_demo(demo: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(

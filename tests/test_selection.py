@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.oracles import discriminatory_power
+from tests.oracles import discriminatory_power, table_value
 from xnb.hellinger import HellingerTable
 from xnb.selection import SelectionConfig, SelectionStep, select_class_specific
 
@@ -47,7 +47,7 @@ def sorted_oracle(table: HellingerTable, theta: float):
             h_pair = table.pair_column(ci, cj)
             residual = 1.0
             for v in selected:
-                residual *= 1.0 - table.value(v, ci, cj)
+                residual *= 1.0 - table_value(table, v, ci, cj)
             order = sorted(range(m), key=lambda j: (-h_pair[j], names[j]))
             cursor = 0
             while 1.0 - residual <= theta and len(selected) < m:
@@ -65,7 +65,7 @@ def sorted_oracle(table: HellingerTable, theta: float):
                 continue
             residual = 1.0
             for v in selected:
-                residual *= 1.0 - table.value(v, ci, cj)
+                residual *= 1.0 - table_value(table, v, ci, cj)
             short.append(1.0 - residual <= theta)
         exhausted[ci] = len(selected) == m and any(short)
     return features, steps, exhausted
@@ -162,6 +162,12 @@ class TestSelect:
         assert fmap.features == {"A": ("v1", "v2"), "B": ("v1", "v2")}
         assert fmap.exhausted == {"A": False, "B": False}
 
+    def test_power_exactly_theta_with_every_variable_is_exhausted(self):
+        # the threshold is strict: reaching theta itself is still short of it
+        fmap = select_class_specific(two_class_table({"v1": 0.5}), SelectionConfig(theta=0.5))
+        assert fmap.features == {"A": ("v1",), "B": ("v1",)}
+        assert fmap.exhausted == {"A": True, "B": True}
+
     def test_threshold_is_strict(self):
         # power exactly theta must not stop the loop
         theta = 0.5
@@ -218,7 +224,7 @@ class TestSelect:
                 before = [v for v in selected[:last]]
                 residual = 1.0
                 for v in before:
-                    residual *= 1.0 - table.value(v, c, other)
+                    residual *= 1.0 - table_value(table, v, c, other)
                 assert 1.0 - residual <= theta
 
     def test_single_class_warns_and_returns_empty(self):
