@@ -27,8 +27,8 @@ d = Dataset(tuple(f"g{j:02d}" for j in range(m)), values, labels)
 report = run_diagnostics(d, alpha=0.05, p_max=1e-6, r_min=0.7, max_pairs=None, seed=0)
 print(report.summary())
 print(f"  variables rejecting normality: {report.sw_rejection_ratio:.0%}")
-print(f"  flagged dependent pairs: {len(report.ci_flagged_pairs)}")
-for a, b, r, p in report.ci_flagged_pairs[:5]:
+print(f"  flagged dependent pairs: {len(report.ci.flagged)}")
+for a, b, r, p in report.ci.flagged[:5]:
     print(f"    {a} ~ {b}: r={r:.3f}, p={p:.2e}")
 
 print("\nstratified 5-fold comparison (seeded, reproducible):")

@@ -38,6 +38,7 @@ from .kde import (
     canonical_kernel,
     canonical_rule,
     column_bandwidths,
+    scale_to_unit,
 )
 from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_class_specific
 
@@ -284,8 +285,7 @@ def fit_gnb(d: Dataset) -> GnbModel:
     if len(d.classes) < 2:
         raise DataError(f"classification needs at least 2 classes, got {len(d.classes)}")
     k, m = len(d.classes), d.m
-    _, exponent = np.frexp(np.abs(d.values).max(axis=0))
-    scaled = np.ldexp(d.values, -exponent)
+    scaled, exponent = scale_to_unit(d.values)
     means = np.empty((k, m))
     variances = np.empty((k, m))
     for i, c in enumerate(d.classes):
@@ -450,7 +450,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
     dtype, shape and byte count; version 2 files, whose arrays are nested
     lists of decimal floats, are still read. Either way the arrays
     then go through the same model constructors, which reject a
-    non-finite value. A malformed file is a ``ModelFormatError``.
+    non-finite value. A malformed file, or one that cannot be opened, is a
+    ``ModelFormatError``.
     """
     path = Path(path)
     if not path.exists():
@@ -460,6 +461,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from exc
+    except OSError as exc:  # a directory, or a file without read permission
+        raise ModelFormatError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if not isinstance(payload, dict):
         raise ModelFormatError(
             f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)"

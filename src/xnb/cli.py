@@ -128,7 +128,7 @@ def _read_samples(path: str, model) -> np.ndarray:
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
         columns = model.scored_columns
-        values = read_numeric(path, records, [positions[model.variable_names[j]] for j in columns])[0]
+        values = read_numeric(path, header, records, [positions[model.variable_names[j]] for j in columns])[0]
     if len(columns) == model.m:
         return values
     samples = np.zeros((len(values), model.m))

@@ -36,7 +36,7 @@ class Dataset:
     variable_names: tuple[str, ...]
     values: np.ndarray
     labels: tuple[str, ...]
-    classes: tuple[str, ...] = field(default=())
+    classes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         values = np.asfortranarray(np.asarray(self.values, dtype=np.float64))
@@ -71,10 +71,7 @@ class Dataset:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", names)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        classes = tuple(sorted(set(self.labels)))
-        if self.classes and tuple(self.classes) != classes:
-            raise DataError("classes must be the sorted distinct label set")
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "classes", tuple(sorted(set(self.labels))))
 
     @property
     def n(self) -> int:
@@ -160,15 +157,20 @@ def csv_records(path: str | Path):
     """Open a headered CSV; yield its stripped header and its rows.
 
     The file is UTF-8, with or without a byte order mark. The rows come as
-    (line number, fields) pairs, blank rows skipped. A missing or empty
-    file, text that is not UTF-8, a header that repeats a name and a row
-    whose field count differs from the header's are data errors; a row's
-    error is raised when the iteration reaches it.
+    (line number, fields) pairs, blank rows skipped. A missing, unopenable
+    or empty file, text that is not UTF-8, a row the csv module refuses
+    (such as one with a field over its size limit), a header that repeats
+    a name and a row whose field count differs from the header's are data
+    errors; a row's error is raised when the iteration reaches it.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8-sig")
+    except OSError as exc:  # a directory, or a file without read permission
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -176,6 +178,8 @@ def csv_records(path: str | Path):
             raise DataError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row 1: {exc}") from None
         seen = set()
         for name in header:
             if name in seen:
@@ -183,6 +187,7 @@ def csv_records(path: str | Path):
             seen.add(name)
 
         def rows():
+            lineno = 1
             try:
                 for lineno, record in enumerate(reader, start=2):
                     if not record:
@@ -192,37 +197,33 @@ def csv_records(path: str | Path):
                     yield lineno, record
             except UnicodeDecodeError as exc:
                 raise _not_utf8(path, exc) from None
+            except csv.Error as exc:  # raised while reading the row after the last one yielded
+                raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
 
         yield header, rows()
 
 
-def read_numeric(path: Path, records, columns: list[int], label: int | None = None):
+def read_numeric(path: Path, header: list[str], records, columns: list[int], label: int | None = None):
     """Parse ``columns`` of ``csv_records`` rows into a float64 matrix, plus ``label``'s stripped cells.
 
-    Cells go through ``float()`` and must be finite, labels must be non-blank. Only when a
-    check fails is the file walked again, cell by cell, to name the first bad cell.
+    Each row is checked as it is read: its label must be non-blank, then every cell must go
+    through ``float()`` and be finite. Only a row that fails is walked again, cell by cell in
+    that order, to name its first bad cell, so the file is read once.
     """
     values, labels, n = np.empty((64, len(columns))), [], 0
-    try:
-        for _, record in records:
-            if label is not None:
-                labels.append(record[label].strip())
-            if n == len(values):  # one buffer, doubled when full: no per-row arrays left behind
-                values = np.concatenate([values, np.empty_like(values)])
+    for lineno, record in records:
+        if n == len(values):  # one buffer, doubled when full: no per-row arrays left behind
+            values = np.concatenate([values, np.empty_like(values)])
+        try:
             values[n] = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
-            n += 1
-        values = values[:n]
-        ok = np.isfinite(values).all() and all(labels)
-    except (ValueError, DataError):  # an unparseable cell or a row of the wrong width
-        ok = False
-    if ok and n:
-        return values, labels
-    if ok:
-        raise DataError(f"{path}: no data rows")
-    with csv_records(path) as (header, records):
-        for lineno, record in records:
-            if label is not None and not record[label].strip():
+            ok = np.isfinite(values[n]).all()
+        except ValueError:
+            ok = False
+        if label is not None:
+            labels.append(record[label].strip())
+            if not labels[-1]:
                 raise DataError(f"{path}: row {lineno}, column {header[label]!r}: empty class label")
+        if not ok:
             for i in columns:
                 where = f"{path}: row {lineno}, column {header[i]!r}"
                 try:
@@ -231,7 +232,10 @@ def read_numeric(path: Path, records, columns: list[int], label: int | None = No
                     raise DataError(f"{where}: cannot parse {record[i].strip()!r}") from None
                 if not math.isfinite(value):
                     raise DataError(f"{where}: missing or non-finite value")
-    raise DataError(f"{path}: the file changed while it was read")
+        n += 1
+    if not n:
+        raise DataError(f"{path}: no data rows")
+    return values[:n], labels
 
 
 def load_csv(path: str | Path, class_column: str | int) -> Dataset:
@@ -254,7 +258,7 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
             except ValueError:
                 raise DataError(f"class column {class_column!r} not found in header") from None
         columns = [i for i in range(len(header)) if i != class_idx]
-        values, labels = read_numeric(path, records, columns, label=class_idx)
+        values, labels = read_numeric(path, header, records, columns, label=class_idx)
     return Dataset(tuple(header[i] for i in columns), values, tuple(labels))
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
+from .kde import scale_to_unit
 
 logger = logging.getLogger(__name__)
 
@@ -106,24 +107,13 @@ def _sw_p_values(w: np.ndarray, n: int) -> list[float]:
     return p
 
 
-def _scale_to_unit(x: np.ndarray, axis: int) -> np.ndarray:
-    """Divide each line of ``x`` along ``axis`` by the power of two of its largest magnitude, in place.
-
-    Exact in the normal range, and it keeps squares of values near the
-    largest float finite; W and r do not depend on the scale.
-    """
-    largest = np.maximum(x.max(axis=axis, keepdims=True), -x.min(axis=axis, keepdims=True))
-    _, exponent = np.frexp(largest)
-    return np.ldexp(x, -exponent, out=x)
-
-
 def _shapiro_wilk_rows(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """W and p-value of each row of ``x``, a (k, n) matrix of non-constant rows.
 
     The rows are scaled and sorted in place. Every reduction runs along a
     row, so a row's result does not depend on the other rows.
     """
-    _scale_to_unit(x, axis=1)
+    scale_to_unit(x, axis=1, out=x)
     x.sort(axis=1)
     n = x.shape[1]
     a = _sw_coefficients(n)
@@ -345,7 +335,8 @@ def conditional_independence_scan(
     if d.n < 4:
         raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
     m = d.m
-    residuals = _scale_to_unit(within_class_residuals(d.values, d.labels), axis=0)
+    residuals = within_class_residuals(d.values, d.labels)
+    scale_to_unit(residuals, out=residuals)
     norms = np.sqrt((residuals**2).sum(axis=0))
     degenerate = norms == 0.0
     if degenerate.any():
@@ -399,57 +390,48 @@ def conditional_independence_scan(
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Both scan ratios plus per-variable detail and the scan parameters."""
+    """Both scans' results and the settings they ran with.
+
+    ``sw_details`` has one row per variable; ``ci`` is the dependence scan's
+    result as it returned it; ``parameters`` maps alpha, p_max, r_min,
+    max_pairs and seed to their values, in that order.
+    """
 
     n_samples: int
     n_variables: int
-    alpha: float
-    p_max: float
-    r_min: float
-    max_pairs: int | None
-    seed: int
+    parameters: dict
     sw_rejection_ratio: float
     sw_details: tuple[dict, ...]
-    ci_dependent_ratio: float
-    ci_examined_pairs: int
-    ci_flagged_pairs: tuple[tuple[str, str, float, float], ...]
-    ci_skipped_pairs: int
-    ci_sampled: bool
+    ci: CiScanResult
 
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
             "n_samples": self.n_samples,
             "n_variables": self.n_variables,
-            "parameters": {
-                "alpha": self.alpha,
-                "p_max": self.p_max,
-                "r_min": self.r_min,
-                "max_pairs": self.max_pairs,
-                "seed": self.seed,
-            },
+            "parameters": dict(self.parameters),
             "shapiro_wilk": {
                 "rejection_ratio": self.sw_rejection_ratio,
                 "variables": list(self.sw_details),
             },
             "conditional_independence": {
-                "dependent_ratio": self.ci_dependent_ratio,
-                "examined_pairs": self.ci_examined_pairs,
-                "skipped_pairs": self.ci_skipped_pairs,
-                "sampled": self.ci_sampled,
+                "dependent_ratio": self.ci.ratio,
+                "examined_pairs": self.ci.examined_pairs,
+                "skipped_pairs": self.ci.skipped_pairs,
+                "sampled": self.ci.sampled,
                 "flagged_pairs": [
                     {"variable_i": a, "variable_j": b, "r": r, "p": p}
-                    for a, b, r, p in self.ci_flagged_pairs
+                    for a, b, r, p in self.ci.flagged
                 ],
             },
         }
 
     def summary(self) -> str:
-        sampled = " (sampled)" if self.ci_sampled else ""
+        sampled = " (sampled)" if self.ci.sampled else ""
         return (
-            f"SW={self.sw_rejection_ratio:.2f} non-normal at alpha={self.alpha:g}; "
-            f"P={self.ci_dependent_ratio:.2f} conditionally dependent "
-            f"at p<{self.p_max:g}, |r|>{self.r_min:g}{sampled} "
+            f"SW={self.sw_rejection_ratio:.2f} non-normal at alpha={self.parameters['alpha']:g}; "
+            f"P={self.ci.ratio:.2f} conditionally dependent "
+            f"at p<{self.parameters['p_max']:g}, |r|>{self.parameters['r_min']:g}{sampled} "
             f"[{self.n_samples} samples x {self.n_variables} variables]"
         )
 
@@ -465,19 +447,5 @@ def run_diagnostics(
     """Run both scans and assemble the full report."""
     sw_ratio, sw_rows = _normality_detail(d, alpha)
     ci = conditional_independence_scan(d, p_max=p_max, r_min=r_min, max_pairs=max_pairs, seed=seed)
-    return DiagnosticsReport(
-        n_samples=d.n,
-        n_variables=d.m,
-        alpha=alpha,
-        p_max=p_max,
-        r_min=r_min,
-        max_pairs=max_pairs,
-        seed=seed,
-        sw_rejection_ratio=sw_ratio,
-        sw_details=tuple(sw_rows),
-        ci_dependent_ratio=ci.ratio,
-        ci_examined_pairs=ci.examined_pairs,
-        ci_flagged_pairs=ci.flagged,
-        ci_skipped_pairs=ci.skipped_pairs,
-        ci_sampled=ci.sampled,
-    )
+    parameters = {"alpha": alpha, "p_max": p_max, "r_min": r_min, "max_pairs": max_pairs, "seed": seed}
+    return DiagnosticsReport(d.n, d.m, parameters, sw_ratio, tuple(sw_rows), ci)

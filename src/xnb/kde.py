@@ -122,6 +122,18 @@ def silverman_adaptive_bandwidth(sigma, iqr, n: int):
     return 0.9 * np.minimum(sigma, iqr / 1.34) * n ** (-0.2)
 
 
+def scale_to_unit(x: np.ndarray, axis: int = 0, out: np.ndarray | None = None):
+    """Divide each line of ``x`` along ``axis`` by the power of two of its largest magnitude.
+
+    Returns the scaled array (``out`` when given) and the exponents, one
+    per line. The division is exact in the normal range and keeps squares
+    and sums of values near the largest float finite; ``np.ldexp`` by the
+    exponents (twice them for squares) scales a result back.
+    """
+    _, exponent = np.frexp(np.maximum(x.max(axis=axis), -x.min(axis=axis)))
+    return np.ldexp(x, -np.expand_dims(exponent, axis), out=out), exponent
+
+
 def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     """Bandwidth of every column of an (n, w) sample matrix; never fails.
 
@@ -140,8 +152,7 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     rule = canonical_rule(rule)
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    _, exponent = np.frexp(np.abs(values).max(axis=0))
-    scaled = np.ldexp(values, -exponent)
+    scaled, exponent = scale_to_unit(values)
     sigma = np.std(scaled, axis=0, ddof=1) if n > 1 else np.zeros(values.shape[1])
     if rule == "scott":
         h = scott_bandwidth(sigma, n)

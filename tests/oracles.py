@@ -34,7 +34,6 @@ from xnb.diagnostics import (
     _betainc,
     _decode_pair,
     _sample_pairs,
-    _scale_to_unit,
     within_class_residuals,
 )
 from xnb.kde import (
@@ -45,6 +44,7 @@ from xnb.kde import (
     canonical_kernel,
     column_bandwidths,
     kernel_eval,
+    scale_to_unit,
 )
 
 
@@ -309,7 +309,7 @@ def column_layout_ci_scan(d, p_max: float, r_min: float, max_pairs: int | None, 
     """``conditional_independence_scan`` over (n, m) unit residuals, 16 384 pairs a step."""
     chunk = 16_384
     m = d.m
-    residuals = _scale_to_unit(within_class_residuals(d.values, d.labels), axis=0)
+    residuals = scale_to_unit(within_class_residuals(d.values, d.labels))[0]
     norms = np.sqrt((residuals**2).sum(axis=0))
     degenerate = norms == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

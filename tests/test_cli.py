@@ -89,6 +89,19 @@ class TestExitCodes:
         assert main(["fit", "--data", str(path), "--model", str(model)]) == 0
         assert load_model(model).variable_names == ("g1",)
 
+    @pytest.mark.parametrize(
+        "verb, data_is_dir, kind",
+        [("fit", True, "data error"), ("predict", True, "data error"), ("predict", False, "error")],
+        ids=["fit-data", "predict-data", "predict-model"],
+    )
+    def test_directory_as_input_is_data_error(self, data_csv, tmp_path, capsys, verb, data_is_dir, kind):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data_csv), "--model", str(model)]) == 0
+        data, model = (tmp_path, model) if data_is_dir else (data_csv, tmp_path)
+        capsys.readouterr()
+        assert main([verb, "--data", str(data), "--model", str(model)]) == 2
+        assert capsys.readouterr().err == f"{kind}: {tmp_path}: cannot read (Is a directory)\n"
+
     def test_unwritable_model_is_data_error(self, data_csv, tmp_path, capsys):
         model = tmp_path / "absent" / "m.json"
         assert main(["fit", "--data", str(data_csv), "--model", str(model)]) == 2
@@ -349,6 +362,33 @@ class TestFitPredict:
         assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "row 3" in err and "'v03'" in err
+
+    def test_earliest_bad_sample_row_is_reported(self, data_csv, samples_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        lines = samples_csv.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        rows[1][3], rows[3][3] = "nan", "x"  # v03, a scored column: NaN in row 2, text in row 4
+        rows[4] = rows[4][:-1]  # a short row 5
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
+        assert capsys.readouterr().err == f"data error: {bad}: row 2, column 'v03': missing or non-finite value\n"
+
+    def test_sample_field_over_the_csv_limit_is_data_error(self, data_csv, samples_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        rows = [line.split(",") for line in samples_csv.read_text().splitlines()]
+        limit = csv.field_size_limit()
+        rows[2][0] = "1" * (limit + 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {bad}: row 3: field larger than field limit ({limit})\n"
+        assert captured.out == ""
 
     def test_unparseable_sample_names_row_column_and_cell(self, data_csv, samples_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"

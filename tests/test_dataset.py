@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import xnb.dataset
 from xnb.dataset import Dataset, class_priors, csv_records, load_csv, save_csv, stratified_kfold
 from xnb.errors import DataError
 
@@ -147,6 +149,41 @@ class TestLoadCsv:
         path = write(tmp_path, f"g1,g2,class\n1,2,A\n{row}\n")
         with pytest.raises(DataError, match=r"row 3 has \d fields, header has 3"):
             load_csv(path, "class")
+
+    def test_earliest_bad_row_is_reported(self, tmp_path):
+        # NaN in row 2, text in row 4, a short row 5: the reader stops at row 2
+        path = write(tmp_path, "g1,g2,class\nnan,1,A\n1,2,B\nx,3,A\n4,B\n")
+        message = f"{path}: row 2, column 'g1': missing or non-finite value"
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "class")
+        assert str(exc.value) == message == outcome(oracle_load_csv, path, "class")
+
+    def test_bad_cell_found_in_one_pass(self, tmp_path, monkeypatch):
+        opened = []
+
+        @contextmanager
+        def counting(path):
+            opened.append(path)
+            with csv_records(path) as records:
+                yield records
+
+        monkeypatch.setattr(xnb.dataset, "csv_records", counting)
+        path = write(tmp_path, "g1,g2,class\n1,2,A\n3,oops,B\n5,6,A\n")
+        with pytest.raises(DataError, match=r"row 3, column 'g2': cannot parse 'oops'"):
+            load_csv(path, "class")
+        assert opened == [path]
+
+    def test_field_over_the_csv_limit_is_data_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = write(tmp_path, f"g1,class\n1,A\n{'1' * (limit + 1)},B\n2,A\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "class")
+        assert str(exc.value) == f"{path}: row 3: field larger than field limit ({limit})"
+
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError) as exc:
+            load_csv(tmp_path, "class")
+        assert str(exc.value) == f"{tmp_path}: cannot read (Is a directory)"
 
     def test_scientific_notation_accepted(self, tmp_path):
         path = write(tmp_path, "g1,class\n1.5e-3,A\n-2E+2,B\n")

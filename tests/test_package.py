@@ -75,6 +75,34 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _unused_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """Module-level functions and classes named ``_...`` that no code outside their own definition reads."""
+    reads = []  # (top-level statement, the names it reads)
+    for tree in modules.values():
+        for statement in tree.body:
+            names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+            reads.append((statement, names))
+    return [
+        f"{name}: {statement.name}"
+        for name, tree in modules.items()
+        for statement in tree.body
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and statement.name.startswith("_")
+        and not any(statement.name in names for other, names in reads if other is not statement)
+    ]
+
+
+def test_every_private_helper_is_used():
+    # a deletion that leaves a private helper behind fails here, as a
+    # leftover import fails the check above
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "xnb").glob("*.py"))
+    }
+    assert _unused_private_definitions(modules) == []
+
+
 def _run_demo(demo: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
