@@ -1,7 +1,10 @@
 """Labeled numeric matrices: CSV ingestion, class priors, stratified folds.
 
-Values are stored column-accessible (Fortran order) because every pipeline
-stage iterates per-variable over all samples.
+Values are stored column-major (Fortran order) for two readers: the
+dependence scan transposes its within-class residuals into one row per
+variable without a copy, and gnb sums each column's variance in the order
+this layout gives (a row-major copy moves its smoothing in the last bits).
+The KDE bank itself is sample-major: ``PackedKde`` keeps a C-order copy.
 """
 
 from __future__ import annotations
@@ -213,7 +216,9 @@ def read_numeric(path: Path, header: list[str], records, columns: list[int], lab
     values, labels, n = np.empty((64, len(columns))), [], 0
     for lineno, record in records:
         if n == len(values):  # one buffer, doubled when full: no per-row arrays left behind
-            values = np.concatenate([values, np.empty_like(values)])
+            grown = np.empty((2 * n, len(columns)))
+            grown[:n] = values
+            values = grown
         try:
             values[n] = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
             ok = np.isfinite(values[n]).all()

@@ -28,10 +28,11 @@ DEFAULT_P_MAX = 1e-6
 DEFAULT_R_MIN = 0.7
 DEFAULT_MAX_PAIRS = 200_000
 # Bytes per side of a dependence-scan step, which takes max(1, CI_STEP_BYTES
-# // 8n) pairs: the scan holds the (m, n) residuals plus two gathered blocks
-# of at most 1 MiB each, whatever n (one row a side above n = 131 072), and
-# decodes each step's pair indices as it goes. A sampled scan also holds its
-# cap of int64 pair indices (1.6 MB under the default cap), whatever m.
+# // 8n) pairs (or residual rows, when their norms are summed): the scan holds
+# the (m, n) residuals plus two gathered blocks of at most 1 MiB each,
+# whatever n (one row a side above n = 131 072), and decodes each step's pair
+# indices as it goes. A sampled scan also holds its cap of int64 pair indices
+# (1.6 MB under the default cap), whatever m.
 CI_STEP_BYTES = 1 << 20
 # blocks the pair sampler cuts the m(m-1)/2 pair indices into: it draws
 # within one block at a time, so no array spans every pair
@@ -110,8 +111,10 @@ def _sw_p_values(w: np.ndarray, n: int) -> list[float]:
 def _shapiro_wilk_rows(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """W and p-value of each row of ``x``, a (k, n) matrix of non-constant rows.
 
-    The rows are scaled and sorted in place. Every reduction runs along a
-    row, so a row's result does not depend on the other rows.
+    ``x`` is overwritten: its rows are scaled, sorted, centered and squared
+    in place, so besides it the test holds one (k, n // 2) array. Every
+    reduction runs along a row, so a row's result does not depend on the
+    other rows.
     """
     scale_to_unit(x, axis=1, out=x)
     x.sort(axis=1)
@@ -119,8 +122,12 @@ def _shapiro_wilk_rows(x: np.ndarray) -> tuple[np.ndarray, list[float]]:
     a = _sw_coefficients(n)
     n2 = n // 2
     # antisymmetric weights: -a on the lower half, +a mirrored on the upper
-    numerator = ((x[:, : -n2 - 1 : -1] - x[:, :n2]) * a).sum(axis=1)
-    ss = ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    spread = x[:, : -n2 - 1 : -1] - x[:, :n2]
+    spread *= a
+    numerator = spread.sum(axis=1)
+    del spread  # before the p-values' lists are built
+    x -= x.mean(axis=1, keepdims=True)
+    ss = np.square(x, out=x).sum(axis=1)
     w = np.minimum(numerator * numerator / ss, 1.0)
     return w, _sw_p_values(w, n)
 
@@ -195,7 +202,8 @@ def within_class_residuals(values, labels) -> np.ndarray:
         raise ValueError(f"length mismatch: {residuals.shape} values vs {labels.shape} labels")
     for c in np.unique(labels):
         rows = np.flatnonzero(labels == c)
-        residuals[rows] -= residuals[rows].mean(axis=0)
+        mean = residuals[rows].mean(axis=0)  # so that one gathered copy of the class is held at a time
+        residuals[rows] -= mean
     return residuals
 
 
@@ -335,20 +343,20 @@ def conditional_independence_scan(
     if d.n < 4:
         raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
     m = d.m
-    residuals = within_class_residuals(d.values, d.labels)
-    scale_to_unit(residuals, out=residuals)
-    norms = np.sqrt((residuals**2).sum(axis=0))
+    step = max(1, CI_STEP_BYTES // (8 * d.n))
+    # one row per variable: the values are column-major, so the transpose is a view
+    unit = within_class_residuals(d.values, d.labels).T
+    scale_to_unit(unit, axis=1, out=unit)
+    norms = np.concatenate([np.square(unit[lo : lo + step]).sum(axis=1) for lo in range(0, m, step)])
+    np.sqrt(norms, out=norms)
     degenerate = norms == 0.0
     if degenerate.any():
         logger.info(
             "%d variables have zero residual variance; their pairs are skipped",
             int(degenerate.sum()),
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        residuals *= np.where(degenerate, np.nan, 1.0)
-        residuals /= np.where(degenerate, 1.0, norms)
-    unit = np.ascontiguousarray(residuals.T)  # one row per variable
-    del residuals
+    norms[degenerate] = np.nan
+    unit /= norms[:, None]
 
     total = m * (m - 1) // 2
     sampled = max_pairs is not None and total > max_pairs
@@ -359,7 +367,6 @@ def conditional_independence_scan(
     names = d.variable_names
     flagged = []
     skipped = 0
-    step = max(1, CI_STEP_BYTES // (8 * d.n))
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         bi, bj = _decode_pair(linear[lo:hi] if sampled else np.arange(lo, hi), m)

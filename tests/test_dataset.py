@@ -14,6 +14,8 @@ import xnb.dataset
 from xnb.dataset import Dataset, class_priors, csv_records, load_csv, save_csv, stratified_kfold
 from xnb.errors import DataError
 
+from tests.conftest import traced_peak
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -185,6 +187,20 @@ class TestLoadCsv:
             load_csv(tmp_path, "class")
         assert str(exc.value) == f"{tmp_path}: cannot read (Is a directory)"
 
+    def test_wide_file_memory_is_one_buffer_and_its_growth(self, tmp_path):
+        # 65 rows: the 64-row buffer and the 128-row one it grows into, or
+        # at the end that buffer and the Dataset's column-major copy, plus
+        # 512 bytes a column for the header and one row's cell strings; the
+        # former growth also held a 64-row block to concatenate: 4.6 MB
+        m = 2000
+        values = np.random.default_rng(7).normal(size=(65, m))
+        d = Dataset(tuple(f"g{j}" for j in range(m)), values, ("A", "B") * 32 + ("A",))
+        save_csv(d, tmp_path / "wide.csv")
+        bound = (64 + 128 + 1) * 8 * m + 512 * m  # 4.1 MB
+        back, peak = traced_peak(lambda: load_csv(tmp_path / "wide.csv", "class"))
+        np.testing.assert_array_equal(back.values, d.values)
+        assert peak < bound
+
     def test_scientific_notation_accepted(self, tmp_path):
         path = write(tmp_path, "g1,class\n1.5e-3,A\n-2E+2,B\n")
         d = load_csv(path, "class")
@@ -323,6 +339,24 @@ class TestDataset:
         d = Dataset(("x",), np.zeros((2, 1)), ("A", "B"))
         with pytest.raises(ValueError):
             d.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda tmp_path: Dataset(("x", "y"), np.arange(6.0).reshape(3, 2), ("A", "B", "A")),
+            lambda tmp_path: Dataset(("x", "y"), [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], ("A", "B", "A")),
+            lambda tmp_path: load_csv(write(tmp_path, "x,y,class\n0,1,A\n2,3,B\n4,5,A\n"), "class"),
+            lambda tmp_path: Dataset(("x", "y"), np.arange(8.0).reshape(4, 2), "ABAB").subset([3, 0, 1]),
+        ],
+        ids=["C-order array", "nested list", "load_csv", "subset"],
+    )
+    def test_values_are_column_major_and_read_only(self, tmp_path, make):
+        # the dependence scan transposes its residuals into one row per
+        # variable without a copy, and gnb sums each column's variance in
+        # the order this layout gives
+        values = make(tmp_path).values
+        assert values.flags.f_contiguous and not values.flags.writeable
+        assert values.shape == (3, 2)
 
     def test_subset_recomputes_classes(self):
         d = Dataset(("x",), np.arange(4.0)[:, None], ("A", "A", "B", "B"))

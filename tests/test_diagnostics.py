@@ -125,6 +125,17 @@ class TestNormalityScan:
         assert noise["w"] is None and noise["p"] is None and noise["rejected"] is False
         assert "outside the Shapiro-Wilk range" in noise["note"]
 
+    def test_wide_scan_holds_the_columns_and_one_half_copy(self):
+        # the sorted copy of the tested columns plus their (m, n // 2) mirrored
+        # differences; the former code also held the weighted differences and
+        # the (m, n) centered values and their squares: 32.6 MB
+        normality_scan(_wide_dataset(18, n=100, m=10))  # the lazy import of the normal quantiles
+        d = _wide_dataset(18, n=100, m=20_000)
+        bound = d.values.nbytes * 3 // 2 + (1 << 20)  # 25.0 MB
+        ratio, peak = traced_peak(lambda: normality_scan(d))
+        assert 0.0 < ratio < 0.2
+        assert peak < bound
+
 
 @st.composite
 def _columns_with_ties(draw):
@@ -256,6 +267,12 @@ def _noise_dataset(seed, n=40, m=46):
     return Dataset(tuple(f"v{i}" for i in range(m)), values, labels)
 
 
+def _wide_dataset(seed, n, m, k=3):
+    """Independent normal noise in ``k`` classes dealt round-robin."""
+    values = np.random.default_rng(seed).normal(size=(n, m))
+    return Dataset(tuple(f"v{i}" for i in range(m)), values, tuple(f"c{i % k}" for i in range(n)))
+
+
 class TestConditionalIndependenceScan:
     def test_exact_copy_is_flagged(self):
         rng = np.random.default_rng(4)
@@ -382,6 +399,18 @@ class TestConditionalIndependenceScan:
         bound = d.values.nbytes + 2 * diagnostics_module.CI_STEP_BYTES + (1 << 20)  # 3.5 MiB
         result, peak = traced_peak(lambda: conditional_independence_scan(d, max_pairs=None))
         assert result.examined_pairs == 1500 * 1499 // 2
+        assert peak < bound
+
+    def test_wide_scan_holds_one_copy_of_the_data(self):
+        # the residuals, normalized in place as one row per variable, plus the
+        # larger of one class's gathered (34, m) block while it is centered
+        # (5.4 MB) and the sampled cap's indices with two step blocks (5.5 MB);
+        # the former code held a second (n, m) array and two class blocks: 32.2 MB
+        conditional_independence_scan(_wide_dataset(19, n=100, m=10))  # numpy's lazy imports
+        d = _wide_dataset(19, n=100, m=20_000)
+        bound = d.values.nbytes + 6 * 2**20  # 22.3 MB
+        result, peak = traced_peak(lambda: conditional_independence_scan(d))
+        assert result.sampled and result.examined_pairs == diagnostics_module.DEFAULT_MAX_PAIRS
         assert peak < bound
 
 
