@@ -149,7 +149,7 @@ class XnbModel:
 
 @dataclass(frozen=True)
 class GnbModel:
-    """Gaussian naive Bayes: per-(class, variable) moments over all variables."""
+    """Gaussian naive Bayes: per-(class, variable) moments over all variables, as read-only copies."""
 
     classes: tuple[str, ...]
     priors: dict[str, float]
@@ -160,8 +160,8 @@ class GnbModel:
     method: str = "gnb"
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
+        means = np.array(self.means, dtype=np.float64)
+        variances = np.array(self.variances, dtype=np.float64)
         shape = (len(self.classes), len(self.variable_names))
         if means.shape != shape or variances.shape != shape:
             raise ValueError(f"moment arrays must have shape {shape}")

@@ -114,12 +114,11 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _read_samples(path: str, model) -> np.ndarray:
-    """Read a headered CSV of unlabeled samples as (n, m) rows in model variable order.
+def _read_samples(path: str, model) -> list[np.ndarray]:
+    """Read a headered CSV of unlabeled samples: each row's values at ``model.scored_columns``.
 
-    The header must name every model variable, but only the columns some
-    class scores (``model.scored_columns``) are parsed; the others are
-    never read and stand as 0.0, which no score looks at.
+    The header must name every model variable, in any order, but only the
+    columns some class scores are parsed; the others are never read.
     """
     path = Path(path)
     with csv_records(path) as (header, records):
@@ -127,19 +126,19 @@ def _read_samples(path: str, model) -> np.ndarray:
         missing = [v for v in model.variable_names if v not in positions]
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
-        columns = model.scored_columns
-        values = read_numeric(path, header, records, [positions[model.variable_names[j]] for j in columns])[0]
-    if len(columns) == model.m:
-        return values
-    samples = np.zeros((len(values), model.m))
-    samples[:, columns] = values
-    return samples
+        columns = [positions[model.variable_names[j]] for j in model.scored_columns]
+        return read_numeric(path, header, records, columns)[0]
 
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    samples = _read_samples(args.data, model)
-    results = [predict(model, row) for row in samples]
+    rows = _read_samples(args.data, model)
+    # one full-width sample, refilled per row; its unscored columns stay 0.0, which no score reads
+    sample = np.zeros(model.m)
+    results = []
+    for row in rows:
+        sample[model.scored_columns] = row
+        results.append(predict(model, sample))
     if args.format == "json":
         payload = [
             {"label": r.label, "log_scores": {c: r.log_scores[c] for c in model.classes}}

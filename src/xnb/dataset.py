@@ -33,7 +33,9 @@ class Dataset:
 
     ``values`` is an (n, m) float64 array with one sample per row and one
     variable per column; ``labels`` carries the class of each row and
-    ``classes`` is the sorted distinct label set.
+    ``classes`` is the sorted distinct label set. The values given (an
+    array, or a sequence of rows) are stacked into a read-only copy that
+    the Dataset owns: no array of the caller's can change it.
     """
 
     variable_names: tuple[str, ...]
@@ -42,7 +44,7 @@ class Dataset:
     classes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        values = np.asfortranarray(np.asarray(self.values, dtype=np.float64))
+        values = np.array(self.values, dtype=np.float64, order="F")
         if values.ndim != 2:
             raise DataError(f"values must be 2-dimensional, got shape {values.shape}")
         n, m = values.shape
@@ -207,21 +209,17 @@ def csv_records(path: str | Path):
 
 
 def read_numeric(path: Path, header: list[str], records, columns: list[int], label: int | None = None):
-    """Parse ``columns`` of ``csv_records`` rows into a float64 matrix, plus ``label``'s stripped cells.
+    """Parse ``columns`` of ``csv_records`` rows into a list of float64 rows, plus ``label``'s stripped cells.
 
     Each row is checked as it is read: its label must be non-blank, then every cell must go
     through ``float()`` and be finite. Only a row that fails is walked again, cell by cell in
     that order, to name its first bad cell, so the file is read once.
     """
-    values, labels, n = np.empty((64, len(columns))), [], 0
+    rows, labels = [], []
     for lineno, record in records:
-        if n == len(values):  # one buffer, doubled when full: no per-row arrays left behind
-            grown = np.empty((2 * n, len(columns)))
-            grown[:n] = values
-            values = grown
         try:
-            values[n] = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
-            ok = np.isfinite(values[n]).all()
+            row = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
+            ok = np.isfinite(row).all()
         except ValueError:
             ok = False
         if label is not None:
@@ -237,10 +235,10 @@ def read_numeric(path: Path, header: list[str], records, columns: list[int], lab
                     raise DataError(f"{where}: cannot parse {record[i].strip()!r}") from None
                 if not math.isfinite(value):
                     raise DataError(f"{where}: missing or non-finite value")
-        n += 1
-    if not n:
+        rows.append(row)
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    return values[:n], labels
+    return rows, labels
 
 
 def load_csv(path: str | Path, class_column: str | int) -> Dataset:
@@ -263,8 +261,8 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
             except ValueError:
                 raise DataError(f"class column {class_column!r} not found in header") from None
         columns = [i for i in range(len(header)) if i != class_idx]
-        values, labels = read_numeric(path, header, records, columns, label=class_idx)
-    return Dataset(tuple(header[i] for i in columns), values, tuple(labels))
+        rows, labels = read_numeric(path, header, records, columns, label=class_idx)
+    return Dataset(tuple(header[i] for i in columns), rows, tuple(labels))
 
 
 def save_csv(d: Dataset, path: str | Path, class_column: str = "class") -> None:
@@ -315,10 +313,8 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldPlan:
     assignments = np.empty(d.n, dtype=np.intp)
     offset = 0
     for c in d.classes:
-        rows = d.class_rows[c]
-        perm = rng.permutation(rows)
-        for j, row in enumerate(perm):
-            assignments[row] = (offset + j) % k
+        perm = rng.permutation(d.class_rows[c])
+        assignments[perm] = (offset + np.arange(perm.size)) % k
         # rotate the starting fold so leftover samples spread across folds
-        offset = (offset + len(perm)) % k
+        offset = (offset + perm.size) % k
     return FoldPlan(k=k, assignments=assignments)

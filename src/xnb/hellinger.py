@@ -69,7 +69,8 @@ class HellingerTable:
     """H(class_i, class_j | variable) for all variables and class pairs.
 
     ``distances`` is (m, k(k-1)/2) with pairs in ``combinations(classes, 2)``
-    order; lookups are symmetric in the two classes.
+    order; lookups are symmetric in the two classes. The table holds a
+    read-only copy of the distances it is given.
     """
 
     variable_names: tuple[str, ...]
@@ -77,7 +78,7 @@ class HellingerTable:
     distances: np.ndarray
 
     def __post_init__(self):
-        distances = np.asarray(self.distances, dtype=np.float64)
+        distances = np.array(self.distances, dtype=np.float64)
         expected = (len(self.variable_names), len(self.class_pairs))
         if distances.shape != expected:
             raise ValueError(f"distances shape {distances.shape}, expected {expected}")

@@ -318,6 +318,18 @@ class TestGnb:
         with pytest.raises(DataError, match="variables 'big': variance exceeds the largest float"):
             fit_gnb(Dataset(("big", "small"), values, labels))
 
+    def test_moments_are_its_own_copy(self):
+        means, variances = np.zeros((2, 3)), np.ones((2, 3))
+        views = means[:], variances[:]  # taken before construction
+        model = GnbModel(("A", "B"), {"A": 0.5, "B": 0.5}, ("x", "y", "z"), means, variances, smoothing=1e-9)
+        for given, view in zip((means, variances), views):
+            assert given.flags.writeable and view.flags.writeable
+            given[0, 0] = 1e300
+            view[1, 2] = 1e300
+        np.testing.assert_array_equal(model.means, np.zeros((2, 3)))
+        np.testing.assert_array_equal(model.variances, np.ones((2, 3)))
+        assert not (model.means.flags.writeable or model.variances.flags.writeable)
+
 
 class TestFnb:
     def test_all_variables_kept(self, separated_two_class):

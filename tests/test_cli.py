@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -23,7 +25,14 @@ from xnb.dataset import Dataset, save_csv
 from xnb.evaluation import METHODS
 from xnb.hellinger import MAX_MU, hellinger_table
 from xnb.selection import SelectionConfig, select_class_specific
-from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
+from tests.conftest import (
+    MALFORMED_ARRAYS,
+    corrupt_node,
+    edit_array,
+    empty_union_model,
+    make_separated,
+    traced_peak,
+)
 from tests.oracles import table_value, v1_payload
 
 
@@ -72,6 +81,32 @@ class TestExitCodes:
 
     def test_bad_class_column_index(self, data_csv):
         assert main(["evaluate", "--data", str(data_csv), "--class-col", "@x"]) == 1
+
+    def test_class_column_index_out_of_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("g1,g2,class\n1,2,A\n3,4,B\n")
+        assert main(["evaluate", "--data", str(path), "--class-col", "@7", "--k", "2"]) == 2
+        assert capsys.readouterr().err == "data error: class column index 7 out of range for 3 columns\n"
+
+    @pytest.mark.parametrize("verb", ["fit", "predict"])
+    def test_header_only_csv_is_data_error(self, data_csv, tmp_path, capsys, verb):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data_csv), "--model", str(model)]) == 0
+        path = tmp_path / "header.csv"
+        path.write_text(data_csv.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        out = tmp_path / ("refit.json" if verb == "fit" else "p.tsv")
+        argv = ["--model", str(out)] if verb == "fit" else ["--model", str(model), "--out", str(out)]
+        assert main([verb, "--data", str(path), *argv]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: no data rows\n"
+        assert not out.exists()
+
+    def test_header_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = tmp_path / "wide_name.csv"
+        path.write_text("g" * (limit + 1) + ",class\n1,A\n2,B\n")
+        assert main(["diagnose", "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: row 1: field larger than field limit ({limit})\n"
 
     @pytest.mark.parametrize("rows_before", [1, 5000])  # in the header's read, or past it
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, rows_before):
@@ -502,6 +537,32 @@ class TestFitPredict:
         assert "c0" in err
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("priors", "priors must lie in (0, 1] and sum to 1"),
+            ("theta", "theta must lie in (0, 1), got 1.5"),
+            ("twice", "duplicate variables selected for class 'c0'"),
+        ],
+        ids=["priors sum to 1.4", "theta 1.5", "variable listed twice"],
+    )
+    def test_invalid_model_value_is_located_error(self, data_csv, samples_csv, tmp_path, capsys, edit, message):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--data", str(data_csv), "--model", str(model_path)])
+        payload = json.loads(model_path.read_text())
+        if edit == "priors":
+            payload["priors"] = {"c0": 0.7, "c1": 0.7}
+        elif edit == "theta":
+            payload["config"]["theta"] = 1.5
+        else:
+            payload["features"]["c0"].append(payload["features"]["c0"][0])
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {model_path}: malformed model file (ValueError: {message})\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "method, path, replace, match",
         [case[1:] for case in MALFORMED_ARRAYS],
         ids=[case[0] for case in MALFORMED_ARRAYS],
@@ -899,6 +960,112 @@ def malformed_model(draw):
             parent[key] = draw(st.sampled_from(_WRONG_VALUES))
     text = json.dumps(payload)
     return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@lru_cache(maxsize=None)
+def _reader_model(method: str):
+    """A model fitted on ``data_csv``'s data (xnb scores v00 and v03 of v00-v07) and its file text."""
+    d, _ = make_separated(n=60, m=8, k=2, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model({"xnb": fit_xnb, "gnb": fit_gnb}[method](d), Path(tmp) / "m.json")
+        return load_model(Path(tmp) / "m.json"), (Path(tmp) / "m.json").read_text()
+
+
+# what stands in a column that no class scores: text, blanks, non-finite values
+_UNSCORED_CELLS = ["nan", "x", "", " text ", "inf", "1e999", '"', "1,5", "0.5"]
+_BAD_SCORED_CELLS = ["nan", "-inf", "", "x", " 1e999 ", "1..5"]
+
+
+@st.composite
+def heldout_rows(draw, model):
+    """Held-out CSV rows for ``model``, header first: its variables and 0-3 extra
+    columns in a drawn order, text or non-finite cells in the unscored columns,
+    1-200 rows, and often none, else 1-3 scored cells replaced by bad ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extras = [f"extra{i}" for i in range(draw(st.integers(0, 3)))]
+    header = list(draw(st.permutations([*model.variable_names, *extras])))
+    scored = [model.variable_names[j] for j in model.scored_columns]
+    rows = [header]
+    # row counts on either side of 64 and 128, where a doubling row buffer would grow
+    for _ in range(draw(st.one_of(st.integers(1, 200), st.sampled_from([64, 65, 128, 129, 200])))):
+        rows.append([
+            format(rng.normal(0.0, 4.0), ".17g") if name in scored else str(rng.choice(_UNSCORED_CELLS))
+            for name in header
+        ])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        row[header.index(draw(st.sampled_from(scored)))] = draw(st.sampled_from(_BAD_SCORED_CELLS))
+    return rows
+
+
+def _oracle_predictions(model, rows):
+    """``predict`` on each row's sample, built one scored cell at a time, as the
+    JSON payload of ``xnb predict``; or the data error of the first bad scored
+    cell, in row order and then in model variable order."""
+    position = {name: i for i, name in enumerate(rows[0])}
+    payload = []
+    for lineno, record in enumerate(rows[1:], start=2):
+        sample = np.zeros(model.m)
+        for j in model.scored_columns:
+            name = model.variable_names[j]
+            cell = record[position[name]]
+            try:
+                sample[j] = float(cell)
+            except ValueError:
+                return f"row {lineno}, column {name!r}: cannot parse {cell.strip()!r}"
+            if not math.isfinite(sample[j]):
+                return f"row {lineno}, column {name!r}: missing or non-finite value"
+        p = predict(model, sample)
+        payload.append({"label": p.label, "log_scores": p.log_scores})
+    return payload
+
+
+class TestPredictReader:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from(["xnb", "gnb"]))
+    def test_predictions_equal_the_oracle_rows(self, data, method):
+        model, text = _reader_model(method)
+        rows = data.draw(heldout_rows(model))
+        expected = _oracle_predictions(model, rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            held, model_path, out = Path(tmp) / "held.csv", Path(tmp) / "m.json", Path(tmp) / "p.json"
+            with held.open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            model_path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["predict", "--model", str(model_path), "--data", str(held), "--format", "json",
+                             "--out", str(out)])
+            if isinstance(expected, str):
+                assert (code, err.getvalue()) == (2, f"data error: {held}: {expected}\n")
+            else:
+                assert code == 0
+                assert json.loads(out.read_text()) == expected
+
+    def test_memory_grows_by_the_parsed_scored_cells(self, tmp_path):
+        # 50 and 500 rows of 2 000 columns, of which xnb scores a few: the
+        # extra 450 rows may cost their scored cells and per-row objects (the
+        # parsed row, its Prediction and its output line), not m cells each
+        # (an (n, m) matrix of samples adds 7.2 MB)
+        m = 2000
+        d, _ = make_separated(n=60, m=m, k=2, seed=3)
+        model_path = tmp_path / "m.json"
+        save_model(fit_xnb(d), model_path)
+        scored = load_model(model_path).scored_columns
+        assert 0 < len(scored) < 10
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n in (50, 500):
+            path = tmp_path / f"held{n}.csv"
+            cells = np.zeros((n, m), dtype=object)
+            cells[:, scored] = rng.normal(size=(n, len(scored)))
+            lines = [",".join(d.variable_names), *(",".join(map(str, row)) for row in cells)]
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["predict", "--model", str(model_path), "--data", str(path), "--out", str(tmp_path / "p.tsv")]
+            code, peak = traced_peak(lambda: main(argv))
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 450 * (8 * len(scored) + 1024)
 
 
 class TestFuzz:

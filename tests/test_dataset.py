@@ -71,6 +71,19 @@ def oracle_load_csv(path, class_column: str | int) -> Dataset:
     return Dataset(names, np.array(rows, dtype=np.float64), tuple(labels))
 
 
+def oracle_kfold(d: Dataset, k: int, seed: int) -> np.ndarray:
+    """The fold of each sample, dealt one row at a time from each class's shuffle."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assignments = np.empty(d.n, dtype=np.intp)
+    offset = 0
+    for c in d.classes:
+        perm = rng.permutation(d.class_rows[c])
+        for j, row in enumerate(perm):
+            assignments[row] = (offset + j) % k
+        offset = (offset + len(perm)) % k
+    return assignments
+
+
 def outcome(read, path, class_column):
     """``read``'s Dataset as comparable parts (values as raw bits), or its DataError message."""
     try:
@@ -187,16 +200,15 @@ class TestLoadCsv:
             load_csv(tmp_path, "class")
         assert str(exc.value) == f"{tmp_path}: cannot read (Is a directory)"
 
-    def test_wide_file_memory_is_one_buffer_and_its_growth(self, tmp_path):
-        # 65 rows: the 64-row buffer and the 128-row one it grows into, or
-        # at the end that buffer and the Dataset's column-major copy, plus
-        # 512 bytes a column for the header and one row's cell strings; the
-        # former growth also held a 64-row block to concatenate: 4.6 MB
+    def test_wide_file_memory_is_the_parsed_rows_and_one_copy(self, tmp_path):
+        # 65 rows: the parsed rows and the Dataset's column-major stack of
+        # them, plus 512 bytes a column for the header and one row's cell
+        # strings (a 128-row buffer beside the stack takes 3.6 MB)
         m = 2000
         values = np.random.default_rng(7).normal(size=(65, m))
         d = Dataset(tuple(f"g{j}" for j in range(m)), values, ("A", "B") * 32 + ("A",))
         save_csv(d, tmp_path / "wide.csv")
-        bound = (64 + 128 + 1) * 8 * m + 512 * m  # 4.1 MB
+        bound = 2 * 65 * 8 * m + 512 * m  # 3.1 MB
         back, peak = traced_peak(lambda: load_csv(tmp_path / "wide.csv", "class"))
         np.testing.assert_array_equal(back.values, d.values)
         assert peak < bound
@@ -358,6 +370,18 @@ class TestDataset:
         assert values.flags.f_contiguous and not values.flags.writeable
         assert values.shape == (3, 2)
 
+    @pytest.mark.parametrize("source", ["C-order array", "F-order array", "nested list"])
+    def test_values_are_its_own_copy(self, source):
+        given = np.arange(6.0).reshape(3, 2)
+        if source == "F-order array":
+            given = np.asfortranarray(given)
+        view = given[:]  # taken before construction
+        d = Dataset(("x", "y"), given.tolist() if source == "nested list" else given, ("A", "B", "A"))
+        assert given.flags.writeable and view.flags.writeable
+        given[0, 0] = 99.0
+        view[2, 1] = 98.0
+        np.testing.assert_array_equal(d.values, np.arange(6.0).reshape(3, 2))
+
     def test_subset_recomputes_classes(self):
         d = Dataset(("x",), np.arange(4.0)[:, None], ("A", "A", "B", "B"))
         sub = d.subset(np.array([0, 1]))
@@ -452,6 +476,21 @@ class TestStratifiedKfold:
         for c in d.classes:
             counts = np.bincount(plan.assignments[arr == c], minlength=k)
             assert counts.max() - counts.min() <= 1
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 8),
+        st.lists(st.integers(1, 25), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_folds_equal_the_per_row_deal(self, seed, k, class_sizes):
+        n = sum(class_sizes)
+        if k > n:
+            return
+        rng = np.random.default_rng(seed)
+        labels = tuple(rng.permutation([f"c{ci}" for ci, size in enumerate(class_sizes) for _ in range(size)]))
+        d = Dataset(("x",), np.zeros((n, 1)), labels)
+        np.testing.assert_array_equal(stratified_kfold(d, k, seed).assignments, oracle_kfold(d, k, seed))
 
     def test_fold_proportions_close_to_global(self):
         rng = np.random.default_rng(17)

@@ -217,6 +217,16 @@ class TestTable:
         with pytest.raises(ValueError, match="duplicate"):
             HellingerTable(("x", "x"), ("A", "B"), np.zeros((2, 1)))
 
+    def test_distances_are_its_own_copy(self):
+        given = np.full((2, 1), 0.5)
+        view = given[:]  # taken before construction
+        table = HellingerTable(("x", "y"), ("A", "B"), given)
+        assert given.flags.writeable and view.flags.writeable
+        given[0, 0] = 0.9
+        view[1, 0] = 0.1
+        np.testing.assert_array_equal(table.distances, np.full((2, 1), 0.5))
+        assert not table.distances.flags.writeable
+
     def test_blocked_path_matches_per_variable_reference(self):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(31, 300))
