@@ -74,7 +74,8 @@ for c in fmap.classes:
 print("\nexhausted (ran out of candidates):", fmap.exhausted)
 
 print("\nmembership matrix over the union of selected variables:")
-union = fmap.union()
+# every selected variable, in first-appearance order across the classes
+union = list(dict.fromkeys(v for c in fmap.classes for v in fmap.features[c]))
 print(f"  {'':3s}" + "".join(f"{v:>8s}" for v in union))
 for c in fmap.classes:
     print(f"  {c:3s}" + "".join(f"{int(v in fmap.features[c]):>8d}" for v in union))

@@ -19,7 +19,6 @@ from .classifier import (
     load_model,
     predict,
     save_model,
-    score,
 )
 from .dataset import Dataset, FoldPlan, class_priors, load_csv, save_csv, stratified_kfold
 from .diagnostics import (
@@ -76,7 +75,6 @@ __all__ = [
     "fit_fnb",
     "fit_gnb",
     "predict",
-    "score",
     "save_model",
     "load_model",
     "DiagnosticsReport",

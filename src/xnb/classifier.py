@@ -2,16 +2,15 @@
 
 A fitted KDE model holds one packed density per class: the class's
 training rows restricted to its variable subset, one bandwidth per
-variable and one kernel (``kde.PackedKde``). Fitting runs five stages:
-per-(class, variable) bandwidths, the full packed bank over every
-variable, the Hellinger table, the per-class variable selection, and a
-final restriction of each class's density to its selected columns
-(bandwidths are unchanged). Prediction scores each class with its own
-variable subset: log prior plus the sum of floored log densities over that
-subset only, in one vectorized kernel sum per class. Every model names the
-columns some class scores (``scored_columns``); ``score`` takes a sample's
-values at those columns only, and ``predict`` checks a full sample and
-passes it on.
+variable and one kernel (``kde.PackedKde``). The fnb fit runs two stages,
+per-(class, variable) bandwidths and the packed bank over every variable;
+the xnb fit extends it with the Hellinger table, the per-class variable
+selection, and a restriction of each class's density to its selected
+columns (bandwidths are unchanged). ``predict`` is the one scoring
+function: it checks a full sample, then scores each class over its own
+columns only: log prior plus the sum of floored log densities, in one
+vectorized kernel sum per class. ``scored_columns`` names the columns some
+class scores, the only ones ``xnb predict`` parses.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -79,7 +78,12 @@ class Prediction:
     log_scores: dict[str, float]
 
 
-def _check_priors(priors: dict[str, float], classes) -> None:
+def _check_header(classes, priors: dict[str, float], variable_names) -> None:
+    """The checks every model makes of its class names, priors and variable names."""
+    if len(set(classes)) != len(classes):
+        raise ValueError("duplicate class names")
+    if len(set(variable_names)) != len(variable_names):
+        raise ValueError("duplicate variable names")
     if set(priors) != set(classes):
         raise ValueError("priors must name exactly the model classes")
     if not all(0.0 < p <= 1.0 for p in priors.values()) or abs(sum(priors.values()) - 1.0) > 1e-9:
@@ -104,7 +108,7 @@ class XnbModel:
     timings: dict[str, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_priors(self.priors, self.classes)
+        _check_header(self.classes, self.priors, self.variable_names)
         if set(self.kde_bank) != set(self.classes):
             raise ValueError("kde bank must name exactly the model classes")
         for c in self.classes:
@@ -138,13 +142,8 @@ class XnbModel:
 
     @cached_property
     def scored_columns(self) -> np.ndarray:
-        """The sorted union of the classes' feature columns: the only ones ``score`` reads."""
-        return np.sort(np.array([self.variable_index[v] for v in self.features.union()], dtype=np.intp))
-
-    @cached_property
-    def class_positions(self) -> dict[str, np.ndarray]:
-        """Each class's feature columns as positions in ``scored_columns``."""
-        return {c: np.searchsorted(self.scored_columns, cols) for c, cols in self.feature_columns.items()}
+        """The sorted union of the classes' feature columns: the only ones ``predict`` reads."""
+        return np.unique(np.concatenate(list(self.feature_columns.values())))
 
 
 @dataclass(frozen=True)
@@ -160,12 +159,12 @@ class GnbModel:
     method: str = "gnb"
 
     def __post_init__(self):
+        _check_header(self.classes, self.priors, self.variable_names)
         means = np.array(self.means, dtype=np.float64)
         variances = np.array(self.variances, dtype=np.float64)
         shape = (len(self.classes), len(self.variable_names))
         if means.shape != shape or variances.shape != shape:
             raise ValueError(f"moment arrays must have shape {shape}")
-        _check_priors(self.priors, self.classes)
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
         if not np.all(np.isfinite(variances) & (variances > 0)):
@@ -186,7 +185,7 @@ class GnbModel:
 
     @cached_property
     def _log_2pi_variances(self) -> np.ndarray:
-        """log(2 pi variance) per (class, variable): the part of ``score`` that no sample changes."""
+        """log(2 pi variance) per (class, variable): the part of ``predict`` that no sample changes."""
         return np.log(2.0 * np.pi * self.variances)
 
 
@@ -201,9 +200,15 @@ def _check_trainable(d: Dataset) -> None:
         )
 
 
-def _packed_bank(d: Dataset, config: XnbConfig, timings: dict[str, float]) -> dict[str, PackedKde]:
-    """Every class's packed density over all variables; times the two stages."""
+def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
+    """KDE Bayes with selection disabled: every class keeps all variables.
+
+    Its bank, one packed density per class over every variable, is the one
+    that ``fit_xnb`` selects from and the Hellinger table is built from.
+    """
+    config = config or XnbConfig()
     _check_trainable(d)
+    timings = dict.fromkeys(FIT_STAGES, 0.0)
     t0 = time.perf_counter()
     scale = np.ptp(d.values, axis=0)
     subs = [d.values[d.class_rows[c]] for c in d.classes]
@@ -212,15 +217,24 @@ def _packed_bank(d: Dataset, config: XnbConfig, timings: dict[str, float]) -> di
 
     t0 = time.perf_counter()
     bank = {c: PackedKde(sub, h, config.kernel) for c, sub, h in zip(d.classes, subs, h_rows)}
-    timings["kde"] = time.perf_counter() - t0
-    return bank
+    timings["kde"] = timings["build"] = time.perf_counter() - t0
+
+    return XnbModel(
+        classes=d.classes,
+        priors=class_priors(d),
+        features=ClassFeatureMap(classes=d.classes, features={c: d.variable_names for c in d.classes}),
+        kde_bank=bank,
+        config=config,
+        variable_names=d.variable_names,
+        method="fnb",
+        timings=timings,
+    )
 
 
 def fit_xnb(d: Dataset, config: XnbConfig | None = None, jobs: int = 1) -> XnbModel:
-    """Fit the class-specific KDE Bayes model."""
-    config = config or XnbConfig()
-    timings: dict[str, float] = {}
-    bank = _packed_bank(d, config, timings)
+    """Fit the class-specific KDE Bayes model: the fnb fit, then table, selection and restriction."""
+    full = fit_fnb(d, config)
+    config, bank, timings = full.config, full.kde_bank, dict(full.timings)
 
     t0 = time.perf_counter()
     table = hellinger_table(d, bank, mu=config.mu, jobs=jobs)
@@ -236,40 +250,7 @@ def fit_xnb(d: Dataset, config: XnbConfig | None = None, jobs: int = 1) -> XnbMo
     }
     timings["build"] = time.perf_counter() - t0
 
-    return XnbModel(
-        classes=d.classes,
-        priors=class_priors(d),
-        features=features,
-        kde_bank=selected,
-        config=config,
-        variable_names=d.variable_names,
-        method="xnb",
-        timings=timings,
-    )
-
-
-def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
-    """KDE Bayes with selection disabled: every class keeps all variables."""
-    config = config or XnbConfig()
-    timings: dict[str, float] = {}
-    bank = _packed_bank(d, config, timings)
-    timings["build"] = timings["kde"]
-    timings["hellinger"] = timings["select"] = 0.0
-    features = ClassFeatureMap(
-        classes=d.classes,
-        features={c: d.variable_names for c in d.classes},
-    )
-
-    return XnbModel(
-        classes=d.classes,
-        priors=class_priors(d),
-        features=features,
-        kde_bank=bank,
-        config=config,
-        variable_names=d.variable_names,
-        method="fnb",
-        timings=timings,
-    )
+    return replace(full, features=features, kde_bank=selected, method="xnb", timings=timings)
 
 
 def fit_gnb(d: Dataset) -> GnbModel:
@@ -331,18 +312,18 @@ def _check_sample(sample, m: int) -> np.ndarray:
     return sample
 
 
-def score(model: XnbModel | GnbModel, values) -> Prediction:
-    """Score every class on a sample given by its values at ``model.scored_columns`` only.
+def predict(model: XnbModel | GnbModel, sample) -> Prediction:
+    """Score every class on a full sample (length m, finite) and pick the label.
 
-    ``values`` is a finite float64 vector in that column order; ``predict``
-    is the checked entry point that takes the full sample. A KDE class
-    scores its own variables: log prior plus the sum of log densities,
-    each clamped below at the configured floor so that scores stay finite
-    for samples outside every training range. A gnb class sums Gaussian
-    log densities over every variable.
+    A KDE class reads only its own columns, ``sample[model.feature_columns[c]]``:
+    log prior plus the sum of log densities, each clamped below at the
+    configured floor so that scores stay finite for samples outside every
+    training range. A gnb class sums Gaussian log densities over every
+    variable.
     """
+    sample = _check_sample(sample, model.m)
     if isinstance(model, GnbModel):
-        log_density = -0.5 * (model._log_2pi_variances + (values - model.means) ** 2 / model.variances)
+        log_density = -0.5 * (model._log_2pi_variances + (sample - model.means) ** 2 / model.variances)
         log_scores = {
             c: float(math.log(model.priors[c]) + log_density[i].sum())
             for i, c in enumerate(model.classes)
@@ -351,17 +332,9 @@ def score(model: XnbModel | GnbModel, values) -> Prediction:
         floor = model.config.floor
         log_scores = {}
         for c in model.classes:
-            density = model.kde_bank[c].density_at(values[model.class_positions[c]])
+            density = model.kde_bank[c].density_at(sample[model.feature_columns[c]])
             log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, floor)).sum())
     return Prediction(label=_pick_label(log_scores, model.priors), log_scores=log_scores)
-
-
-def predict(model: XnbModel | GnbModel, sample) -> Prediction:
-    """Check a full sample (length m, finite) and ``score`` its scored columns."""
-    sample = _check_sample(sample, model.m)
-    columns = model.scored_columns
-    # a model that scores every column takes the sample itself, not a copy
-    return score(model, sample if len(columns) == model.m else sample[columns])
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -443,6 +416,13 @@ def _names(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (not a string or a boolean) as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_model(path: str | Path) -> XnbModel | GnbModel:
     """Read a model file written by ``save_model``; predictions round-trip bit-exactly.
 
@@ -476,7 +456,7 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
         array = _decode_array if version == MODEL_SCHEMA_VERSION else _list_array
         method = payload["method"]
         classes = _names(payload["classes"], "classes")
-        priors = {c: float(p) for c, p in payload["priors"].items()}
+        priors = {c: _number(p, f"prior of class {c!r}") for c, p in payload["priors"].items()}
         variables = _names(payload["variables"], "variables")
         if method == "gnb":
             gnb = payload["gnb"]
@@ -486,19 +466,21 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
                 variable_names=variables,
                 means=array(gnb["means"]),
                 variances=array(gnb["variances"]),
-                smoothing=float(gnb["smoothing"]),
+                smoothing=_number(gnb["smoothing"], "smoothing"),
             )
         cfg = payload["config"]
+        if type(cfg["mu"]) is not int:
+            raise ValueError(f"mu must be an integer, got {cfg['mu']!r}")
         config = XnbConfig(
             kernel=cfg["kernel"],
             bandwidth_rule=cfg["bandwidth_rule"],
-            mu=int(cfg["mu"]),
-            theta=float(cfg["theta"]),
-            floor=float(cfg["floor"]),
+            mu=cfg["mu"],
+            theta=_number(cfg["theta"], "theta"),
+            floor=_number(cfg["floor"], "floor"),
         )
         features = ClassFeatureMap(
             classes=classes,
-            features={c: tuple(payload["features"][c]) for c in classes},
+            features={c: _names(payload["features"][c], f"features of class {c!r}") for c in classes},
         )
         bank = {
             c: PackedKde(array(entry["samples"]), array(entry["h"]), entry["kernel"])
@@ -526,7 +508,6 @@ __all__ = [
     "fit_fnb",
     "fit_gnb",
     "predict",
-    "score",
     "save_model",
     "load_model",
     "MODEL_SCHEMA_VERSION",

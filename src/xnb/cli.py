@@ -133,7 +133,7 @@ def _read_samples(path: str, model) -> list[np.ndarray]:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     rows = _read_samples(args.data, model)
-    # one full-width sample, refilled per row; its unscored columns stay 0.0, which no score reads
+    # one full-width sample, refilled per row; its unscored columns stay 0.0, which predict never reads
     sample = np.zeros(model.m)
     results = []
     for row in rows:

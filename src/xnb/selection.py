@@ -70,14 +70,6 @@ class ClassFeatureMap:
     def count(self, cls: str) -> int:
         return len(self.features[cls])
 
-    def union(self) -> tuple[str, ...]:
-        """All selected variables, in first-appearance order across classes."""
-        seen: dict[str, None] = {}
-        for c in self.classes:
-            for v in self.features[c]:
-                seen.setdefault(v)
-        return tuple(seen)
-
 
 def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = None) -> ClassFeatureMap:
     """Greedy per-class selection against the power threshold.

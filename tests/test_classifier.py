@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xnb.classifier import (
+    FIT_STAGES,
     GnbModel,
     XnbConfig,
     XnbModel,
@@ -18,16 +19,15 @@ from xnb.classifier import (
     load_model,
     predict,
     save_model,
-    score,
 )
 from xnb.hellinger import MAX_MU
 from xnb.dataset import Dataset, class_priors
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
-from xnb.kde import PackedKde
+from xnb.kde import KERNELS, PackedKde
 from xnb.selection import ClassFeatureMap
 from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
-from tests.oracles import bandwidth, v1_payload, v2_payload
+from tests.oracles import KdeModel, bandwidth, kde_density_at, v1_payload, v2_payload
 
 FITS = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}
 
@@ -163,31 +163,64 @@ class TestPredictXnb:
             assert predict(coarse, sample).log_scores == predict(fine, sample).log_scores
 
 
+def oracle_log_scores(model, x) -> dict[str, float]:
+    """Each class's log score, one scalar density or Gaussian term at a time."""
+    scores = {}
+    for i, c in enumerate(model.classes):
+        if isinstance(model, GnbModel):
+            terms = [
+                -0.5 * (math.log(2.0 * math.pi * var) + (x[j] - mean) ** 2 / var)
+                for j, (mean, var) in enumerate(zip(model.means[i], model.variances[i]))
+            ]
+        else:
+            bank = model.kde_bank[c]
+            terms = [
+                math.log(max(kde_density_at(KdeModel(bank.samples[:, t], bank.h[t], bank.kernel), x[j]),
+                             model.config.floor))
+                for t, j in enumerate(model.feature_columns[c])
+            ]
+        scores[c] = math.log(model.priors[c]) + math.fsum(terms)
+    return scores
+
+
 class TestScoredColumns:
-    def test_kde_union_and_positions(self, separated_three_class):
+    def test_kde_union(self, separated_three_class):
         d, _ = separated_three_class
         model = fit_xnb(d)
         union = sorted({j for cols in model.feature_columns.values() for j in cols})
         assert model.scored_columns.tolist() == union and len(union) < d.m
-        for c in model.classes:
-            assert np.array_equal(model.scored_columns[model.class_positions[c]], model.feature_columns[c])
 
     @pytest.mark.parametrize("method", ["fnb", "gnb"])
     def test_baselines_score_every_column(self, separated_two_class, method):
         model = FITS[method](separated_two_class)
         assert np.array_equal(model.scored_columns, np.arange(separated_two_class.m))
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]))
-    @settings(max_examples=20, deadline=None)
-    def test_predict_is_score_on_the_scored_columns(self, seed, method):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]), st.sampled_from(KERNELS))
+    @settings(max_examples=30, deadline=None)
+    def test_predict_matches_the_scalar_oracle(self, seed, method, kernel):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 5))
         d, _ = make_separated(n=int(rng.integers(3 * k, 40)), m=int(rng.integers(2 * k, 16)), k=k,
                               seed=seed % 1000)
-        model = FITS[method](d)
-        for row in rng.normal(0.0, 3.0, size=(5, d.m)):
-            a, b = predict(model, row), score(model, row[model.scored_columns])
-            assert (a.label, a.log_scores) == (b.label, b.log_scores)
+        model = fit_gnb(d) if method == "gnb" else FITS[method](d, XnbConfig(kernel=kernel))
+        if method != "gnb":
+            assert tuple(model.timings) == FIT_STAGES
+        if method == "xnb":
+            # each class's density is the fnb fit's, restricted to its columns
+            full = fit_fnb(d, model.config).kde_bank
+            for c in model.classes:
+                taken = full[c].take(model.feature_columns[c])
+                assert taken.kernel == model.kde_bank[c].kernel
+                assert taken.samples.tobytes() == model.kde_bank[c].samples.tobytes()
+                assert taken.h.tobytes() == model.kde_bank[c].h.tobytes()
+        for x in rng.normal(0.0, 3.0, size=(5, d.m)):
+            pred = predict(model, x)
+            expected = oracle_log_scores(model, x)
+            assert list(pred.log_scores) == list(model.classes)
+            np.testing.assert_allclose(
+                [pred.log_scores[c] for c in model.classes], [expected[c] for c in model.classes],
+                rtol=1e-12, atol=0,
+            )
 
     def test_predict_checks_the_full_row(self, separated_three_class):
         d, _ = separated_three_class
@@ -208,7 +241,6 @@ class TestScoredColumns:
         for loaded in (model, load_model(path)):
             pred = predict(loaded, [1.0, 2.0])
             assert pred.log_scores == {"A": np.log(0.25), "B": np.log(0.75)} and pred.label == "B"
-            assert score(loaded, np.empty(0)) == pred
 
     def test_mu_bound(self):
         assert XnbConfig(mu=MAX_MU).mu == MAX_MU
