@@ -46,6 +46,10 @@ MODEL_SCHEMA_VERSION = 3
 # the one dtype of an array node in a model file
 _ARRAY_DTYPE = "<f8"
 
+# the class-pair order and tie rule every KDE model follows, written into its config
+_ORDERING = {"pair_order": "sorted-labels", "tie_break": "lexicographic"}
+_CONFIG_KEYS = ("kernel", "bandwidth_rule", "mu", "theta", "floor", *_ORDERING)
+
 DEFAULT_FLOOR = 1e-12
 
 FIT_STAGES = ("bandwidth", "kde", "hellinger", "select", "build")
@@ -358,7 +362,7 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
             "smoothing": model.smoothing,
         }
         return payload
-    payload["config"] = {**asdict(model.config), "pair_order": "sorted-labels", "tie_break": "lexicographic"}
+    payload["config"] = {**asdict(model.config), **_ORDERING}
     payload["features"] = {c: list(model.features.features[c]) for c in model.classes}
     payload["kde"] = {
         c: {
@@ -384,30 +388,35 @@ def save_model(model: XnbModel | GnbModel, path: str | Path) -> None:
     write_output(json.dumps(_model_payload(model), separators=(",", ":"), allow_nan=False) + "\n", path)
 
 
-def _decode_array(node) -> np.ndarray:
-    """The read-only float64 array of a v3 array node; ValueError if the node is malformed."""
-    if not isinstance(node, dict) or set(node) != {"dtype", "shape", "data"}:
-        raise ValueError("an array must be a {dtype, shape, data} object")
-    if node["dtype"] != _ARRAY_DTYPE:
-        raise ValueError(f"array dtype {node['dtype']!r}, expected {_ARRAY_DTYPE!r}")
-    shape = node["shape"]
+def _fields(node, keys, where: str) -> list:
+    """JSON object ``node``'s values in ``keys`` order if those are its keys; else a ValueError naming ``where``."""
+    if isinstance(node, dict) and node.keys() == set(keys):
+        return [node[k] for k in keys]
+    if isinstance(node, dict):
+        missing = [k for k in keys if k not in node]
+        problem = f"missing {missing[0]!r}" if missing else f"unexpected {next(k for k in node if k not in keys)!r}"
+    else:
+        problem = f"not a {type(node).__name__}"
+    raise ValueError(f"{where} must be a {{{', '.join(keys)}}} object, {problem}")
+
+
+def _decode_array(node, where: str) -> np.ndarray:
+    """The read-only float64 array of the array node ``where``; ValueError if it is malformed."""
+    dtype, shape, data = _fields(node, ("dtype", "shape", "data"), where)
+    if dtype != _ARRAY_DTYPE:
+        raise ValueError(f"{where}: array dtype {dtype!r}, expected {_ARRAY_DTYPE!r}")
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-        raise ValueError(f"array shape {shape!r} is not a list of non-negative integers")
-    if not isinstance(node["data"], str):
-        raise ValueError("array data must be a base64 string")
+        raise ValueError(f"{where}: array shape {shape!r} is not a list of non-negative integers")
+    if not isinstance(data, str):
+        raise ValueError(f"{where}: array data must be a base64 string")
     try:
-        raw = base64.b64decode(node["data"], validate=True)
+        raw = base64.b64decode(data, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise ValueError(f"array data is not base64 ({exc})") from None
+        raise ValueError(f"{where}: array data is not base64 ({exc})") from None
     expected = 8 * math.prod(shape)  # Python ints: a huge shape allocates nothing
     if len(raw) != expected:
-        raise ValueError(f"array of shape {shape} needs {expected} bytes of data, got {len(raw)}")
+        raise ValueError(f"{where}: array of shape {shape} needs {expected} bytes of data, got {len(raw)}")
     return np.frombuffer(raw, _ARRAY_DTYPE).reshape(shape)
-
-
-def _list_array(value) -> np.ndarray:
-    """The float64 array of a v2 nested list."""
-    return np.array(value, dtype=np.float64)
 
 
 def _names(value, what: str) -> tuple[str, ...]:
@@ -426,11 +435,13 @@ def _number(value, what: str) -> float:
 def load_model(path: str | Path) -> XnbModel | GnbModel:
     """Read a model file written by ``save_model``; predictions round-trip bit-exactly.
 
-    Version 3 arrays are decoded from their base64 nodes and checked for
-    dtype, shape and byte count; version 2 files, whose arrays are nested
-    lists of decimal floats, are still read. Either way the arrays
-    then go through the same model constructors, which reject a
-    non-finite value. A malformed file, or one that cannot be opened, is a
+    The reader is closed-world: each JSON object holds exactly the keys that
+    ``save_model`` writes there for the ``method`` (``xnb``, ``fnb`` or
+    ``gnb``), ``features`` and ``kde`` exactly the ``classes``; an fnb class
+    lists every variable in order, and ``config`` the fixed ``pair_order``
+    and ``tie_break``. Arrays are checked for dtype, shape and byte count,
+    and the model constructors reject a non-finite value. Another schema
+    version, a malformed file, or one that cannot be opened, is a
     ``ModelFormatError``.
     """
     path = Path(path)
@@ -444,57 +455,44 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
     except OSError as exc:  # a directory, or a file without read permission
         raise ModelFormatError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if not isinstance(payload, dict):
-        raise ModelFormatError(
-            f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)"
-        )
-    version = payload.get("version")
-    if version not in (2, MODEL_SCHEMA_VERSION):
-        raise ModelFormatError(
-            f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION} (or 2)"
-        )
+        raise ModelFormatError(f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)")
+    version = payload.get("version", MODEL_SCHEMA_VERSION)  # a missing key fails the key check below
+    if version != MODEL_SCHEMA_VERSION:
+        raise ModelFormatError(f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION}")
     try:
-        array = _decode_array if version == MODEL_SCHEMA_VERSION else _list_array
-        method = payload["method"]
-        classes = _names(payload["classes"], "classes")
-        priors = {c: _number(p, f"prior of class {c!r}") for c, p in payload["priors"].items()}
-        variables = _names(payload["variables"], "variables")
+        method = payload.get("method", "xnb")  # likewise
+        if method not in ("xnb", "fnb", "gnb"):
+            raise ValueError(f"method must be 'xnb', 'fnb' or 'gnb', got {method!r}")
+        body = ("gnb",) if method == "gnb" else ("config", "features", "kde")
+        keys = ("version", "method", "classes", "priors", "variables", *body)
+        _, _, classes, priors, variables, *body = _fields(payload, keys, "top level")
+        classes = _names(classes, "classes")
+        priors = {c: _number(p, f"prior of class {c!r}") for c, p in priors.items()}
+        variables = _names(variables, "variables")
         if method == "gnb":
-            gnb = payload["gnb"]
-            return GnbModel(
-                classes=classes,
-                priors=priors,
-                variable_names=variables,
-                means=array(gnb["means"]),
-                variances=array(gnb["variances"]),
-                smoothing=_number(gnb["smoothing"], "smoothing"),
-            )
-        cfg = payload["config"]
-        if type(cfg["mu"]) is not int:
-            raise ValueError(f"mu must be an integer, got {cfg['mu']!r}")
-        config = XnbConfig(
-            kernel=cfg["kernel"],
-            bandwidth_rule=cfg["bandwidth_rule"],
-            mu=cfg["mu"],
-            theta=_number(cfg["theta"], "theta"),
-            floor=_number(cfg["floor"], "floor"),
-        )
-        features = ClassFeatureMap(
-            classes=classes,
-            features={c: _names(payload["features"][c], f"features of class {c!r}") for c in classes},
-        )
-        bank = {
-            c: PackedKde(array(entry["samples"]), array(entry["h"]), entry["kernel"])
-            for c, entry in payload["kde"].items()
-        }
-        return XnbModel(
-            classes=classes,
-            priors=priors,
-            features=features,
-            kde_bank=bank,
-            config=config,
-            variable_names=variables,
-            method=method,
-        )
+            means, variances, smoothing = _fields(body[0], ("means", "variances", "smoothing"), "gnb")
+            means, variances = _decode_array(means, "gnb.means"), _decode_array(variances, "gnb.variances")
+            return GnbModel(classes, priors, variables, means, variances, _number(smoothing, "smoothing"))
+        cfg, features, kde = body
+        kernel, rule, mu, theta, floor, *ordering = _fields(cfg, _CONFIG_KEYS, "config")
+        for name, value in zip(_ORDERING, ordering):
+            if value != _ORDERING[name]:
+                raise ValueError(f"config.{name} must be {_ORDERING[name]!r}, got {value!r}")
+        if type(mu) is not int:
+            raise ValueError(f"mu must be an integer, got {mu!r}")
+        config = XnbConfig(kernel, rule, mu, _number(theta, "theta"), _number(floor, "floor"))
+        features = _fields(features, classes, "features")
+        features = {c: _names(f, f"features of class {c!r}") for c, f in zip(classes, features)}
+        for c in classes:
+            if method == "fnb" and features[c] != variables:
+                raise ValueError(f"features of class {c!r} must list every variable, in order, in an fnb model")
+        bank = {}
+        for c, entry in zip(classes, _fields(kde, classes, "kde")):
+            where = f"kde[{c!r}]"
+            class_kernel, h, samples = _fields(entry, ("kernel", "h", "samples"), where)
+            samples, h = _decode_array(samples, f"{where}.samples"), _decode_array(h, f"{where}.h")
+            bank[c] = PackedKde(samples, h, class_kernel)
+        return XnbModel(classes, priors, ClassFeatureMap(classes, features), bank, config, variables, method)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
 

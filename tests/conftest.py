@@ -79,7 +79,7 @@ def separated_three_class():
 
 def edit_array(node: dict, edit) -> dict:
     """The array node of ``edit(array)``, given a copy of the node's array."""
-    return _encode_array(edit(_decode_array(node).copy()))
+    return _encode_array(edit(_decode_array(node, "array").copy()))
 
 
 def _set_first(value):
@@ -121,7 +121,7 @@ MALFORMED_ARRAYS = [
     ("data not ascii", "gnb", _VARIANCES, lambda n: {**n, "data": "\u00e9" + n["data"][1:]}, "not base64"),
     ("bytes short", "xnb", _A_SAMPLES, _rows(1), "needs 128 bytes of data, got 120"),
     ("huge shape", "fnb", _B_SAMPLES, _with(shape=[2**62, 2**62]), f"needs {8 * 2**124} bytes"),
-    ("list, not a node", "xnb", _A_H, lambda n: _decode_array(n).tolist(), "dtype, shape, data"),
+    ("list, not a node", "xnb", _A_H, lambda n: _decode_array(n, "array").tolist(), "dtype, shape, data"),
     ("nan sample", "fnb", _B_SAMPLES, lambda n: edit_array(n, _set_first(np.nan)), "samples must be finite"),
     ("inf bandwidth", "xnb", _A_H, lambda n: edit_array(n, _set_first(np.inf)), "bandwidths must be positive"),
     ("subnormal bandwidth", "xnb", _A_H, lambda n: edit_array(n, _set_first(1e-320)), "bandwidths must be positive"),

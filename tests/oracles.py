@@ -10,8 +10,8 @@ per block, reduced over its middle axis: that adds the samples in the same
 order as the library's steps of grid rows, the kernel's constant goes on
 after the sum, and each column total is a pairwise sum of one vector, so
 the two agree bit for bit. ``v2_payload`` is the version 2 model-file
-writer, whose arrays are nested lists of decimal floats; the library still
-reads that layout.
+writer, whose arrays are nested lists of decimal floats; the library
+rejects that version, as it does version 1 (``v1_payload``).
 ``column_layout_ci_scan`` is the library's former dependence scan: unit
 residuals kept one variable per column, all pairs decoded up front (or
 ``triu_indices`` when exhaustive), and each step of 16 384 pairs gathers

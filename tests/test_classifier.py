@@ -487,27 +487,49 @@ class TestPersistence:
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]))
-    @settings(max_examples=15, deadline=None)
-    def test_v2_and_v3_files_load_the_same_model(self, tmp_path_factory, seed, method):
-        d, _ = make_separated(n=30, m=12, k=3, seed=seed % 1000)
-        model = FITS[method](d)
-        tmp = tmp_path_factory.mktemp("v2v3")
-        (tmp / "v2.json").write_text(json.dumps(v2_payload(model)))
-        save_model(model, tmp / "v3.json")
-        v2, v3 = load_model(tmp / "v2.json"), load_model(tmp / "v3.json")
-        if method == "gnb":
-            arrays = [(m.means, m.variances) for m in (model, v2, v3)]
-        else:
-            arrays = [
-                tuple(a for c in model.classes for a in (m.kde_bank[c].samples, m.kde_bank[c].h))
-                for m in (model, v2, v3)
-            ]
-        for fitted, old, new in zip(*arrays):
-            assert np.array_equal(old, fitted) and np.array_equal(new, fitted)
-        for sample in np.random.default_rng(seed).normal(0.0, 3.0, size=(10, d.m)):
-            a, b, c = predict(model, sample), predict(v2, sample), predict(v3, sample)
-            assert (a.label, a.log_scores) == (b.label, b.log_scores) == (c.label, c.log_scores)
+    def test_v2_file_rejected(self, separated_two_class, tmp_path):
+        # no writer has produced version 2 since version 3
+        path = tmp_path / "v2.json"
+        for fit in FITS.values():
+            path.write_text(json.dumps(v2_payload(fit(separated_two_class))))
+            with pytest.raises(ModelFormatError) as info:
+                load_model(path)
+            assert str(info.value) == f"{path}: schema version 2, expected 3"
+
+    @pytest.mark.parametrize("method", ["xnb", "fnb", "gnb"])
+    def test_every_object_holds_exactly_the_written_keys(self, separated_two_class, tmp_path, method):
+        path = tmp_path / "model.json"
+        save_model(FITS[method](separated_two_class), path)
+        text = path.read_text()
+
+        def objects(node, name, at=()):
+            """Each JSON object in the payload: its key path, the name the reader gives it, its keys."""
+            yield at, name, list(node)
+            for key, child in node.items():
+                if isinstance(child, dict):
+                    sub = key if not at else f"{name}[{key!r}]" if name == "kde" else f"{name}.{key}"
+                    yield from objects(child, sub, (*at, key))
+
+        def load_edited(at, edit) -> str:
+            payload = json.loads(text)
+            node = payload
+            for key in at:
+                node = node[key]
+            edit(node)
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ModelFormatError) as info:
+                load_model(path)
+            return str(info.value)
+
+        for at, name, keys in objects(json.loads(text), "top level"):
+            problems = [("unexpected", "zzz", lambda node: node.update(zzz=1.0))]
+            problems += [("missing", key, lambda node, key=key: node.pop(key)) for key in keys]
+            for problem, key, edit in problems:
+                message = load_edited(at, edit)
+                if name == "priors":  # checked against the classes by the model constructors
+                    assert message.endswith("priors must name exactly the model classes)")
+                else:
+                    assert f"{name} must be a {{" in message and message.endswith(f"object, {problem} {key!r})")
 
     @pytest.mark.parametrize(
         "method, path, replace, match",
@@ -520,17 +542,22 @@ class TestPersistence:
         payload = json.loads(model_path.read_text())
         corrupt_node(payload, path, replace)
         model_path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError, match=f"malformed model file \\(ValueError: .*{match}"):
+        with pytest.raises(ModelFormatError, match=f"malformed model file \\(ValueError: .*{match}") as info:
             load_model(model_path)
+        # the decoder's checks name the array node; the constructors' value checks do not
+        node = f"kde[{path[1]!r}].{path[2]}" if path[0] == "kde" else ".".join(path)
+        assert "must be" in match or f"(ValueError: {node}" in str(info.value)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb"]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]))
     @settings(max_examples=15, deadline=None)
     def test_round_trip_scores_bit_identical(self, tmp_path_factory, seed, method):
         d, _ = make_separated(n=30, m=12, k=3, seed=seed % 1000)
-        model = fit_xnb(d) if method == "xnb" else fit_fnb(d)
-        path = tmp_path_factory.mktemp("rt") / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        model = FITS[method](d)
+        tmp = tmp_path_factory.mktemp("rt")
+        save_model(model, tmp / "model.json")
+        loaded = load_model(tmp / "model.json")
+        save_model(loaded, tmp / "again.json")
+        assert (tmp / "again.json").read_bytes() == (tmp / "model.json").read_bytes()
         samples = np.random.default_rng(seed).normal(0.0, 3.0, size=(10, d.m))
         for sample in samples:
             a, b = predict(model, sample), predict(loaded, sample)
@@ -542,7 +569,7 @@ class TestPersistence:
         path.write_text(json.dumps(v1_payload(fit_xnb(separated_two_class))))
         with pytest.raises(ModelFormatError) as info:
             load_model(path)
-        assert str(info.value) == f"{path}: schema version 1, expected 3 (or 2)"
+        assert str(info.value) == f"{path}: schema version 1, expected 3"
 
     @pytest.mark.parametrize(
         "corrupt, match",
@@ -553,7 +580,7 @@ class TestPersistence:
                 lambda p: corrupt_node(p, ("kde", "A", "samples"), lambda n: edit_array(n, lambda a: a[:, :0])),
                 "malformed",
             ),
-            (lambda p: p["kde"].pop("B"), "kde bank"),
+            (lambda p: p["kde"].pop("B"), "kde .* missing 'B'"),
             (lambda p: p["priors"].pop("B"), "priors"),
             (lambda p: p.update(priors=[0.5, 0.5]), "AttributeError"),
             (lambda p: p["features"].update(A=["g1", ""]), "not in the model: ''"),

@@ -554,12 +554,30 @@ class TestFitPredict:
             ("gnb", "smoothing string", "smoothing must be a number, got '1e-09'"),
             ("xnb", "mu fraction", "mu must be an integer, got 50.7"),
             ("xnb", "mu string", "mu must be an integer, got '50'"),
+            ("xnb", "method gnbx", "method must be 'xnb', 'fnb' or 'gnb', got 'gnbx'"),
+            ("xnb", "method fnb", "features of class 'c0' must list every variable, in order, in an fnb model"),
+            ("xnb", "extra features entry", "features must be a {c0, c1} object, unexpected 'zzz'"),
+            ("xnb", "pair_order", "config.pair_order must be 'sorted-labels', got 'reverse'"),
+            (
+                "xnb",
+                "no tie_break",
+                "config must be a {kernel, bandwidth_rule, mu, theta, floor, pair_order, tie_break} object, "
+                "missing 'tie_break'",
+            ),
+            (
+                "xnb",
+                "extra top-level key",
+                "top level must be a {version, method, classes, priors, variables, config, features, kde} object, "
+                "unexpected 'zzz'",
+            ),
+            ("xnb", "extra kde key", "kde['c0'] must be a {kernel, h, samples} object, unexpected 'zzz'"),
         ],
         ids=[
             "priors sum to 1.4", "theta 1.5", "variable listed twice", "xnb repeated variable",
             "xnb repeated class", "gnb repeated variable", "gnb repeated class", "features string",
             "prior string", "prior boolean", "theta string", "floor string", "smoothing string",
-            "mu fraction", "mu string",
+            "mu fraction", "mu string", "method gnbx", "method fnb", "extra features entry",
+            "pair_order reverse", "no tie_break", "extra top-level key", "extra kde key",
         ],
     )
     def test_invalid_model_value_is_located_error(
@@ -588,6 +606,18 @@ class TestFitPredict:
             payload["config"]["mu"] = 50.7
         elif edit == "mu string":
             payload["config"]["mu"] = "50"
+        elif edit.startswith("method"):
+            payload["method"] = edit.split()[1]
+        elif edit == "extra features entry":
+            payload["features"]["zzz"] = [payload["variables"][0]]
+        elif edit == "pair_order":
+            payload["config"]["pair_order"] = "reverse"
+        elif edit == "no tie_break":
+            del payload["config"]["tie_break"]
+        elif edit == "extra top-level key":
+            payload["zzz"] = 1
+        elif edit == "extra kde key":
+            payload["kde"]["c0"]["zzz"] = 1
         else:  # "theta string", "floor string": a config number written as text
             name = edit.split()[0]
             payload["config"][name] = str(payload["config"][name])
@@ -627,7 +657,7 @@ class TestFitPredict:
         model_path.write_text(json.dumps(v1_payload(fit_xnb(separated_two_class))))
         assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {model_path}: schema version 1, expected 3 (or 2)\n"
+        assert captured.err == f"error: {model_path}: schema version 1, expected 3\n"
         assert captured.out == ""
 
 
