@@ -8,9 +8,9 @@ the xnb fit extends it with the Hellinger table, the per-class variable
 selection, and a restriction of each class's density to its selected
 columns (bandwidths are unchanged). ``predict`` is the one scoring
 function: it checks a full sample, then scores each class over its own
-columns only: log prior plus the sum of floored log densities, in one
-vectorized kernel sum per class. ``scored_columns`` names the columns some
-class scores, the only ones ``xnb predict`` parses.
+columns only: log prior plus the sum of log densities floored at the
+constant ``FLOOR``, in one vectorized kernel sum per class. ``scored_columns``
+names the columns some class scores, the only ones ``xnb predict`` parses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -43,27 +43,31 @@ from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_c
 
 MODEL_SCHEMA_VERSION = 3
 
+METHODS = ("gnb", "fnb", "xnb")
+
 # the one dtype of an array node in a model file
 _ARRAY_DTYPE = "<f8"
 
-# the class-pair order and tie rule every KDE model follows, written into its config
-_ORDERING = {"pair_order": "sorted-labels", "tie_break": "lexicographic"}
-_CONFIG_KEYS = ("kernel", "bandwidth_rule", "mu", "theta", "floor", *_ORDERING)
+# the lower clamp on every KDE density: it keeps log scores finite
+FLOOR = 1e-12
 
-DEFAULT_FLOOR = 1e-12
+# what every KDE model fixes, written into its file's config after the XnbConfig fields
+_FIXED = {"floor": FLOOR, "pair_order": "sorted-labels", "tie_break": "lexicographic"}
 
 FIT_STAGES = ("bandwidth", "kde", "hellinger", "select", "build")
 
 
 @dataclass(frozen=True)
 class XnbConfig:
-    """Pipeline settings carried by fitted models and model files."""
+    """The settings a KDE fit takes, carried by its model and written into its file.
+
+    A model file's config also holds the values in ``_FIXED``, which no fit varies.
+    """
 
     kernel: str = DEFAULT_KERNEL
     bandwidth_rule: str = DEFAULT_RULE
     mu: int = DEFAULT_MU
     theta: float = DEFAULT_THETA
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
@@ -72,8 +76,9 @@ class XnbConfig:
             raise ValueError(f"mu must lie in [2, {MAX_MU}], got {self.mu}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not 0.0 < self.floor < 1.0:
-            raise ValueError(f"probability floor must lie in (0, 1), got {self.floor}")
+
+
+_CONFIG_KEYS = (*(f.name for f in fields(XnbConfig)), *_FIXED)
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ class GnbModel:
     means: np.ndarray
     variances: np.ndarray
     smoothing: float
-    method: str = "gnb"
+    method = "gnb"  # a class attribute, not a field: every GnbModel is a gnb model
 
     def __post_init__(self):
         _check_header(self.classes, self.priors, self.variable_names)
@@ -196,22 +201,21 @@ class GnbModel:
 def _check_trainable(d: Dataset) -> None:
     if len(d.classes) < 2:
         raise DataError(f"classification needs at least 2 classes, got {len(d.classes)}")
+
+
+def fit_fnb(d: Dataset, config: XnbConfig = XnbConfig()) -> XnbModel:
+    """KDE Bayes with selection disabled: every class keeps all variables.
+
+    Its bank, one packed density per class over every variable, is the one
+    that ``fit_xnb`` selects from and the Hellinger table is built from.
+    """
+    _check_trainable(d)
     singletons = [c for c in d.classes if len(d.class_rows[c]) < 2]
     if singletons:
         warnings.warn(
             f"classes with a single sample ({', '.join(singletons)}): "
             "their densities use degenerate fallback bandwidths"
         )
-
-
-def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
-    """KDE Bayes with selection disabled: every class keeps all variables.
-
-    Its bank, one packed density per class over every variable, is the one
-    that ``fit_xnb`` selects from and the Hellinger table is built from.
-    """
-    config = config or XnbConfig()
-    _check_trainable(d)
     timings = dict.fromkeys(FIT_STAGES, 0.0)
     t0 = time.perf_counter()
     scale = np.ptp(d.values, axis=0)
@@ -221,7 +225,7 @@ def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
 
     t0 = time.perf_counter()
     bank = {c: PackedKde(sub, h, config.kernel) for c, sub, h in zip(d.classes, subs, h_rows)}
-    timings["kde"] = timings["build"] = time.perf_counter() - t0
+    timings["kde"] = time.perf_counter() - t0  # fnb restricts nothing: its build stage stays 0
 
     return XnbModel(
         classes=d.classes,
@@ -235,7 +239,7 @@ def fit_fnb(d: Dataset, config: XnbConfig | None = None) -> XnbModel:
     )
 
 
-def fit_xnb(d: Dataset, config: XnbConfig | None = None, jobs: int = 1) -> XnbModel:
+def fit_xnb(d: Dataset, config: XnbConfig = XnbConfig(), jobs: int = 1) -> XnbModel:
     """Fit the class-specific KDE Bayes model: the fnb fit, then table, selection and restriction."""
     full = fit_fnb(d, config)
     config, bank, timings = full.config, full.kde_bank, dict(full.timings)
@@ -267,8 +271,7 @@ def fit_gnb(d: Dataset) -> GnbModel:
     and scaled back, so sums of values near the largest float do not
     overflow; a variance that itself exceeds the largest float is a data error.
     """
-    if len(d.classes) < 2:
-        raise DataError(f"classification needs at least 2 classes, got {len(d.classes)}")
+    _check_trainable(d)
     k, m = len(d.classes), d.m
     scaled, exponent = scale_to_unit(d.values)
     means = np.empty((k, m))
@@ -320,10 +323,9 @@ def predict(model: XnbModel | GnbModel, sample) -> Prediction:
     """Score every class on a full sample (length m, finite) and pick the label.
 
     A KDE class reads only its own columns, ``sample[model.feature_columns[c]]``:
-    log prior plus the sum of log densities, each clamped below at the
-    configured floor so that scores stay finite for samples outside every
-    training range. A gnb class sums Gaussian log densities over every
-    variable.
+    log prior plus the sum of log densities, each clamped below at ``FLOOR``
+    so that scores stay finite for samples outside every training range. A
+    gnb class sums Gaussian log densities over every variable.
     """
     sample = _check_sample(sample, model.m)
     if isinstance(model, GnbModel):
@@ -333,11 +335,10 @@ def predict(model: XnbModel | GnbModel, sample) -> Prediction:
             for i, c in enumerate(model.classes)
         }
     else:
-        floor = model.config.floor
         log_scores = {}
         for c in model.classes:
             density = model.kde_bank[c].density_at(sample[model.feature_columns[c]])
-            log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, floor)).sum())
+            log_scores[c] = math.log(model.priors[c]) + float(np.log(np.maximum(density, FLOOR)).sum())
     return Prediction(label=_pick_label(log_scores, model.priors), log_scores=log_scores)
 
 
@@ -362,7 +363,7 @@ def _model_payload(model: XnbModel | GnbModel) -> dict:
             "smoothing": model.smoothing,
         }
         return payload
-    payload["config"] = {**asdict(model.config), **_ORDERING}
+    payload["config"] = {**asdict(model.config), **_FIXED}
     payload["features"] = {c: list(model.features.features[c]) for c in model.classes}
     payload["kde"] = {
         c: {
@@ -436,13 +437,12 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
     """Read a model file written by ``save_model``; predictions round-trip bit-exactly.
 
     The reader is closed-world: each JSON object holds exactly the keys that
-    ``save_model`` writes there for the ``method`` (``xnb``, ``fnb`` or
-    ``gnb``), ``features`` and ``kde`` exactly the ``classes``; an fnb class
-    lists every variable in order, and ``config`` the fixed ``pair_order``
-    and ``tie_break``. Arrays are checked for dtype, shape and byte count,
-    and the model constructors reject a non-finite value. Another schema
-    version, a malformed file, or one that cannot be opened, is a
-    ``ModelFormatError``.
+    ``save_model`` writes there for the ``method`` (one of ``METHODS``),
+    ``features`` and ``kde`` exactly the ``classes``; an fnb class lists
+    every variable in order, and ``config`` holds each value of ``_FIXED``
+    exactly. Arrays are checked for dtype, shape and byte count, and the
+    model constructors reject a non-finite value. Another schema version, a
+    malformed file, or one that cannot be opened, is a ``ModelFormatError``.
     """
     path = Path(path)
     if not path.exists():
@@ -461,8 +461,8 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
         raise ModelFormatError(f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION}")
     try:
         method = payload.get("method", "xnb")  # likewise
-        if method not in ("xnb", "fnb", "gnb"):
-            raise ValueError(f"method must be 'xnb', 'fnb' or 'gnb', got {method!r}")
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
         body = ("gnb",) if method == "gnb" else ("config", "features", "kde")
         keys = ("version", "method", "classes", "priors", "variables", *body)
         _, _, classes, priors, variables, *body = _fields(payload, keys, "top level")
@@ -474,13 +474,13 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
             means, variances = _decode_array(means, "gnb.means"), _decode_array(variances, "gnb.variances")
             return GnbModel(classes, priors, variables, means, variances, _number(smoothing, "smoothing"))
         cfg, features, kde = body
-        kernel, rule, mu, theta, floor, *ordering = _fields(cfg, _CONFIG_KEYS, "config")
-        for name, value in zip(_ORDERING, ordering):
-            if value != _ORDERING[name]:
-                raise ValueError(f"config.{name} must be {_ORDERING[name]!r}, got {value!r}")
+        kernel, rule, mu, theta, *fixed = _fields(cfg, _CONFIG_KEYS, "config")
+        for name, value in zip(_FIXED, fixed):
+            if value != _FIXED[name]:
+                raise ValueError(f"config.{name} must be {_FIXED[name]!r}, got {value!r}")
         if type(mu) is not int:
             raise ValueError(f"mu must be an integer, got {mu!r}")
-        config = XnbConfig(kernel, rule, mu, _number(theta, "theta"), _number(floor, "floor"))
+        config = XnbConfig(kernel, rule, mu, _number(theta, "theta"))
         features = _fields(features, classes, "features")
         features = {c: _names(f, f"features of class {c!r}") for c, f in zip(classes, features)}
         for c in classes:
@@ -509,6 +509,7 @@ __all__ = [
     "save_model",
     "load_model",
     "MODEL_SCHEMA_VERSION",
-    "DEFAULT_FLOOR",
+    "METHODS",
+    "FLOOR",
     "FIT_STAGES",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
+from .classifier import METHODS, XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
 from .dataset import csv_records, load_csv, read_numeric, write_json, write_output
 from .diagnostics import (
     DEFAULT_ALPHA,
@@ -26,7 +26,7 @@ from .diagnostics import (
     run_diagnostics,
 )
 from .errors import DataError, XnbError
-from .evaluation import DEFAULT_METHODS, METHODS, check_methods, emit_report, evaluate_cv
+from .evaluation import DEFAULT_METHODS, check_methods, emit_report, evaluate_cv
 from .hellinger import MAX_MU, HellingerTable, hellinger_table
 from .kde import BANDWIDTH_RULES, DEFAULT_KERNEL, DEFAULT_MU, DEFAULT_RULE, KERNELS
 from .selection import DEFAULT_THETA, SelectionConfig, select_class_specific

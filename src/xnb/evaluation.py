@@ -8,20 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (
-    FIT_STAGES,
-    XnbConfig,
-    fit_fnb,
-    fit_gnb,
-    fit_xnb,
-    predict,
-)
+from .classifier import FIT_STAGES, METHODS, XnbConfig, fit_fnb, fit_gnb, fit_xnb, predict
 from .dataset import FOLD_GENERATOR, Dataset, stratified_kfold, write_json, write_output
 from .errors import XnbError
 
-METHODS = ("gnb", "fnb", "xnb")
 DEFAULT_METHODS = ("gnb", "xnb")
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def check_methods(methods) -> tuple[str, ...]:
@@ -126,7 +118,7 @@ def evaluate_cv(
     methods=DEFAULT_METHODS,
     k: int = 10,
     seed: int = 0,
-    config: XnbConfig | None = None,
+    config: XnbConfig = XnbConfig(),
     jobs: int = 1,
 ) -> EvaluationReport:
     """Stratified k-fold comparison; deterministic for a given seed.
@@ -136,7 +128,6 @@ def evaluate_cv(
     class selected. Stage timings aggregate every KDE-based fit across
     folds and vary run to run; everything else is reproducible.
     """
-    config = config or XnbConfig()
     methods = check_methods(methods)
     smallest = min(len(rows) for rows in d.class_rows.values())
     if k > smallest:

@@ -71,13 +71,12 @@ class ClassFeatureMap:
         return len(self.features[cls])
 
 
-def select_class_specific(table: HellingerTable, cfg: SelectionConfig | None = None) -> ClassFeatureMap:
+def select_class_specific(table: HellingerTable, cfg: SelectionConfig = SelectionConfig()) -> ClassFeatureMap:
     """Greedy per-class selection against the power threshold.
 
     Deterministic: class pairs are walked in sorted label order and ties in
     H are broken toward the lexicographically smaller variable name.
     """
-    cfg = cfg or SelectionConfig()
     names = table.variable_names
     m = len(names)
     if len(table.classes) < 2:

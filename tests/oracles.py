@@ -279,7 +279,9 @@ def v2_payload(model) -> dict:
             "smoothing": model.smoothing,
         }
         return payload
-    payload["config"] = {**asdict(model.config), "pair_order": "sorted-labels", "tie_break": "lexicographic"}
+    payload["config"] = {
+        **asdict(model.config), "floor": 1e-12, "pair_order": "sorted-labels", "tie_break": "lexicographic"
+    }
     payload["features"] = {c: list(model.features.features[c]) for c in model.classes}
     payload["kde"] = {
         c: {

@@ -281,9 +281,11 @@ def test_criterion_8_complexity_scaling():
             t0 = time.perf_counter()
             fit_xnb(data[m])
             times[m].append(time.perf_counter() - t0)
-    # the minimum of 5: noise only ever adds time
+    # each round's ratios compare fits timed back to back; the median over
+    # the rounds drops a round that a slow spell hit in the middle
+    r21 = float(np.median(np.divide(times[2000], times[1000])))
+    r42 = float(np.median(np.divide(times[4000], times[2000])))
     t1, t2, t4 = (min(times[m]) for m in widths)
-    r21, r42 = t2 / t1, t4 / t2
     ok = 1.5 <= r21 <= 2.5 and 1.5 <= r42 <= 2.5
     _verdict(
         "8 complexity-scaling",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from xnb.classifier import (
     FIT_STAGES,
+    FLOOR,
     GnbModel,
     XnbConfig,
     XnbModel,
@@ -50,9 +51,11 @@ class TestFitXnb:
         assert model.features.features["B"] == ("only",)
 
     def test_single_class_rejected(self):
+        # every fit makes the one class-count check, with one message
         d = Dataset(("x",), np.zeros((3, 1)), ("A", "A", "A"))
-        with pytest.raises(DataError, match="at least 2 classes"):
-            fit_xnb(d)
+        for fit in FITS.values():
+            with pytest.raises(DataError, match="^classification needs at least 2 classes, got 1$"):
+                fit(d)
 
     def test_singleton_class_warns_but_fits(self):
         rng = np.random.default_rng(1)
@@ -72,6 +75,12 @@ class TestFitXnb:
     def test_timings_cover_all_stages(self, separated_two_class):
         model = fit_xnb(separated_two_class)
         assert set(model.timings) == {"bandwidth", "kde", "hellinger", "select", "build"}
+
+    def test_fnb_times_only_its_own_stages(self, separated_two_class):
+        # fnb builds its bank in the kde stage and restricts nothing
+        timings = fit_fnb(separated_two_class).timings
+        assert timings["kde"] > 0.0
+        assert timings["hellinger"] == timings["select"] == timings["build"] == 0.0
 
 
 class TestBandwidthMatrix:
@@ -108,9 +117,8 @@ class TestPredictXnb:
         model = fit_xnb(separated_two_class)
         sample = np.full(21, 1e9)
         pred = predict(model, sample)
-        floor = model.config.floor
         for c in model.classes:
-            expected = np.log(model.priors[c]) + model.features.count(c) * np.log(floor)
+            expected = np.log(model.priors[c]) + model.features.count(c) * np.log(FLOOR)
             assert pred.log_scores[c] == pytest.approx(expected)
 
     def test_exact_tie_equal_priors_lexicographic(self):
@@ -176,7 +184,7 @@ def oracle_log_scores(model, x) -> dict[str, float]:
             bank = model.kde_bank[c]
             terms = [
                 math.log(max(kde_density_at(KdeModel(bank.samples[:, t], bank.h[t], bank.kernel), x[j]),
-                             model.config.floor))
+                             FLOOR))
                 for t, j in enumerate(model.feature_columns[c])
             ]
         scores[c] = math.log(model.priors[c]) + math.fsum(terms)
@@ -361,6 +369,13 @@ class TestGnb:
         np.testing.assert_array_equal(model.means, np.zeros((2, 3)))
         np.testing.assert_array_equal(model.variances, np.ones((2, 3)))
         assert not (model.means.flags.writeable or model.variances.flags.writeable)
+
+    def test_method_is_not_a_field(self):
+        # a GnbModel is always gnb: no caller can build one that claims another method
+        args = (("A", "B"), {"A": 0.5, "B": 0.5}, ("x",), np.zeros((2, 1)), np.ones((2, 1)), 1e-9)
+        assert GnbModel(*args).method == "gnb"
+        with pytest.raises(TypeError, match="method"):
+            GnbModel(*args, method="xnb")
 
 
 class TestFnb:

@@ -19,10 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xnb
-from xnb.classifier import XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
+from xnb.classifier import METHODS, XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
 from xnb.cli import build_parser, main
 from xnb.dataset import Dataset, save_csv
-from xnb.evaluation import METHODS
 from xnb.hellinger import MAX_MU, hellinger_table
 from xnb.selection import SelectionConfig, select_class_specific
 from tests.conftest import (
@@ -550,11 +549,12 @@ class TestFitPredict:
             ("xnb", "prior string", "prior of class 'c0' must be a number, got '0.5'"),
             ("xnb", "prior boolean", "prior of class 'c0' must be a number, got True"),
             ("xnb", "theta string", "theta must be a number, got '0.999'"),
-            ("xnb", "floor string", "floor must be a number, got '1e-12'"),
+            ("xnb", "floor string", "config.floor must be 1e-12, got '1e-12'"),
+            ("xnb", "floor 1e-6", "config.floor must be 1e-12, got 1e-06"),
             ("gnb", "smoothing string", "smoothing must be a number, got '1e-09'"),
             ("xnb", "mu fraction", "mu must be an integer, got 50.7"),
             ("xnb", "mu string", "mu must be an integer, got '50'"),
-            ("xnb", "method gnbx", "method must be 'xnb', 'fnb' or 'gnb', got 'gnbx'"),
+            ("xnb", "method gnbx", "method must be one of gnb, fnb, xnb, got 'gnbx'"),
             ("xnb", "method fnb", "features of class 'c0' must list every variable, in order, in an fnb model"),
             ("xnb", "extra features entry", "features must be a {c0, c1} object, unexpected 'zzz'"),
             ("xnb", "pair_order", "config.pair_order must be 'sorted-labels', got 'reverse'"),
@@ -575,7 +575,7 @@ class TestFitPredict:
         ids=[
             "priors sum to 1.4", "theta 1.5", "variable listed twice", "xnb repeated variable",
             "xnb repeated class", "gnb repeated variable", "gnb repeated class", "features string",
-            "prior string", "prior boolean", "theta string", "floor string", "smoothing string",
+            "prior string", "prior boolean", "theta string", "floor string", "floor 1e-6", "smoothing string",
             "mu fraction", "mu string", "method gnbx", "method fnb", "extra features entry",
             "pair_order reverse", "no tie_break", "extra top-level key", "extra kde key",
         ],
@@ -606,6 +606,8 @@ class TestFitPredict:
             payload["config"]["mu"] = 50.7
         elif edit == "mu string":
             payload["config"]["mu"] = "50"
+        elif edit == "floor 1e-6":
+            payload["config"]["floor"] = 1e-6
         elif edit.startswith("method"):
             payload["method"] = edit.split()[1]
         elif edit == "extra features entry":
@@ -665,7 +667,7 @@ class TestEvaluate:
     def test_json_report(self, data_csv, capsys):
         assert main(["evaluate", "--data", str(data_csv), "--k", "3", "--seed", "5"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["fold_generator"] == "pcg64"
         assert payload["methods"] == ["gnb", "xnb"]
         assert payload["k"] == 3

@@ -128,6 +128,12 @@ class TestEvaluateCv:
         assert set(report.timings) == {"bandwidth", "kde", "hellinger", "select", "build"}
         assert all(t >= 0.0 for t in report.timings.values())
 
+    def test_fnb_counts_its_bank_once(self):
+        # the fnb bank is timed under kde only; build is xnb's restriction
+        report = evaluate_cv(small_dataset(8), methods=("fnb",), k=3, seed=0)
+        assert report.timings["kde"] > 0.0
+        assert report.timings["build"] == 0.0
+
     def test_selected_count_never_exceeds_m(self):
         report = evaluate_cv(small_dataset(9, m=5), methods=("xnb",), k=4, seed=0)
         for counts in report.xnb_fold_class_counts:

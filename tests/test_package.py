@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -18,15 +19,23 @@ def test_every_export_resolves():
     assert len(set(xnb.__all__)) == len(xnb.__all__)
 
 
+def _xnb_chain(node: ast.AST) -> tuple[str, ...] | None:
+    """The ("a", "b", ...) of a dotted name ``xnb.a.b...``; None for any other node."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if chain and isinstance(node, ast.Name) and node.id == "xnb":
+        return tuple(reversed(chain))
+    return None
+
+
 def _xnb_attribute_chains(tree: ast.AST):
     """Each dotted name ``xnb.a.b...`` in a module, as ("a", "b", ...), prefixes included."""
     for node in ast.walk(tree):
-        chain = []
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if chain and isinstance(node, ast.Name) and node.id == "xnb":
-            yield tuple(reversed(chain))
+        chain = _xnb_chain(node)
+        if chain:
+            yield chain
 
 
 def test_every_name_the_benchmark_reads_resolves():
@@ -47,6 +56,38 @@ def test_every_name_the_benchmark_reads_resolves():
                 break
             target = getattr(target, attr)
     assert missing == []
+
+
+def _unbound_call(node: ast.Call, target) -> str | None:
+    """Why the call ``node`` cannot bind to ``target``'s signature; None if it can."""
+    if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+        return "a * or ** argument cannot be checked"
+    try:
+        inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # a renamed or removed parameter (jobs=, theta=, mu=, ...) would otherwise
+    # fail only the benchmark's own run, which Tier-1 does not include
+    calls = [
+        (f"{path.name}:{node.lineno}: xnb.{'.'.join(chain)}", node, chain)
+        for path in sorted((ROOT / "bench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and (chain := _xnb_chain(node.func))
+    ]
+    assert calls  # the benchmark does call the library through the module
+    problems = []
+    for where, node, chain in calls:
+        target = xnb
+        for attr in chain:
+            target = getattr(target, attr)
+        problem = _unbound_call(node, target)
+        if problem:
+            problems.append(f"{where}: {problem}")
+    assert problems == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
