@@ -152,7 +152,10 @@ class XnbModel:
     @cached_property
     def scored_columns(self) -> np.ndarray:
         """The sorted union of the classes' feature columns: the only ones ``predict`` reads."""
-        return np.unique(np.concatenate(list(self.feature_columns.values())))
+        scored = np.zeros(self.m, dtype=bool)
+        for columns in self.feature_columns.values():
+            scored[columns] = True
+        return np.flatnonzero(scored)
 
 
 @dataclass(frozen=True)
@@ -457,7 +460,7 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: not a model file (a JSON {type(payload).__name__}, not an object)")
     version = payload.get("version", MODEL_SCHEMA_VERSION)  # a missing key fails the key check below
-    if version != MODEL_SCHEMA_VERSION:
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # save_model writes the int, never 3.0
         raise ModelFormatError(f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION}")
     try:
         method = payload.get("method", "xnb")  # likewise

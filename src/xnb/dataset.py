@@ -265,29 +265,140 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
     return Dataset(tuple(header[i] for i in columns), rows, tuple(labels))
 
 
+# save_csv formats this many cells at a time, so that its temporaries stay at a
+# few MB whatever the shape; a row wider than this spans blocks
+_BLOCK_CELLS = 1 << 13
+_CELL_BYTES = 25  # the longest "%.17g," text, such as "-2.2250738585072014e-308,"
+
+
+def _veltkamp(x):
+    """Split ``x`` into a part of at most 26 significant bits and the exact rest."""
+    c = 134217729.0 * x  # 2^27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+# 10^(16 - k) for the decimal exponents k = -4..15: exact doubles (10^j is, for j <= 22)
+_SCALES = np.array([float(10**j) for j in range(20, 0, -1)])
+_SCALE_HIGH, _SCALE_LOW = _veltkamp(_SCALES)
+
+
+def _four_digits() -> np.ndarray:
+    """The ASCII of 0000..9999 as 10 000 little-endian uint32s, then the same with trailing zeros as NUL bytes.
+
+    Built for each ``save_csv`` call, not at import: most processes never write a CSV, and a
+    table kept for the process's life would pin the heap above whatever the call freed.
+    """
+    i = np.arange(10_000)
+    chars = np.empty((2, 10_000, 4), np.uint8)
+    for column, place in enumerate((1000, 100, 10, 1)):
+        chars[:, :, column] = i // place % 10 + 48
+        chars[1, i % (10 * place) == 0, column] = 0  # this digit and each after it are 0
+    return chars.reshape(20_000, 4).view("<u4").ravel()
+
+
+def _format_rows(block: np.ndarray, four_digits: np.ndarray) -> list[str]:
+    """Each row of a 2-d float64 array as its cells' ``"%.17g," % v`` texts, joined.
+
+    A cell with 1e-4 <= |v| < 1e16 prints in positional notation, with its 17 significant
+    digits N = round-half-even(|v| * 10^(16 - k)) for the decimal exponent k in [-4, 15].
+    N is exact as p + rint(e), where p + e is Dekker's error-free product: p >= 2^53 is an
+    even integer, so rounding e half-even rounds the sum half-even. The cells are stably
+    sorted by k, so that each k places its '.' with slices, and the text drops the trailing
+    fraction zeros, and then a bare '.', as %g does; every other cell (±0, a subnormal,
+    |v| < 1e-4 or |v| >= 1e16) goes through ``"%.17g" % v``. Each cell takes one row of
+    ``_CELL_BYTES`` bytes, and the NUL bytes it does not fill are dropped.
+    """
+    values = block.ravel()
+    magnitude = np.abs(values)
+    positional = (magnitude >= 1e-4) & (magnitude < 1e16)
+    x = np.where(positional, magnitude, 1.0)
+    k = np.clip(np.floor(np.log10(x)), -4, 15).astype(np.intp)  # may be one off near a power of ten
+    x_high, x_low = _veltkamp(x)
+    while True:
+        scale, scale_high, scale_low = _SCALES[k + 4], _SCALE_HIGH[k + 4], _SCALE_LOW[k + 4]
+        product = x * scale
+        error = ((x_high * scale_high - product) + x_high * scale_low + x_low * scale_high) + x_low * scale_low
+        below = (product < 1e16) | ((product == 1e16) & (error < 0))  # product + error < 1e16
+        above = (product > 1e17) | ((product == 1e17) & (error >= 0))
+        if not (below.any() or above.any()):
+            break
+        k += above
+        k -= below
+    mantissa = product.astype(np.int64) + np.rint(error).astype(np.int64)
+    carry = mantissa == 10**17  # rounded up to 18 digits: one more integer digit
+    mantissa[carry] = 10**16
+    k += carry
+
+    group = np.where(positional, k + 4, 21).astype(np.int8)  # k + 4 in [0, 20]; 21 for the cells %g formats
+    order = np.argsort(group, kind="stable")
+    mantissa = mantissa[order]
+    words = np.empty((values.size, 5), "<u4")  # byte 3 holds the first digit, bytes 4-19 the other 16
+    stripped = np.full(values.size, 10_000)  # the offset of the NUL-stripped digits while all later ones are 0
+    for column in range(4, 0, -1):
+        mantissa, four = np.divmod(mantissa, 10_000)
+        four += stripped
+        words[:, column] = four_digits[four]
+        stripped[four != stripped] = 0
+    words[:, 0] = (mantissa + 48) << 24
+    digits = words.view(np.uint8)[:, 3:]  # the 17 digits, trailing zeros as NUL
+
+    cells = np.zeros((values.size, _CELL_BYTES), np.uint8)
+    cells[:, 0] = np.where(np.signbit(values[order]), 45, 0)  # '-'
+    cells[:, -1] = 44  # ','
+    start = 0
+    for g, end in enumerate(np.cumsum(np.bincount(group, minlength=22)).tolist()):
+        rows, start, exponent = slice(start, end), end, g - 4
+        if rows.start == rows.stop:
+            continue
+        if g == 21:
+            text = ["%.17g" % v for v in values[order[rows]].tolist()]
+            cells[rows, :-1] = np.array(text, f"S{_CELL_BYTES - 1}").view(np.uint8).reshape(-1, _CELL_BYTES - 1)
+        elif exponent < 0:
+            cells[rows, 1 : 2 - exponent] = np.frombuffer(b"0.000"[: 1 - exponent], np.uint8)
+            cells[rows, 2 - exponent : 19 - exponent] = digits[rows]
+        else:  # integer digits keep their zeros; the '.' goes when every fraction digit went
+            np.maximum(digits[rows, : exponent + 1], 48, out=cells[rows, 1 : exponent + 2])
+            if exponent < 16:
+                cells[rows, exponent + 2] = np.where(digits[rows, exponent + 1], 46, 0)
+                cells[rows, exponent + 3 : 19] = digits[rows, exponent + 1 :]
+    unsorted = np.empty_like(cells)
+    unsorted.view(f"V{_CELL_BYTES}")[order] = cells.view(f"V{_CELL_BYTES}")  # one move per row
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in unsorted.reshape(len(block), -1)]
+
+
 def save_csv(d: Dataset, path: str | Path, class_column: str = "class") -> None:
     """Write a Dataset back to CSV with 17-significant-digit reals.
 
     The emitted precision makes a load/save/load round trip bit-exact. A Dataset that
     ``load_csv`` would not read back as it is gets refused before the file is opened;
-    a path that cannot be written is a data error.
+    a path that cannot be written is a data error. The output is byte-identical to
+    formatting each cell with ``format(v, ".17g")``, and it is written block by block
+    in bounded memory.
     """
     header = [*d.variable_names, class_column]
-    if class_column in d.variable_index:
+    if class_column in d.variable_names:
         raise DataError(f"{path}: class column {class_column!r} is also a variable name")
     if "" in d.classes:
         raise DataError(f"{path}: blank class label")
     for text in (*header, *d.classes):
         if text != text.strip():
             raise DataError(f"{path}: {text!r} has surrounding whitespace, which load_csv strips")
-    row_format = ",".join(["%.17g"] * d.m) + ","
+    rows_per_block, cols_per_block = max(1, _BLOCK_CELLS // d.m), min(d.m, _BLOCK_CELLS)
+    four_digits = _four_digits()
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for values, label in zip(d.values, d.labels):
-                fh.write(row_format % tuple(values.tolist()))
-                writer.writerow([label])  # quoted as the csv module quotes it
+            for i in range(0, d.n, rows_per_block):
+                for j in range(0, d.m, cols_per_block):
+                    texts = _format_rows(d.values[i : i + rows_per_block, j : j + cols_per_block], four_digits)
+                    if j + cols_per_block < d.m:  # the row goes on in the next block
+                        fh.write(texts[0])
+                        continue
+                    for text, label in zip(texts, d.labels[i : i + rows_per_block]):
+                        fh.write(text)
+                        writer.writerow([label])  # quoted as the csv module quotes it
     except OSError as exc:
         raise _cannot_write(path, exc) from None
 

@@ -200,7 +200,7 @@ def within_class_residuals(values, labels) -> np.ndarray:
     labels = np.asarray(labels)
     if residuals.shape[:1] != labels.shape:
         raise ValueError(f"length mismatch: {residuals.shape} values vs {labels.shape} labels")
-    for c in np.unique(labels):
+    for c in dict.fromkeys(labels.tolist()):  # each class once; their order changes no residual
         rows = np.flatnonzero(labels == c)
         mean = residuals[rows].mean(axis=0)  # so that one gathered copy of the class is held at a time
         residuals[rows] -= mean

@@ -571,13 +571,14 @@ class TestFitPredict:
                 "unexpected 'zzz'",
             ),
             ("xnb", "extra kde key", "kde['c0'] must be a {kernel, h, samples} object, unexpected 'zzz'"),
+            ("xnb", "version 3.0", "schema version 3.0, expected 3"),  # equal to 3, but not what save_model writes
         ],
         ids=[
             "priors sum to 1.4", "theta 1.5", "variable listed twice", "xnb repeated variable",
             "xnb repeated class", "gnb repeated variable", "gnb repeated class", "features string",
             "prior string", "prior boolean", "theta string", "floor string", "floor 1e-6", "smoothing string",
             "mu fraction", "mu string", "method gnbx", "method fnb", "extra features entry",
-            "pair_order reverse", "no tie_break", "extra top-level key", "extra kde key",
+            "pair_order reverse", "no tie_break", "extra top-level key", "extra kde key", "version 3.0",
         ],
     )
     def test_invalid_model_value_is_located_error(
@@ -620,6 +621,8 @@ class TestFitPredict:
             payload["zzz"] = 1
         elif edit == "extra kde key":
             payload["kde"]["c0"]["zzz"] = 1
+        elif edit == "version 3.0":
+            payload["version"] = 3.0
         else:  # "theta string", "floor string": a config number written as text
             name = edit.split()[0]
             payload["config"][name] = str(payload["config"][name])
@@ -627,7 +630,9 @@ class TestFitPredict:
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {model_path}: malformed model file (ValueError: {message})\n"
+        if not message.startswith("schema version"):  # the version is checked before the body
+            message = f"malformed model file (ValueError: {message})"
+        assert captured.err == f"error: {model_path}: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import math
 import re
 import tempfile
 from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,57 @@ def outcome(read, path, class_column):
         return str(exc)
     return d.variable_names, d.labels, d.values.shape, d.values.tobytes()
 
+
+def _nudged(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` doubles up (or down, for a negative count)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _carries() -> list[float]:
+    """Doubles just below a power of ten whose 17-digit rounding carries up to it, such as 1e-305."""
+    found = []
+    for j in range(-323, 309):
+        power = Fraction(10) ** j
+        below = float(power) if Fraction(float(power)) < power else math.nextafter(float(power), 0.0)
+        if re.fullmatch(r"1e[-+]\d+", format(below, ".17g")):
+            found.append(below)
+    return found
+
+
+def _ties() -> list[float]:
+    """Doubles a / 2^f whose exact decimal expansion has 18 significant digits, the last a 5.
+
+    Rounding them to 17 digits is a tie, which %g breaks to the even digit; (2^52 - 1) / 4
+    = 1125899906842623.75 is one.
+    """
+    found = []
+    for f in range(2, 40):
+        lowest = math.ceil(Fraction(10) ** (17 - f) * 2**f) | 1
+        for a in (lowest, lowest + 2, lowest + 6, 2**52 - 1, 2**53 - 1, 3 * 2**51 + 1):
+            digits = Decimal(a / 2**f).as_tuple().digits
+            if a < 2**53 and len(digits) == 18 and digits[-1] == 5:
+                found.append(a / 2**f)
+    return found
+
+
+# cells where a 17-digit writer can go wrong, each with both signs: a few doubles either
+# side of each power of ten near and inside [1e-4, 1e16), where cells print in positional
+# notation; carries and ties; zero, the smallest subnormal and normal, and the largest double
+EDGE_CELLS = [
+    sign * v
+    for v in [
+        *(_nudged(float(f"1e{j}"), steps) for j in range(-6, 18) for steps in range(-3, 4)),
+        *_carries(),
+        *_ties(),
+        0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+    ]
+    for sign in (1.0, -1.0)
+]
 
 # Cells a CSV meets: numbers as float() reads them (padded, quoted, with
 # underscores or non-ASCII digits), and cells that fail float() or the
@@ -261,7 +314,7 @@ class TestLoadCsv:
                 st.lists(
                     st.lists(
                         st.floats(allow_nan=False, allow_infinity=False)
-                        | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+                        | st.sampled_from([1e308, -1e308, *EDGE_CELLS]),
                         min_size=m,
                         max_size=m,
                     ),
@@ -291,6 +344,41 @@ class TestLoadCsv:
             back = load_csv(new, "class")
         assert back.values.tobytes() == d.values.tobytes()
         assert back.labels == d.labels and back.variable_names == d.variable_names
+
+    def test_save_matches_oracle_on_edge_cells(self, tmp_path):
+        assert len(_carries()) > 10 and len(_ties()) > 50
+        # one row, so that no column's range (1.8e308 beside -1.8e308) is refused
+        d = Dataset(tuple(f"v{j}" for j in range(len(EDGE_CELLS))), np.array([EDGE_CELLS]), ("A",))
+        save_csv(d, tmp_path / "new.csv")
+        oracle_save_csv(d, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "m", [1, 7, xnb.dataset._BLOCK_CELLS // 2 + 1, xnb.dataset._BLOCK_CELLS, xnb.dataset._BLOCK_CELLS + 1]
+    )
+    def test_save_matches_oracle_across_blocks(self, tmp_path, m):
+        # rows that fill a block, rows a block holds one of, and rows wider than a block
+        cells = np.array([v for v in EDGE_CELLS if abs(v) < 1e300])
+        n = max(3, -(-cells.size // m))
+        values = np.random.default_rng(m).permutation(np.resize(cells, n * m)).reshape(n, m)
+        d = Dataset(tuple(f"v{j}" for j in range(m)), values, tuple("AB"[i % 2] for i in range(n)))
+        save_csv(d, tmp_path / "new.csv")
+        oracle_save_csv(d, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, m, bound_mb", [(300, 2_500, 4), (100, 20_000, 8)])
+    def test_save_memory_is_bounded(self, tmp_path, n, m, bound_mb):
+        # the writer holds one block of cells at a time, never the file's text
+        d = Dataset(tuple(f"g{j}" for j in range(m)), np.random.default_rng(5).normal(size=(n, m)), ("A", "B") * (n // 2))
+        _, peak = traced_peak(lambda: save_csv(d, tmp_path / "out.csv"))
+        assert peak <= bound_mb * 10**6
+
+    def test_save_memory_does_not_grow_with_rows(self, tmp_path):
+        def peak(n):
+            d = Dataset(tuple(f"g{j}" for j in range(2_500)), np.random.default_rng(5).normal(size=(n, 2_500)), ("A",) * n)
+            return traced_peak(lambda: save_csv(d, tmp_path / "out.csv"))[1]
+
+        assert peak(400) <= 1.1 * peak(100)
 
     @pytest.mark.parametrize(
         "names, labels, message",

@@ -9,6 +9,9 @@ import pytest
 
 import xnb
 import xnb.cli
+from xnb.dataset import save_csv
+
+from tests.conftest import make_separated
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -166,3 +169,65 @@ def test_feature_relevance_demo_selects_proper_subsets():
     start = next(i for i, line in enumerate(lines) if line.startswith("selected variables per class"))
     subsets = [ast.literal_eval(line.split(":", 1)[1].strip()) for line in lines[start + 1 : start + 4]]
     assert all(0 < len(subset) < 8 for subset in subsets)
+
+
+# the numpy submodules that ``import numpy`` leaves out and loads on first use
+_LAZY_NUMPY = (
+    "numpy.char", "numpy.ctypeslib", "numpy.f2py", "numpy.fft", "numpy.ma", "numpy.matlib",
+    "numpy.polynomial", "numpy.random", "numpy.rec", "numpy.testing", "numpy.typing",
+)
+
+
+def _lazy_numpy_after(code: str, *argv: str) -> list[str]:
+    """The lazily loaded numpy submodules in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in {_LAZY_NUMPY!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A directory with a tiny training CSV and an xnb model fitted to it."""
+    tmp = tmp_path_factory.mktemp("imports")
+    d, _ = make_separated(n=30, m=6, k=2, seed=0)
+    save_csv(d, tmp / "train.csv")
+    argv = ["fit", "--data", str(tmp / "train.csv"), "--model", str(tmp / "model.json")]
+    assert xnb.cli.main(argv) == 0
+    return tmp
+
+
+@pytest.mark.parametrize(
+    "verb, loaded",
+    [
+        ("fit", []),
+        ("predict", []),
+        ("evaluate", ["numpy.random"]),  # the fold shuffle
+        ("select", []),
+        ("diagnose", ["numpy.random"]),  # the pair sample
+        ("inspect hellinger", []),
+    ],
+    ids=["fit", "predict", "evaluate", "select", "diagnose", "inspect-hellinger"],
+)
+def test_each_verb_loads_only_the_numpy_submodules_it_needs(tiny_inputs, verb, loaded):
+    # numpy.ma alone costs about 15 ms per process, which every CLI run pays
+    data, out = str(tiny_inputs / "train.csv"), str(tiny_inputs / f"{verb.replace(' ', '-')}.out")
+    flags = {
+        "fit": ["--data", data, "--model", out],
+        "predict": ["--data", data, "--model", str(tiny_inputs / "model.json"), "--out", out],
+        "evaluate": ["--data", data, "--k", "3", "--out", out],
+        "diagnose": ["--data", data, "--max-pairs", "3", "--out", out],  # 3 of the 15 pairs: a sample
+    }.get(verb, ["--data", data, "--out", out])
+    code = "from xnb.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert _lazy_numpy_after(code, *verb.split(), *flags) == loaded
+
+
+def test_save_csv_loads_no_lazy_numpy_submodule(tiny_inputs):
+    code = (
+        "from xnb.dataset import Dataset, save_csv\n"
+        f"save_csv(Dataset(('a', 'b'), [[1.5, -0.0], [5e-324, 1e300]], ('x', 'y')), {str(tiny_inputs / 'out.csv')!r})"
+    )
+    assert _lazy_numpy_after(code) == []
