@@ -24,7 +24,7 @@ for kind in KERNELS:
     print(f"  {kind:13s} K(0) = {kernel_eval(kind, 0.0):.4f}")
 
 print("\nbandwidths chosen by each reference rule:")
-for rule in ("scott", "silverman", "silverman-adaptive"):
+for rule in ("scott", "silverman", "silverman_adaptive"):
     print(f"  {rule:19s} h = {column_bandwidths(rule, column, scale)[0]:.4f}")
 
 h = column_bandwidths("silverman", column, scale)[0]

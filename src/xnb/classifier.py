@@ -27,15 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, class_priors, write_output
-from .errors import DataError, ModelFormatError
-from .hellinger import MAX_MU, hellinger_table
+from .errors import DataError, ModelFormatError, check_number
+from .hellinger import check_mu, hellinger_table
 from .kde import (
+    BANDWIDTH_RULES,
     DEFAULT_KERNEL,
     DEFAULT_MU,
     DEFAULT_RULE,
+    KERNELS,
     PackedKde,
-    canonical_kernel,
-    canonical_rule,
+    check_name,
     column_bandwidths,
     scale_to_unit,
 )
@@ -61,7 +62,8 @@ FIT_STAGES = ("bandwidth", "kde", "hellinger", "select", "build")
 class XnbConfig:
     """The settings a KDE fit takes, carried by its model and written into its file.
 
-    A model file's config also holds the values in ``_FIXED``, which no fit varies.
+    Names are spelled exactly as in ``KERNELS`` and ``BANDWIDTH_RULES``. A
+    model file's config also holds the values in ``_FIXED``, which no fit varies.
     """
 
     kernel: str = DEFAULT_KERNEL
@@ -70,12 +72,10 @@ class XnbConfig:
     theta: float = DEFAULT_THETA
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
-        object.__setattr__(self, "bandwidth_rule", canonical_rule(self.bandwidth_rule))
-        if not 2 <= self.mu <= MAX_MU:
-            raise ValueError(f"mu must lie in [2, {MAX_MU}], got {self.mu}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        check_name(self.kernel, KERNELS, "kernel")
+        check_name(self.bandwidth_rule, BANDWIDTH_RULES, "bandwidth rule")
+        check_mu(self.mu)
+        SelectionConfig(self.theta)
 
 
 _CONFIG_KEYS = (*(f.name for f in fields(XnbConfig)), *_FIXED)
@@ -89,10 +89,16 @@ class Prediction:
 
 def _check_header(classes, priors: dict[str, float], variable_names) -> None:
     """The checks every model makes of its class names, priors and variable names."""
+    for what, names in (("class", classes), ("variable", variable_names)):
+        bad = [name for name in names if not isinstance(name, str)]
+        if bad:
+            raise ValueError(f"{what} names must be strings, got {bad[0]!r}")
     if len(set(classes)) != len(classes):
         raise ValueError("duplicate class names")
     if len(set(variable_names)) != len(variable_names):
         raise ValueError("duplicate variable names")
+    for c, p in priors.items():
+        check_number(p, f"prior of class {c!r}")
     if set(priors) != set(classes):
         raise ValueError("priors must name exactly the model classes")
     if not all(0.0 < p <= 1.0 for p in priors.values()) or abs(sum(priors.values()) - 1.0) > 1e-9:
@@ -104,7 +110,8 @@ class XnbModel:
     """Class priors, per-class variable subsets, and one packed density per class.
 
     ``kde_bank[c]`` holds class c's density over ``features.features[c]``,
-    one column per selected variable in that order.
+    one column per selected variable in that order. ``method`` is ``xnb``
+    or ``fnb``; each class of an fnb model lists every variable, in order.
     """
 
     classes: tuple[str, ...]
@@ -118,10 +125,16 @@ class XnbModel:
 
     def __post_init__(self):
         _check_header(self.classes, self.priors, self.variable_names)
+        if self.method not in ("xnb", "fnb"):
+            raise ValueError(f"a KDE model's method must be xnb or fnb, got {self.method!r}")
+        if tuple(self.features.classes) != tuple(self.classes):
+            raise ValueError(f"feature map classes {self.features.classes!r}, model classes {self.classes!r}")
         if set(self.kde_bank) != set(self.classes):
             raise ValueError("kde bank must name exactly the model classes")
         for c in self.classes:
             feats = self.features.features[c]
+            if self.method == "fnb" and tuple(feats) != tuple(self.variable_names):
+                raise ValueError(f"features of class {c!r} must list every variable, in order, in an fnb model")
             unknown = [v for v in feats if v not in self.variable_index]
             if unknown:
                 listed = ", ".join(map(repr, unknown[:5]))
@@ -172,6 +185,9 @@ class GnbModel:
 
     def __post_init__(self):
         _check_header(self.classes, self.priors, self.variable_names)
+        check_number(self.smoothing, "smoothing")
+        if not (math.isfinite(self.smoothing) and self.smoothing > 0):
+            raise ValueError(f"smoothing must be positive and finite, got {self.smoothing!r}")
         means = np.array(self.means, dtype=np.float64)
         variances = np.array(self.variances, dtype=np.float64)
         shape = (len(self.classes), len(self.variable_names))
@@ -268,8 +284,9 @@ def fit_gnb(d: Dataset) -> GnbModel:
     """Gaussian naive Bayes baseline over all variables.
 
     Class variances use the n-1 denominator and are smoothed by 1e-9 times
-    the largest global per-variable variance (an absolute floor keeps them
-    positive when every variable is constant). The moments are taken of
+    the largest global per-variable variance, at least the smallest normal
+    float (an absolute floor of 1e-9 keeps them positive when every variable
+    is constant). The moments are taken of
     each column scaled by the power of two of its largest magnitude (exact)
     and scaled back, so sums of values near the largest float do not
     overflow; a variance that itself exceeds the largest float is a data error.
@@ -293,7 +310,7 @@ def fit_gnb(d: Dataset) -> GnbModel:
         names = ", ".join(repr(d.variable_names[j]) for j in too_wide[:5])
         raise DataError(f"variables {names}: variance exceeds the largest float; gnb cannot model it")
     max_var = float(np.max(global_var)) if m else 0.0
-    smoothing = 1e-9 * max_var if max_var > 0 else 1e-9
+    smoothing = max(1e-9 * max_var, float(np.finfo(np.float64).tiny)) if max_var > 0 else 1e-9
     return GnbModel(
         classes=d.classes,
         priors=class_priors(d),
@@ -423,28 +440,23 @@ def _decode_array(node, where: str) -> np.ndarray:
     return np.frombuffer(raw, _ARRAY_DTYPE).reshape(shape)
 
 
-def _names(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+def _names(value, what: str) -> tuple:
+    """A JSON list of names as a tuple; the model constructors check the names."""
+    if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of names")
     return tuple(value)
-
-
-def _number(value, what: str) -> float:
-    """A JSON number (not a string or a boolean) as a float."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def load_model(path: str | Path) -> XnbModel | GnbModel:
     """Read a model file written by ``save_model``; predictions round-trip bit-exactly.
 
-    The reader is closed-world: each JSON object holds exactly the keys that
-    ``save_model`` writes there for the ``method`` (one of ``METHODS``),
-    ``features`` and ``kde`` exactly the ``classes``; an fnb class lists
-    every variable in order, and ``config`` holds each value of ``_FIXED``
-    exactly. Arrays are checked for dtype, shape and byte count, and the
-    model constructors reject a non-finite value. Another schema version, a
+    The reader checks only the file: each JSON object holds exactly the
+    keys that ``save_model`` writes there for the ``method`` (one of
+    ``METHODS``), ``features`` and ``kde`` exactly the ``classes``; name
+    lists are JSON lists, arrays are checked for dtype, shape and byte
+    count, and ``config`` holds each value of ``_FIXED`` exactly. Every
+    other rule is the model constructors' own, so a file loads exactly when
+    ``save_model`` could have written it. Another schema version, a
     malformed file, or one that cannot be opened, is a ``ModelFormatError``.
     """
     path = Path(path)
@@ -469,26 +481,19 @@ def load_model(path: str | Path) -> XnbModel | GnbModel:
         body = ("gnb",) if method == "gnb" else ("config", "features", "kde")
         keys = ("version", "method", "classes", "priors", "variables", *body)
         _, _, classes, priors, variables, *body = _fields(payload, keys, "top level")
-        classes = _names(classes, "classes")
-        priors = {c: _number(p, f"prior of class {c!r}") for c, p in priors.items()}
-        variables = _names(variables, "variables")
+        classes, variables = _names(classes, "classes"), _names(variables, "variables")
         if method == "gnb":
             means, variances, smoothing = _fields(body[0], ("means", "variances", "smoothing"), "gnb")
             means, variances = _decode_array(means, "gnb.means"), _decode_array(variances, "gnb.variances")
-            return GnbModel(classes, priors, variables, means, variances, _number(smoothing, "smoothing"))
+            return GnbModel(classes, priors, variables, means, variances, smoothing)
         cfg, features, kde = body
         kernel, rule, mu, theta, *fixed = _fields(cfg, _CONFIG_KEYS, "config")
         for name, value in zip(_FIXED, fixed):
             if value != _FIXED[name]:
                 raise ValueError(f"config.{name} must be {_FIXED[name]!r}, got {value!r}")
-        if type(mu) is not int:
-            raise ValueError(f"mu must be an integer, got {mu!r}")
-        config = XnbConfig(kernel, rule, mu, _number(theta, "theta"))
+        config = XnbConfig(kernel, rule, mu, theta)
         features = _fields(features, classes, "features")
         features = {c: _names(f, f"features of class {c!r}") for c, f in zip(classes, features)}
-        for c in classes:
-            if method == "fnb" and features[c] != variables:
-                raise ValueError(f"features of class {c!r} must list every variable, in order, in an fnb model")
         bank = {}
         for c, entry in zip(classes, _fields(kde, classes, "kde")):
             where = f"kde[{c!r}]"

@@ -84,7 +84,8 @@ _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 def _config_from(args) -> XnbConfig:
     """The pipeline settings of a verb's flags; a verb without --theta keeps the default."""
     theta = getattr(args, "theta", DEFAULT_THETA)
-    return XnbConfig(kernel=args.kernel, bandwidth_rule=args.bandwidth, mu=args.mu, theta=theta)
+    rule = args.bandwidth.replace("-", "_")  # the one other spelling: silverman-adaptive is silverman_adaptive
+    return XnbConfig(kernel=args.kernel, bandwidth_rule=rule, mu=args.mu, theta=theta)
 
 
 def _table_from(args) -> HellingerTable:

@@ -70,6 +70,9 @@ class Dataset:
                         " span more than the largest float"
                     )
         names = tuple(self.variable_names)
+        bad = [name for name in names if not isinstance(name, str)]
+        if bad:
+            raise DataError(f"variable names must be strings, got {bad[0]!r}")
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
         values.setflags(write=False)
@@ -93,14 +96,24 @@ class Dataset:
     @cached_property
     def class_rows(self) -> dict[str, np.ndarray]:
         """Row indices of each class, in class order."""
-        labels = np.asarray(self.labels)
-        return {c: np.flatnonzero(labels == c) for c in self.classes}
+        return rows_by_label(self.labels)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset over a row subset (classes recomputed)."""
         rows = np.asarray(rows)
         labels = [self.labels[i] for i in rows]
         return Dataset(self.variable_names, self.values[rows], tuple(labels))
+
+
+def rows_by_label(labels) -> dict[str, np.ndarray]:
+    """Row indices of each distinct label, in sorted order; compared as Python strings.
+
+    (A numpy str array drops trailing NULs, which merges ``"a"`` and ``"a\\x00"``.)
+    """
+    classes = sorted(set(labels))
+    index = {c: i for i, c in enumerate(classes)}
+    codes = np.fromiter((index[label] for label in labels), dtype=np.intp, count=len(labels))
+    return {c: np.flatnonzero(codes == i) for i, c in enumerate(classes)}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, rows_by_label
 from .errors import DataError
 from .kde import scale_to_unit
 
@@ -197,11 +197,10 @@ def within_class_residuals(values, labels) -> np.ndarray:
     the class means, so these are the regression residuals.
     """
     residuals = np.array(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    if residuals.shape[:1] != labels.shape:
-        raise ValueError(f"length mismatch: {residuals.shape} values vs {labels.shape} labels")
-    for c in dict.fromkeys(labels.tolist()):  # each class once; their order changes no residual
-        rows = np.flatnonzero(labels == c)
+    labels = list(labels)
+    if residuals.shape[:1] != (len(labels),):
+        raise ValueError(f"length mismatch: {residuals.shape} values vs {(len(labels),)} labels")
+    for rows in rows_by_label(labels).values():  # the classes' order changes no residual
         mean = residuals[rows].mean(axis=0)  # so that one gathered copy of the class is held at a time
         residuals[rows] -= mean
     return residuals

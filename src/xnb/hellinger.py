@@ -44,6 +44,14 @@ MAX_MU = 8 * 2**20 // (8 * _BLOCK)
 _TOTAL_SCALE = 2.0 ** math.ceil(math.log2(MAX_MU * max(kernel_eval(k, 0.0) for k in KERNELS)))
 
 
+def check_mu(mu) -> None:
+    """The rule for a grid size: an ``int`` in [2, ``MAX_MU``]; else a ValueError."""
+    if type(mu) is not int:
+        raise ValueError(f"mu must be an integer, got {mu!r}")
+    if not 2 <= mu <= MAX_MU:
+        raise ValueError(f"mu must lie in [2, {MAX_MU}], got {mu}")
+
+
 def hellinger(p, q):
     """Hellinger distance between discrete distributions, one per column.
 
@@ -175,8 +183,11 @@ def hellinger_table(
     rather than in order, so a variable's distance would depend on where the
     blocks end. With more than one worker the blocks go through a thread
     pool; the table is the same for every ``jobs``, and one warning counts
-    its zero-sum columns.
+    its zero-sum columns. ``mu`` must pass ``check_mu`` and ``jobs`` be at least 1.
     """
+    check_mu(mu)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for c in d.classes:
         if c not in kde_bank or kde_bank[c].width != d.m:
             raise ValueError(f"kde bank incomplete: class {c!r} has no density over all {d.m} variables")

@@ -56,23 +56,15 @@ def beta_coefficient(s: int) -> float:
     return _double_factorial(2 * s + 1) / (2 ** (s + 1) * math.factorial(s))
 
 
-def canonical_kernel(name: str) -> str:
-    kernel = name.strip().lower()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; expected one of {', '.join(KERNELS)}")
-    return kernel
-
-
-def canonical_rule(name: str) -> str:
-    rule = name.strip().lower().replace("-", "_")
-    if rule not in BANDWIDTH_RULES:
-        raise ValueError(f"unknown bandwidth rule {name!r}; expected one of {', '.join(BANDWIDTH_RULES)}")
-    return rule
+def check_name(name, names: tuple[str, ...], what: str) -> None:
+    """Raise ValueError unless ``name`` is exactly one of ``names`` (``KERNELS`` or ``BANDWIDTH_RULES``)."""
+    if not (isinstance(name, str) and name in names):
+        raise ValueError(f"unknown {what} {name!r}; expected one of {', '.join(names)}")
 
 
 def kernel_eval(kind: str, u):
-    """Evaluate kernel ``kind`` at ``u`` (scalar or array)."""
-    kind = canonical_kernel(kind)
+    """Evaluate kernel ``kind`` (one of ``KERNELS``) at ``u`` (scalar or array)."""
+    check_name(kind, KERNELS, "kernel")
     out = _kernel_body_in_place(kind, np.array(u, dtype=np.float64))
     if kind == "gaussian":
         out /= _SQRT_2PI
@@ -82,7 +74,7 @@ def kernel_eval(kind: str, u):
 
 
 def _kernel_constant(kind: str) -> float:
-    """The constant factor c of kernel ``kind`` (canonical): K(u) = c * body(u)."""
+    """The constant factor c of kernel ``kind``: K(u) = c * body(u)."""
     return 1.0 / _SQRT_2PI if kind == "gaussian" else beta_coefficient(_BETA_EXPONENT[kind])
 
 
@@ -90,7 +82,7 @@ def _kernel_body_in_place(kind: str, u: np.ndarray) -> np.ndarray:
     """Overwrite the float64 array ``u`` with the kernel's body at ``u``; return it.
 
     The body is the kernel without its constant factor: ``exp(-u^2/2)``
-    or ``(1 - u^2)^s`` on [-1, 1]. ``kind`` must be canonical. Every step
+    or ``(1 - u^2)^s`` on [-1, 1]. ``kind`` must be one of ``KERNELS``. Every step
     is an in-place ufunc, so no temporary the size of ``u`` is made.
     """
     np.multiply(u, u, out=u)
@@ -147,9 +139,9 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     subnormal) falls back to ``max(1e-3 * fallback_scale, 1e-9)``, with the
     column's range over the whole dataset as the scale, so that
     constant-within-class variables still get finite densities (1e-9 if the
-    scale is not positive).
+    scale is not positive). ``rule`` is one of ``BANDWIDTH_RULES``.
     """
-    rule = canonical_rule(rule)
+    check_name(rule, BANDWIDTH_RULES, "bandwidth rule")
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     scaled, exponent = scale_to_unit(values)
@@ -183,6 +175,7 @@ class PackedKde:
     kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self):
+        check_name(self.kernel, KERNELS, "kernel")
         samples = np.array(self.samples, dtype=np.float64, order="C")
         h = np.array(self.h, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[0] == 0:
@@ -197,7 +190,6 @@ class PackedKde:
         h.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
 
     @property
     def width(self) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_number
 from .hellinger import HellingerTable
 
 DEFAULT_THETA = 0.999
@@ -27,9 +28,12 @@ DEFAULT_THETA = 0.999
 
 @dataclass(frozen=True)
 class SelectionConfig:
+    """The selection threshold: a number in (0, 1), the one statement of theta's rule."""
+
     theta: float = DEFAULT_THETA
 
     def __post_init__(self):
+        check_number(self.theta, "theta")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 

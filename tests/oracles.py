@@ -40,8 +40,9 @@ from xnb.kde import (
     DEFAULT_KERNEL,
     DEFAULT_MU,
     DEFAULT_RULE,
+    KERNELS,
     beta_coefficient,
-    canonical_kernel,
+    check_name,
     column_bandwidths,
     kernel_eval,
     scale_to_unit,
@@ -81,7 +82,7 @@ class KdeModel:
             raise ValueError(f"bandwidth must be positive and finite, got {self.h}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
+        check_name(self.kernel, KERNELS, "kernel")
 
     @property
     def n(self) -> int:
@@ -171,7 +172,7 @@ def per_variable_oracle(d, bank, mu: int = DEFAULT_MU) -> np.ndarray:
 
 def broadcast_kernel_body(kind: str, u):
     """The kernel without its constant factor at ``u``, as whole-array expressions."""
-    kind = canonical_kernel(kind)
+    check_name(kind, KERNELS, "kernel")
     if kind == "gaussian":
         return np.exp(-0.5 * u * u)
     s = _BETA_EXPONENT[kind]
@@ -181,7 +182,7 @@ def broadcast_kernel_body(kind: str, u):
 
 def broadcast_kernel(kind: str, u):
     """Kernel values at ``u`` as whole-array expressions (no in-place steps)."""
-    kind = canonical_kernel(kind)
+    check_name(kind, KERNELS, "kernel")
     if kind == "gaussian":
         return broadcast_kernel_body(kind, u) / math.sqrt(2.0 * math.pi)
     return beta_coefficient(_BETA_EXPONENT[kind]) * broadcast_kernel_body(kind, u)

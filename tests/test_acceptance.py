@@ -104,7 +104,7 @@ def test_criterion_3_bandwidth_formulas():
         )
     degenerate_ok = True
     with np.errstate(over="ignore"):  # the huge-magnitude probe overflows np.std
-        for rule in ("scott", "silverman", "silverman-adaptive"):
+        for rule in ("scott", "silverman", "silverman_adaptive"):
             for values in ([0.0], [7.0, 7.0], np.zeros(50), [-1e308, -1e308]):
                 degenerate_ok &= bandwidth(rule, values) > 0.0
     _verdict(

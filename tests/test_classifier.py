@@ -1,11 +1,14 @@
 import base64
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xnb.classifier import (
     FIT_STAGES,
@@ -25,12 +28,30 @@ from xnb.hellinger import MAX_MU
 from xnb.dataset import Dataset, class_priors
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
-from xnb.kde import KERNELS, PackedKde
+from xnb.kde import BANDWIDTH_RULES, KERNELS, PackedKde, column_bandwidths, kernel_eval
 from xnb.selection import ClassFeatureMap
 from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
 from tests.oracles import KdeModel, bandwidth, kde_density_at, v1_payload, v2_payload
 
 FITS = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}
+
+
+@st.composite
+def drawn_fit_inputs(draw):
+    """A dataset of 2 to 4 classes with drawn names and values, and a config of any kernel and rule."""
+    k, m = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    classes = draw(st.lists(st.text(max_size=3), min_size=k, max_size=k, unique=True))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=m, max_size=m, unique=True))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    values = draw(hnp.arrays(np.float64, (sum(sizes), m), elements=st.floats(-1e6, 1e6)))
+    labels = tuple(c for c, size in zip(classes, sizes) for _ in range(size))
+    config = XnbConfig(
+        draw(st.sampled_from(KERNELS)),
+        draw(st.sampled_from(BANDWIDTH_RULES)),
+        draw(st.integers(2, 64)),
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+    return Dataset(tuple(names), values, labels), config
 
 
 class TestFitXnb:
@@ -370,6 +391,14 @@ class TestGnb:
         np.testing.assert_array_equal(model.variances, np.ones((2, 3)))
         assert not (model.means.flags.writeable or model.variances.flags.writeable)
 
+    def test_smoothing_of_a_subnormal_variance_stays_positive(self, tmp_path):
+        # the largest variance is about 4e-318: 1e-9 times it is 0, which no GnbModel takes
+        d = Dataset(("v",), [[2.88235154e-159], [0.0], [0.0], [2.88235154e-159]], ("A", "A", "B", "B"))
+        model = fit_gnb(d)
+        assert model.smoothing == np.finfo(np.float64).tiny
+        save_model(model, tmp_path / "gnb.json")
+        assert predict(load_model(tmp_path / "gnb.json"), [0.0]).log_scores == predict(model, [0.0]).log_scores
+
     def test_method_is_not_a_field(self):
         # a GnbModel is always gnb: no caller can build one that claims another method
         args = (("A", "B"), {"A": 0.5, "B": 0.5}, ("x",), np.zeros((2, 1)), np.ones((2, 1)), 1e-9)
@@ -563,20 +592,25 @@ class TestPersistence:
         node = f"kde[{path[1]!r}].{path[2]}" if path[0] == "kde" else ".".join(path)
         assert "must be" in match or f"(ValueError: {node}" in str(info.value)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["xnb", "fnb", "gnb"]))
-    @settings(max_examples=15, deadline=None)
-    def test_round_trip_scores_bit_identical(self, tmp_path_factory, seed, method):
-        d, _ = make_separated(n=30, m=12, k=3, seed=seed % 1000)
-        model = FITS[method](d)
+    @given(drawn_fit_inputs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_scores_bit_identical(self, tmp_path_factory, inputs, seed):
+        # every model a fit builds is one save_model writes and load_model reads back unchanged
+        d, config = inputs
         tmp = tmp_path_factory.mktemp("rt")
-        save_model(model, tmp / "model.json")
-        loaded = load_model(tmp / "model.json")
-        save_model(loaded, tmp / "again.json")
-        assert (tmp / "again.json").read_bytes() == (tmp / "model.json").read_bytes()
-        samples = np.random.default_rng(seed).normal(0.0, 3.0, size=(10, d.m))
-        for sample in samples:
-            a, b = predict(model, sample), predict(loaded, sample)
-            assert (a.label, a.log_scores) == (b.label, b.log_scores)
+        lo, hi = d.values.min(axis=0), d.values.max(axis=0)
+        samples = np.vstack([d.values, np.random.default_rng(seed).uniform(lo, hi, size=(5, d.m))])
+        for method, fit in FITS.items():
+            with warnings.catch_warnings():  # singleton and zero-sum warnings are not at issue here
+                warnings.simplefilter("ignore", UserWarning)
+                model = fit(d) if method == "gnb" else fit(d, config)
+            save_model(model, tmp / "model.json")
+            loaded = load_model(tmp / "model.json")
+            save_model(loaded, tmp / "again.json")
+            assert (tmp / "again.json").read_bytes() == (tmp / "model.json").read_bytes()
+            for sample in samples:
+                a, b = predict(model, sample), predict(loaded, sample)
+                assert (a.label, a.log_scores) == (b.label, b.log_scores)
 
     def test_v1_file_rejected(self, separated_two_class, tmp_path):
         # no writer has produced version 1 since version 2
@@ -625,3 +659,72 @@ class TestPersistence:
         path.write_text("[1, 2]")
         with pytest.raises(ModelFormatError, match="not an object"):
             load_model(path)
+
+
+def _replace(fitted, **changes):
+    """A build that copies the ``fitted`` method's model with ``changes``."""
+    return lambda d, fits: dataclasses.replace(fits[fitted], **changes)
+
+
+def _reordered_feature_map(d, fits):
+    model = fits["xnb"]
+    return dataclasses.replace(model, features=ClassFeatureMap(("B", "A"), model.features.features))
+
+
+_KERNEL_LIST = "gaussian, uniform, epanechnikov, biweight, triweight"
+_RULE_LIST = "scott, silverman, silverman_adaptive"
+
+# (id, build, error, message): each build raises at construction; the parent built
+# each one, and save_model wrote a file that load_model refused, or that loaded as another
+CONSTRUCTOR_HOLES = [
+    ("config kernel spelling", lambda d, fits: XnbConfig(kernel=" GAUSSIAN "), ValueError,
+     f"unknown kernel ' GAUSSIAN '; expected one of {_KERNEL_LIST}"),
+    ("config rule spelling", lambda d, fits: XnbConfig(bandwidth_rule="Silverman-Adaptive"), ValueError,
+     f"unknown bandwidth rule 'Silverman-Adaptive'; expected one of {_RULE_LIST}"),
+    ("config rule CLI token", lambda d, fits: XnbConfig(bandwidth_rule="silverman-adaptive"), ValueError,
+     f"unknown bandwidth rule 'silverman-adaptive'; expected one of {_RULE_LIST}"),
+    ("PackedKde kernel spelling", lambda d, fits: PackedKde([[0.0]], [1.0], "Gaussian"), ValueError,
+     f"unknown kernel 'Gaussian'; expected one of {_KERNEL_LIST}"),
+    ("kernel_eval spelling", lambda d, fits: kernel_eval("GAUSSIAN", 0.0), ValueError,
+     f"unknown kernel 'GAUSSIAN'; expected one of {_KERNEL_LIST}"),
+    ("column_bandwidths CLI token", lambda d, fits: column_bandwidths("silverman-adaptive", d.values, 1.0),
+     ValueError, f"unknown bandwidth rule 'silverman-adaptive'; expected one of {_RULE_LIST}"),
+    ("xnb as fnb", _replace("xnb", method="fnb"), ValueError,
+     "features of class 'A' must list every variable, in order, in an fnb model"),
+    ("xnb as gnb", _replace("xnb", method="gnb"), ValueError, "a KDE model's method must be xnb or fnb, got 'gnb'"),
+    ("xnb as bogus", _replace("xnb", method="bogus"), ValueError,
+     "a KDE model's method must be xnb or fnb, got 'bogus'"),
+    ("feature map classes", _reordered_feature_map, ValueError,
+     "feature map classes ('B', 'A'), model classes ('A', 'B')"),
+    ("mu 50.0", lambda d, fits: XnbConfig(mu=50.0), ValueError, "mu must be an integer, got 50.0"),
+    ("mu int64", lambda d, fits: XnbConfig(mu=np.int64(50)), ValueError, f"mu must be an integer, got {np.int64(50)!r}"),
+    ("theta string", lambda d, fits: XnbConfig(theta="0.999"), ValueError, "theta must be a number, got '0.999'"),
+    ("dataset variable ints", lambda d, fits: Dataset((1, 2, 3, 4), np.zeros((2, 4)), ("A", "B")), DataError,
+     "variable names must be strings, got 1"),
+    ("xnb variable ints", _replace("fnb", variable_names=tuple(range(21))), ValueError,
+     "variable names must be strings, got 0"),
+    ("gnb variable ints", _replace("gnb", variable_names=tuple(range(21))), ValueError,
+     "variable names must be strings, got 0"),
+    ("gnb class ints", _replace("gnb", classes=(0, 1), priors={0: 0.5, 1: 0.5}), ValueError,
+     "class names must be strings, got 0"),
+    ("prior string", _replace("gnb", priors={"A": "0.5", "B": 0.5}), ValueError,
+     "prior of class 'A' must be a number, got '0.5'"),
+    ("smoothing nan", _replace("gnb", smoothing=math.nan), ValueError, "smoothing must be positive and finite, got nan"),
+    ("smoothing -1", _replace("gnb", smoothing=-1), ValueError, "smoothing must be positive and finite, got -1"),
+    ("smoothing 0", _replace("gnb", smoothing=0.0), ValueError, "smoothing must be positive and finite, got 0.0"),
+    ("smoothing string", _replace("gnb", smoothing="1e-09"), ValueError, "smoothing must be a number, got '1e-09'"),
+]
+
+
+class TestConstructorRules:
+    """The constructors are the one rulebook: what they build, save_model writes and load_model reads."""
+
+    @pytest.mark.parametrize(
+        "build, error, message", [case[1:] for case in CONSTRUCTOR_HOLES], ids=[case[0] for case in CONSTRUCTOR_HOLES]
+    )
+    def test_rejected_at_construction(self, separated_two_class, build, error, message):
+        d = separated_two_class
+        fits = {method: fit(d) for method, fit in FITS.items()}
+        with pytest.raises(error) as info:
+            build(d, fits)
+        assert str(info.value) == message

@@ -23,6 +23,7 @@ from xnb.classifier import METHODS, XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_m
 from xnb.cli import build_parser, main
 from xnb.dataset import Dataset, save_csv
 from xnb.hellinger import MAX_MU, hellinger_table
+from xnb.kde import BANDWIDTH_RULES, KERNELS
 from xnb.selection import SelectionConfig, select_class_specific
 from tests.conftest import (
     MALFORMED_ARRAYS,
@@ -307,6 +308,22 @@ class TestFlagSurface:
         assert main(["fit", "--data", str(data_csv), "--model", str(model_path), "--mu", str(MAX_MU)]) == 0
         assert load_model(model_path).config.mu == MAX_MU
 
+    def test_kernel_and_bandwidth_choices_are_the_library_names(self):
+        # the CLI's one other spelling: silverman-adaptive for the library's silverman_adaptive
+        choices = {
+            (path, s): action.choices
+            for path, p in _verb_parsers(build_parser())
+            for action in p._actions
+            for s in action.option_strings
+            if s in ("--kernel", "--bandwidth")
+        }
+        assert len(choices) == 8  # fit, evaluate, select and inspect hellinger take both
+        for (_, flag), names in choices.items():
+            if flag == "--kernel":
+                assert tuple(names) == KERNELS
+            else:
+                assert tuple(name.replace("-", "_") for name in names) == BANDWIDTH_RULES
+
     def test_methods_rule_is_the_library_one(self, data_csv, capsys):
         assert main(["evaluate", "--data", str(data_csv), "--methods", "xnb,gnb,xnb"]) == 1
         assert "repeated methods: xnb; expected one or more of gnb, fnb, xnb, each once" in capsys.readouterr().err
@@ -572,6 +589,24 @@ class TestFitPredict:
             ),
             ("xnb", "extra kde key", "kde['c0'] must be a {kernel, h, samples} object, unexpected 'zzz'"),
             ("xnb", "version 3.0", "schema version 3.0, expected 3"),  # equal to 3, but not what save_model writes
+            (
+                "xnb",
+                "kernel spelling",
+                "unknown kernel ' GAUSSIAN '; expected one of gaussian, uniform, epanechnikov, biweight, triweight",
+            ),
+            (
+                "xnb",
+                "class kernel spelling",
+                "unknown kernel 'Gaussian'; expected one of gaussian, uniform, epanechnikov, biweight, triweight",
+            ),
+            (
+                "xnb",
+                "rule spelling",
+                "unknown bandwidth rule 'Silverman-Adaptive'; expected one of scott, silverman, silverman_adaptive",
+            ),
+            ("gnb", "smoothing nan", "smoothing must be positive and finite, got nan"),
+            ("gnb", "smoothing -1", "smoothing must be positive and finite, got -1"),
+            ("gnb", "smoothing 0", "smoothing must be positive and finite, got 0"),
         ],
         ids=[
             "priors sum to 1.4", "theta 1.5", "variable listed twice", "xnb repeated variable",
@@ -579,6 +614,8 @@ class TestFitPredict:
             "prior string", "prior boolean", "theta string", "floor string", "floor 1e-6", "smoothing string",
             "mu fraction", "mu string", "method gnbx", "method fnb", "extra features entry",
             "pair_order reverse", "no tie_break", "extra top-level key", "extra kde key", "version 3.0",
+            "kernel spelling", "class kernel spelling", "rule spelling", "smoothing nan", "smoothing -1",
+            "smoothing 0",
         ],
     )
     def test_invalid_model_value_is_located_error(
@@ -623,6 +660,16 @@ class TestFitPredict:
             payload["kde"]["c0"]["zzz"] = 1
         elif edit == "version 3.0":
             payload["version"] = 3.0
+        elif edit == "kernel spelling":  # every kernel name in the file, spelled another way
+            payload["config"]["kernel"] = " GAUSSIAN "
+            for entry in payload["kde"].values():
+                entry["kernel"] = " GAUSSIAN "
+        elif edit == "class kernel spelling":
+            payload["kde"]["c0"]["kernel"] = "Gaussian"
+        elif edit == "rule spelling":
+            payload["config"]["bandwidth_rule"] = "Silverman-Adaptive"
+        elif edit in ("smoothing nan", "smoothing -1", "smoothing 0"):  # json.dumps writes nan as NaN
+            payload["gnb"]["smoothing"] = {"nan": math.nan, "-1": -1, "0": 0}[edit.split()[1]]
         else:  # "theta string", "floor string": a config number written as text
             name = edit.split()[0]
             payload["config"][name] = str(payload["config"][name])

@@ -490,6 +490,12 @@ class TestPriors:
         d = Dataset(("x",), np.zeros((1, 1)), ("A",))
         assert class_priors(d) == {"A": 1.0}
 
+    def test_labels_differing_by_a_trailing_nul_are_two_classes(self):
+        # a numpy str array drops trailing NULs: both classes then took all four rows
+        d = Dataset(("x",), np.zeros((4, 1)), ("a", "a", "a\x00", "a"))
+        assert {c: rows.tolist() for c, rows in d.class_rows.items()} == {"a": [0, 1, 3], "a\x00": [2]}
+        assert class_priors(d) == {"a": 0.75, "a\x00": 0.25}
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
         labels = tuple(rng.choice(["A", "B", "C", "D"], size=97))

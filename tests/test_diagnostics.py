@@ -227,6 +227,10 @@ class TestResiduals:
         res = within_class_residuals([1.0, 2.0, 10.0, 20.0], ["A", "A", "B", "B"])
         np.testing.assert_allclose(res, [-0.5, 0.5, -5.0, 5.0])
 
+    def test_labels_differing_by_a_trailing_nul_are_two_classes(self):
+        res = within_class_residuals([1.0, 2.0, 10.0, 20.0], ["A", "A", "A\x00", "A\x00"])
+        np.testing.assert_allclose(res, [-0.5, 0.5, -5.0, 5.0])
+
     def test_values_equal_to_class_means(self):
         res = within_class_residuals([3.0, 3.0, 7.0], ["A", "A", "B"])
         np.testing.assert_allclose(res, 0.0)

@@ -190,6 +190,24 @@ class TestTable:
         with pytest.raises(ValueError, match="incomplete"):
             hellinger_table(d, bank)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"mu": 1}, "mu must lie in [2, 1024], got 1"),  # an all-zero table
+            ({"mu": 0}, "mu must lie in [2, 1024], got 0"),  # an all-zero table and a zero-sum warning
+            ({"mu": 50.0}, "mu must be an integer, got 50.0"),
+            ({"mu": True}, "mu must be an integer, got True"),
+            ({"jobs": 0}, "jobs must be at least 1, got 0"),
+            ({"jobs": -3}, "jobs must be at least 1, got -3"),
+        ],
+        ids=["mu 1", "mu 0", "mu 50.0", "mu True", "jobs 0", "jobs -3"],
+    )
+    def test_settings_outside_their_domain_rejected(self, overrides, message):
+        d = Dataset(("x", "y"), np.random.default_rng(5).normal(size=(8, 2)), ("A",) * 4 + ("B",) * 4)
+        with pytest.raises(ValueError) as info:
+            hellinger_table(d, _bank(d), **overrides)
+        assert str(info.value) == message
+
     def test_parallel_matches_sequential(self, pool_sizes):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(24, 9))
@@ -321,13 +339,13 @@ class TestBroadcastOracle:
     @given(
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 12), min_size=2, max_size=4),
-        st.integers(1, 30),
+        st.integers(2, 30),
         st.integers(1, 16),
         st.sampled_from(KERNELS),
     )
-    @example(seed=0, sizes=[1, 1], mu=1, w=1, kernel="gaussian")
+    @example(seed=0, sizes=[1, 1], mu=2, w=1, kernel="gaussian")
     @example(seed=1, sizes=[1, 3, 2], mu=7, w=1, kernel="triweight")
-    @example(seed=2, sizes=[12, 9], mu=1, w=5, kernel="uniform")
+    @example(seed=2, sizes=[12, 9], mu=2, w=5, kernel="uniform")
     @settings(max_examples=60, deadline=None)
     def test_blocks_equal_broadcast_oracle(self, seed, sizes, mu, w, kernel):
         densities = _densities(np.random.default_rng(seed), sizes, w, kernel)

@@ -120,7 +120,7 @@ class TestBandwidthRules:
         x = np.arange(9.0)
         q1, q3 = np.percentile(x, [25, 75])
         expected = 0.9 * min(np.std(x, ddof=1), (q3 - q1) / 1.34) * 9 ** -0.2
-        assert bandwidth("silverman-adaptive", x) == pytest.approx(expected)
+        assert bandwidth("silverman_adaptive", x) == pytest.approx(expected)
 
     def test_constant_values_fall_back_positive(self):
         h = bandwidth("silverman", [5.0, 5.0, 5.0])
@@ -133,7 +133,7 @@ class TestBandwidthRules:
     def test_single_sample_falls_back(self):
         assert bandwidth("scott", [3.0], fallback_scale=4.0) == pytest.approx(4e-3)
 
-    @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman-adaptive"])
+    @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman_adaptive"])
     def test_degenerate_inputs_always_positive(self, rule):
         for values in ([0.0], [1.0, 1.0], np.full(17, -2.5), [1e-300, 1e-300]):
             assert bandwidth(rule, values) > 0.0
@@ -142,7 +142,7 @@ class TestBandwidthRules:
         with pytest.raises(ValueError):
             bandwidth("silverman", [])
 
-    @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman-adaptive"])
+    @pytest.mark.parametrize("rule", ["scott", "silverman", "silverman_adaptive"])
     def test_subnormal_bandwidth_falls_back(self, rule):
         # multiples of the smallest subnormal: every rule gives a bandwidth below MIN_BANDWIDTH
         values = np.array([[0.0], [1e-323], [4.4e-323], [2e-323], [5e-324], [3e-323]])
