@@ -20,7 +20,7 @@ from .classifier import (
     predict,
     save_model,
 )
-from .dataset import Dataset, FoldPlan, class_priors, load_csv, save_csv, stratified_kfold
+from .dataset import Dataset, class_priors, load_csv, save_csv, stratified_kfold
 from .diagnostics import (
     DiagnosticsReport,
     conditional_independence_scan,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "FoldPlan",
     "load_csv",
     "save_csv",
     "class_priors",

@@ -20,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -105,7 +105,7 @@ def _check_header(classes, priors: dict[str, float], variable_names) -> None:
         raise ValueError("priors must lie in (0, 1] and sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XnbModel:
     """Class priors, per-class variable subsets, and one packed density per class.
 
@@ -121,7 +121,7 @@ class XnbModel:
     config: XnbConfig
     variable_names: tuple[str, ...]
     method: str = "xnb"
-    timings: dict[str, float] | None = field(default=None, compare=False)
+    timings: dict[str, float] | None = None
 
     def __post_init__(self):
         _check_header(self.classes, self.priors, self.variable_names)
@@ -171,7 +171,7 @@ class XnbModel:
         return np.flatnonzero(scored)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GnbModel:
     """Gaussian naive Bayes: per-(class, variable) moments over all variables, as read-only copies."""
 
@@ -345,15 +345,22 @@ def predict(model: XnbModel | GnbModel, sample) -> Prediction:
     A KDE class reads only its own columns, ``sample[model.feature_columns[c]]``:
     log prior plus the sum of log densities, each clamped below at ``FLOOR``
     so that scores stay finite for samples outside every training range. A
-    gnb class sums Gaussian log densities over every variable.
+    gnb class sums Gaussian log densities over every variable; a score that is
+    not finite, as for a sample too far from the class means, is a ``DataError``
+    naming the class and the variable with the lowest log density.
     """
     sample = _check_sample(sample, model.m)
     if isinstance(model, GnbModel):
-        log_density = -0.5 * (model._log_2pi_variances + (sample - model.means) ** 2 / model.variances)
-        log_scores = {
-            c: float(math.log(model.priors[c]) + log_density[i].sum())
-            for i, c in enumerate(model.classes)
-        }
+        with np.errstate(over="ignore"):  # an overflow gives a -inf score, refused below
+            log_density = -0.5 * (model._log_2pi_variances + (sample - model.means) ** 2 / model.variances)
+            log_scores = {
+                c: float(math.log(model.priors[c]) + log_density[i].sum())
+                for i, c in enumerate(model.classes)
+            }
+        for i, c in enumerate(model.classes):
+            if not math.isfinite(log_scores[c]):
+                v = model.variable_names[int(np.argmin(log_density[i]))]
+                raise DataError(f"class {c!r}, variable {v!r}: the gnb log score is not finite")
     else:
         log_scores = {}
         for c in model.classes:

@@ -137,9 +137,12 @@ def _cmd_predict(args) -> int:
     # one full-width sample, refilled per row; its unscored columns stay 0.0, which predict never reads
     sample = np.zeros(model.m)
     results = []
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         sample[model.scored_columns] = row
-        results.append(predict(model, sample))
+        try:
+            results.append(predict(model, sample))
+        except DataError as exc:
+            raise DataError(f"{args.data}: data row {i}: {exc}") from exc
     if args.format == "json":
         payload = [
             {"label": r.label, "log_scores": {c: r.log_scores[c] for c in model.classes}}

@@ -27,7 +27,7 @@ from .errors import DataError
 FOLD_GENERATOR = "pcg64"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable labeled numeric matrix.
 
@@ -114,20 +114,6 @@ def rows_by_label(labels) -> dict[str, np.ndarray]:
     index = {c: i for i, c in enumerate(classes)}
     codes = np.fromiter((index[label] for label in labels), dtype=np.intp, count=len(labels))
     return {c: np.flatnonzero(codes == i) for i, c in enumerate(classes)}
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    """Stratified fold assignment: ``assignments[i]`` is sample i's fold."""
-
-    k: int
-    assignments: np.ndarray
-
-    def test_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
@@ -422,8 +408,8 @@ def class_priors(d: Dataset) -> dict[str, float]:
     return {c: len(rows) / n for c, rows in d.class_rows.items()}
 
 
-def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldPlan:
-    """Deterministic stratified fold assignment.
+def stratified_kfold(d: Dataset, k: int, seed: int) -> np.ndarray:
+    """Deterministic stratified fold assignment: a read-only intp array whose entry i is sample i's fold.
 
     Each class is shuffled with a PCG64 generator seeded by ``seed`` and
     dealt round-robin, so per-fold class counts differ by at most one.
@@ -441,4 +427,5 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldPlan:
         assignments[perm] = (offset + np.arange(perm.size)) % k
         # rotate the starting fold so leftover samples spread across folds
         offset = (offset + perm.size) % k
-    return FoldPlan(k=k, assignments=assignments)
+    assignments.setflags(write=False)
+    return assignments

@@ -126,7 +126,8 @@ def evaluate_cv(
     Per fold, each method is fit on the training split and scored on the
     held-out fold. XNB folds additionally record how many variables each
     class selected. Stage timings aggregate every KDE-based fit across
-    folds and vary run to run; everything else is reproducible.
+    folds and vary run to run; everything else is reproducible. An
+    ``XnbError`` from a fold's fit or prediction is raised again with the fold named.
     """
     methods = check_methods(methods)
     smallest = min(len(rows) for rows in d.class_rows.values())
@@ -135,22 +136,22 @@ def evaluate_cv(
             f"k={k} exceeds the smallest class size {smallest}; "
             "some folds will miss that class"
         )
-    plan = stratified_kfold(d, k, seed)
+    folds = stratified_kfold(d, k, seed)
 
     fold_acc: dict[str, list[float]] = {m: [] for m in methods}
     fold_counts: list[dict[str, int]] = []
     timings = {stage: 0.0 for stage in FIT_STAGES}
 
     for fold in range(k):
-        train = d.subset(plan.train_rows(fold))
-        test_rows = plan.test_rows(fold)
+        train = d.subset(np.flatnonzero(folds != fold))
+        test_rows = np.flatnonzero(folds == fold)
         truth = [d.labels[i] for i in test_rows]
         for method in methods:
             try:
                 model = _fit_for(method, train, config, jobs)
+                labels = [predict(model, d.values[i]).label for i in test_rows]
             except XnbError as exc:
                 raise type(exc)(f"fold {fold}: {exc}") from exc
-            labels = [predict(model, d.values[i]).label for i in test_rows]
             fold_acc[method].append(accuracy(labels, truth))
             for stage, t in (getattr(model, "timings", None) or {}).items():
                 timings[stage] += t

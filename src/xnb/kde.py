@@ -160,7 +160,7 @@ def column_bandwidths(rule: str, values, fallback_scale) -> np.ndarray:
     return np.where(np.isfinite(h) & (h >= MIN_BANDWIDTH), h, fallback)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedKde:
     """One class's densities over w variables, packed as arrays.
 

@@ -24,7 +24,7 @@ from xnb.classifier import (
     predict,
     save_model,
 )
-from xnb.hellinger import MAX_MU
+from xnb.hellinger import MAX_MU, hellinger_table
 from xnb.dataset import Dataset, class_priors
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
@@ -399,6 +399,27 @@ class TestGnb:
         save_model(model, tmp_path / "gnb.json")
         assert predict(load_model(tmp_path / "gnb.json"), [0.0]).log_scores == predict(model, [0.0]).log_scores
 
+    @pytest.mark.parametrize(
+        "a, b, sample",
+        [
+            ([0.0, 1.0], [0.0, 1.0], 1e200),  # the squared offset overflows
+            ([1e-155, 2e-155], [0.0, 1e-155], 5.0),  # a variance near the smallest normal float
+        ],
+    )
+    def test_sample_too_far_for_a_finite_score_is_data_error(self, a, b, sample):
+        model = fit_gnb(Dataset(("v",), np.array(a + b)[:, None], ("A", "A", "B", "B")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(DataError, match=r"^class 'A', variable 'v': the gnb log score is not finite$"):
+                predict(model, [sample])
+
+    def test_a_sum_that_overflows_names_the_lowest_term(self):
+        # each log density is finite, near -8e307, but their sum is not
+        d = Dataset(("u", "w", "z"), [[0.0] * 3, [1.0] * 3, [0.0] * 3, [1.0] * 3], ("A", "A", "B", "B"))
+        model = fit_gnb(d)
+        with pytest.raises(DataError, match=r"^class 'A', variable 'w': the gnb log score is not finite$"):
+            predict(model, [9e153, 9.2e153, 9e153])
+
     def test_method_is_not_a_field(self):
         # a GnbModel is always gnb: no caller can build one that claims another method
         args = (("A", "B"), {"A": 0.5, "B": 0.5}, ("x",), np.zeros((2, 1)), np.ones((2, 1)), 1e-9)
@@ -449,6 +470,32 @@ class TestFnb:
             predict(fnb, s).label == predict(gnb, s).label for s in samples
         )
         assert agree / 1000 >= 0.99
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("method", sorted(FITS))
+    def test_fitted_and_loaded_models_compare_by_identity(self, separated_two_class, tmp_path, method):
+        # a type that holds arrays has no field-wise ==, which would ask numpy for one truth value
+        first, second = FITS[method](separated_two_class), FITS[method](separated_two_class)
+        save_model(first, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        pairs = [(first, second), (first, loaded)]
+        if method != "gnb":
+            pairs.append((first.kde_bank["A"], second.kde_bank["A"]))
+        for a, b in pairs:
+            assert (a == b) is False and (a != b) is True
+            assert (a == a) is True and (a != a) is False
+            assert len({a, b, a}) == 2
+
+    def test_datasets_and_tables_compare_by_identity(self, separated_two_class):
+        d = separated_two_class
+        copy = Dataset(d.variable_names, d.values, d.labels)
+        bank = fit_fnb(d).kde_bank
+        tables = hellinger_table(d, bank), hellinger_table(d, bank)
+        for a, b in ((d, copy), tables):
+            assert (a == b) is False and (a != b) is True
+            assert (a == a) is True
+            assert len({a, b}) == 2
 
 
 class TestPersistence:

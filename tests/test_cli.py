@@ -377,6 +377,22 @@ class TestFitPredict:
             assert main(["predict", "--model", str(model_path), "--data", str(samples_csv)]) == 0
             assert len(capsys.readouterr().out.strip().split("\n")) == 11
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_gnb_sample_too_far_for_a_finite_score_is_located_data_error(self, tmp_path, capsys, fmt):
+        # a held-out cell of 1e200 overflows its squared offset from every class mean
+        train, held, model = tmp_path / "train.csv", tmp_path / "held.csv", tmp_path / "gnb.json"
+        train.write_text("v,class\n0,A\n1,A\n0,B\n1,B\n")
+        held.write_text("v\n0.5\n1e200\n")
+        assert main(["fit", "--method", "gnb", "--data", str(train), "--model", str(model)]) == 0
+        capsys.readouterr()
+        argv = ["predict", "--model", str(model), "--data", str(held), "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"data error: {held}: data row 2: class 'A', variable 'v': the gnb log score is not finite\n"
+
     def test_samples_missing_variable(self, data_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         main(["fit", "--data", str(data_csv), "--model", str(model_path)])

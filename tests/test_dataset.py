@@ -504,24 +504,26 @@ class TestPriors:
 
 
 class TestStratifiedKfold:
-    def _counts(self, d, plan):
+    def _counts(self, d, folds, k):
         labels = np.asarray(d.labels)
-        return {
-            c: np.bincount(plan.assignments[labels == c], minlength=plan.k)
-            for c in d.classes
-        }
+        return {c: np.bincount(folds[labels == c], minlength=k) for c in d.classes}
+
+    def test_returns_read_only_intp_folds(self):
+        d = Dataset(("x",), np.zeros((20, 1)), ("A",) * 10 + ("B",) * 10)
+        folds = stratified_kfold(d, 5, seed=0)
+        assert folds.dtype == np.intp and folds.shape == (20,)
+        assert not folds.flags.writeable
+        assert set(folds.tolist()) == set(range(5))
 
     def test_exact_divisibility(self):
         d = Dataset(("x",), np.zeros((20, 1)), ("A",) * 10 + ("B",) * 10)
-        plan = stratified_kfold(d, 5, seed=0)
-        counts = self._counts(d, plan)
+        counts = self._counts(d, stratified_kfold(d, 5, seed=0), 5)
         assert np.all(counts["A"] == 2)
         assert np.all(counts["B"] == 2)
 
     def test_uneven_classes(self):
         d = Dataset(("x",), np.zeros((10, 1)), ("A",) * 7 + ("B",) * 3)
-        plan = stratified_kfold(d, 3, seed=5)
-        counts = self._counts(d, plan)
+        counts = self._counts(d, stratified_kfold(d, 3, seed=5), 3)
         assert set(counts["A"]) <= {2, 3}
         assert np.all(counts["B"] == 1)
 
@@ -529,13 +531,13 @@ class TestStratifiedKfold:
         d = Dataset(("x",), np.zeros((30, 1)), ("A", "B", "C") * 10)
         a = stratified_kfold(d, 4, seed=42)
         b = stratified_kfold(d, 4, seed=42)
-        np.testing.assert_array_equal(a.assignments, b.assignments)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_assignment(self):
         d = Dataset(("x",), np.arange(30.0)[:, None], ("A", "B", "C") * 10)
         a = stratified_kfold(d, 5, seed=0)
         b = stratified_kfold(d, 5, seed=1)
-        assert not np.array_equal(a.assignments, b.assignments)
+        assert not np.array_equal(a, b)
 
     def test_k_greater_than_n_rejected(self):
         d = Dataset(("x",), np.zeros((3, 1)), ("A", "B", "A"))
@@ -544,8 +546,7 @@ class TestStratifiedKfold:
 
     def test_small_class_misses_folds(self):
         d = Dataset(("x",), np.zeros((9, 1)), ("A",) * 8 + ("B",))
-        plan = stratified_kfold(d, 4, seed=0)
-        counts = self._counts(d, plan)
+        counts = self._counts(d, stratified_kfold(d, 4, seed=0), 4)
         assert counts["B"].sum() == 1
 
     @given(
@@ -562,13 +563,13 @@ class TestStratifiedKfold:
             f"c{ci}" for ci, size in enumerate(class_sizes) for _ in range(size)
         )
         d = Dataset(("x",), np.zeros((n, 1)), labels)
-        plan = stratified_kfold(d, k, seed=seed)
-        seen = np.concatenate([plan.test_rows(f) for f in range(k)])
+        folds = stratified_kfold(d, k, seed=seed)
+        seen = np.concatenate([np.flatnonzero(folds == f) for f in range(k)])
         assert sorted(seen) == list(range(n))
         # per-fold class counts differ by at most one
         arr = np.asarray(labels)
         for c in d.classes:
-            counts = np.bincount(plan.assignments[arr == c], minlength=k)
+            counts = np.bincount(folds[arr == c], minlength=k)
             assert counts.max() - counts.min() <= 1
 
     @given(
@@ -584,17 +585,17 @@ class TestStratifiedKfold:
         rng = np.random.default_rng(seed)
         labels = tuple(rng.permutation([f"c{ci}" for ci, size in enumerate(class_sizes) for _ in range(size)]))
         d = Dataset(("x",), np.zeros((n, 1)), labels)
-        np.testing.assert_array_equal(stratified_kfold(d, k, seed).assignments, oracle_kfold(d, k, seed))
+        np.testing.assert_array_equal(stratified_kfold(d, k, seed), oracle_kfold(d, k, seed))
 
     def test_fold_proportions_close_to_global(self):
         rng = np.random.default_rng(17)
         labels = tuple(rng.choice(["A", "B", "C"], size=120, p=[0.5, 0.3, 0.2]))
         d = Dataset(("x",), np.zeros((120, 1)), labels)
         k = 6
-        plan = stratified_kfold(d, k, seed=3)
+        folds = stratified_kfold(d, k, seed=3)
         global_prop = {c: len(rows) / d.n for c, rows in d.class_rows.items()}
         for f in range(k):
-            fold_rows = plan.test_rows(f)
+            fold_rows = np.flatnonzero(folds == f)
             fold_labels = [d.labels[i] for i in fold_rows]
             for c in d.classes:
                 prop = fold_labels.count(c) / len(fold_rows)

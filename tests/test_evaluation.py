@@ -86,8 +86,8 @@ class TestEvaluateCv:
         report = evaluate_cv(d, methods=("gnb",), k=4, seed=99)
         assert report.seed == 99
         assert not np.array_equal(
-            stratified_kfold(d, 4, seed=0).assignments,
-            stratified_kfold(d, 4, seed=99).assignments,
+            stratified_kfold(d, 4, seed=0),
+            stratified_kfold(d, 4, seed=99),
         )
 
     def test_fit_errors_carry_fold_index(self):
@@ -101,6 +101,21 @@ class TestEvaluateCv:
         with pytest.warns(UserWarning):
             with pytest.raises(DataError, match=r"fold \d"):
                 evaluate_cv(d, methods=("xnb",), k=3, seed=0)
+
+    def test_predict_errors_carry_fold_index(self):
+        from xnb.dataset import stratified_kfold
+        from xnb.errors import DataError
+
+        # one A sample of 9e153: a fold that trains on it fits, but the fold
+        # that holds it out scores it 9e153 away from A's mean, which no
+        # float64 gnb log score reaches
+        values = np.tile([0.0, 1.0], 10)[:, None]
+        values[0, 0] = 9e153
+        d = Dataset(("x",), values, ("A",) * 10 + ("B",) * 10)
+        fold = int(stratified_kfold(d, 5, seed=0)[0])
+        with pytest.raises(DataError) as info:
+            evaluate_cv(d, methods=("gnb",), k=5, seed=0)
+        assert str(info.value) == f"fold {fold}: class 'A', variable 'x': the gnb log score is not finite"
 
     def test_warns_when_k_exceeds_class_size(self):
         # k equal to the smallest class still puts that class in every fold

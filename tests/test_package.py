@@ -61,6 +61,32 @@ def test_every_name_the_benchmark_reads_resolves():
     assert missing == []
 
 
+# the spans that bench/run.py reads from a verb process: traced_verb.py wraps each
+# function of xnb.__all__ that xnb.cli imports by name, and names its span after
+# the function's module and name
+_VERB_SPANS = (
+    "dataset.load_csv",
+    "classifier.fit_gnb",
+    "classifier.fit_fnb",
+    "classifier.fit_xnb",
+    "classifier.save_model",
+    "classifier.load_model",
+    "classifier.predict",
+    "evaluation.evaluate_cv",
+)
+
+
+@pytest.mark.parametrize("span", _VERB_SPANS)
+def test_every_verb_span_the_benchmark_reads_is_traced(span):
+    # a CLI that reached one of these through a wrapper or an alias would leave
+    # its span, and the per-layer metrics read from it, empty without an error
+    module, name = span.split(".")
+    assert name in xnb.__all__
+    fn = getattr(xnb, name)
+    assert inspect.isfunction(fn) and getattr(xnb.cli, name, None) is fn
+    assert fn.__module__ == f"xnb.{module}" and fn.__name__ == name
+
+
 def _unbound_call(node: ast.Call, target) -> str | None:
     """Why the call ``node`` cannot bind to ``target``'s signature; None if it can."""
     if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
