@@ -38,6 +38,7 @@ from .kde import (
     PackedKde,
     check_name,
     column_bandwidths,
+    column_blocks,
     scale_to_unit,
 )
 from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_class_specific
@@ -222,11 +223,30 @@ def _check_trainable(d: Dataset) -> None:
         raise DataError(f"classification needs at least 2 classes, got {len(d.classes)}")
 
 
+def _class_density(d: Dataset, c: str, config: XnbConfig, scale, timings: dict) -> PackedKde:
+    """Class c's packed density over every variable; adds its stage seconds to ``timings``.
+
+    The gathered block of the class's rows is freed at return: the density keeps its own copy.
+    """
+    t0 = time.perf_counter()
+    block = d.values[d.class_rows[c]]
+    h = column_bandwidths(config.bandwidth_rule, block, scale)
+    t1 = time.perf_counter()
+    density = PackedKde(block, h, config.kernel)
+    timings["bandwidth"] += t1 - t0
+    timings["kde"] += time.perf_counter() - t1
+    return density
+
+
 def fit_fnb(d: Dataset, config: XnbConfig = XnbConfig()) -> XnbModel:
     """KDE Bayes with selection disabled: every class keeps all variables.
 
     Its bank, one packed density per class over every variable, is the one
-    that ``fit_xnb`` selects from and the Hellinger table is built from.
+    that ``fit_xnb`` selects from and the Hellinger table is built from. The
+    classes go one at a time: each class's rows are gathered, their
+    bandwidths taken and the block packed into the bank before the next
+    class is gathered, so the fit holds the bank plus one class block. The
+    stage timings sum over the classes.
     """
     _check_trainable(d)
     singletons = [c for c in d.classes if len(d.class_rows[c]) < 2]
@@ -235,16 +255,11 @@ def fit_fnb(d: Dataset, config: XnbConfig = XnbConfig()) -> XnbModel:
             f"classes with a single sample ({', '.join(singletons)}): "
             "their densities use degenerate fallback bandwidths"
         )
-    timings = dict.fromkeys(FIT_STAGES, 0.0)
+    timings = dict.fromkeys(FIT_STAGES, 0.0)  # fnb restricts nothing: its build stage stays 0
     t0 = time.perf_counter()
     scale = np.ptp(d.values, axis=0)
-    subs = [d.values[d.class_rows[c]] for c in d.classes]
-    h_rows = [column_bandwidths(config.bandwidth_rule, sub, scale) for sub in subs]
     timings["bandwidth"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bank = {c: PackedKde(sub, h, config.kernel) for c, sub, h in zip(d.classes, subs, h_rows)}
-    timings["kde"] = time.perf_counter() - t0  # fnb restricts nothing: its build stage stays 0
+    bank = {c: _class_density(d, c, config, scale, timings) for c in d.classes}
 
     return XnbModel(
         classes=d.classes,
@@ -289,34 +304,50 @@ def fit_gnb(d: Dataset) -> GnbModel:
     is constant). The moments are taken of
     each column scaled by the power of two of its largest magnitude (exact)
     and scaled back, so sums of values near the largest float do not
-    overflow; a variance that itself exceeds the largest float is a data error.
+    overflow; a variance that itself exceeds the largest float, or whose
+    ``2 pi variance`` (the part of ``predict``'s log density that no sample
+    changes) does after smoothing, is a data error naming the variable. The
+    columns go through in ``column_blocks`` of the data, so the fit holds
+    the model's moments plus one block's scaled values and their centred
+    copies; each column's moments are those of the whole matrix.
     """
     _check_trainable(d)
     k, m = len(d.classes), d.m
-    scaled, exponent = scale_to_unit(d.values)
     means = np.empty((k, m))
-    variances = np.empty((k, m))
-    for i, c in enumerate(d.classes):
-        sub = scaled[d.class_rows[c]]
-        means[i] = sub.mean(axis=0)
-        variances[i] = np.var(sub, axis=0, ddof=1) if sub.shape[0] > 1 else 0.0
-    global_var = np.var(scaled, axis=0, ddof=1) if d.n > 1 else np.zeros(m)
-    means = np.ldexp(means, exponent)
+    variances = np.zeros((k, m))
+    global_var = np.zeros(m)
+    exponent = np.empty(m, dtype=np.intc)
+    for lo, hi in column_blocks(d.n, m):
+        scaled, exponent[lo:hi] = scale_to_unit(d.values[:, lo:hi])
+        for i, c in enumerate(d.classes):
+            sub = scaled[d.class_rows[c]]
+            means[i, lo:hi] = sub.mean(axis=0)
+            if sub.shape[0] > 1:
+                variances[i, lo:hi] = np.var(sub, axis=0, ddof=1)
+        if d.n > 1:
+            global_var[lo:hi] = np.var(scaled, axis=0, ddof=1)
+    np.ldexp(means, exponent, out=means)
     with np.errstate(over="ignore"):  # a variance beyond the largest float is inf
-        variances = np.ldexp(variances, 2 * exponent)
-        global_var = np.ldexp(global_var, 2 * exponent)
+        np.ldexp(variances, 2 * exponent, out=variances)
+        np.ldexp(global_var, 2 * exponent, out=global_var)
     too_wide = np.flatnonzero(~(np.isfinite(global_var) & np.isfinite(variances).all(axis=0)))
     if too_wide.size:
         names = ", ".join(repr(d.variable_names[j]) for j in too_wide[:5])
         raise DataError(f"variables {names}: variance exceeds the largest float; gnb cannot model it")
     max_var = float(np.max(global_var)) if m else 0.0
     smoothing = max(1e-9 * max_var, float(np.finfo(np.float64).tiny)) if max_var > 0 else 1e-9
+    variances += smoothing
+    with np.errstate(over="ignore"):  # as GnbModel._log_2pi_variances computes it
+        too_wide = np.flatnonzero(~np.isfinite(2.0 * np.pi * variances).all(axis=0))
+    if too_wide.size:
+        names = ", ".join(repr(d.variable_names[j]) for j in too_wide[:5])
+        raise DataError(f"variables {names}: 2 pi times the variance exceeds the largest float; gnb cannot score it")
     return GnbModel(
         classes=d.classes,
         priors=class_priors(d),
         variable_names=d.variable_names,
         means=means,
-        variances=variances + smoothing,
+        variances=variances,
         smoothing=smoothing,
     )
 

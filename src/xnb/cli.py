@@ -115,11 +115,12 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _read_samples(path: str, model) -> list[np.ndarray]:
-    """Read a headered CSV of unlabeled samples: each row's values at ``model.scored_columns``.
+def _read_samples(path: str, model):
+    """Yield each row of a headered CSV of unlabeled samples: its values at ``model.scored_columns``.
 
     The header must name every model variable, in any order, but only the
-    columns some class scores are parsed; the others are never read.
+    columns some class scores are parsed; the others are never read. Each
+    row is yielded as it is parsed.
     """
     path = Path(path)
     with csv_records(path) as (header, records):
@@ -128,16 +129,18 @@ def _read_samples(path: str, model) -> list[np.ndarray]:
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
         columns = [positions[model.variable_names[j]] for j in model.scored_columns]
-        return read_numeric(path, header, records, columns)[0]
+        for row, _ in read_numeric(path, header, records, columns):
+            yield row
 
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    rows = _read_samples(args.data, model)
-    # one full-width sample, refilled per row; its unscored columns stay 0.0, which predict never reads
+    # one full-width sample, refilled per row; its unscored columns stay 0.0, which predict never reads.
+    # Each row is scored as it is parsed; the output is written after the last row, so a bad
+    # cell anywhere leaves no partial output
     sample = np.zeros(model.m)
     results = []
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(_read_samples(args.data, model), start=1):
         sample[model.scored_columns] = row
         try:
             results.append(predict(model, sample))

@@ -99,10 +99,15 @@ class Dataset:
         return rows_by_label(self.labels)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        """New Dataset over a row subset (classes recomputed)."""
+        """New Dataset over a row subset (classes recomputed).
+
+        The rows go to the new Dataset as views, so its column-major matrix
+        is the one copy made (a fancy-indexed ``values[rows]`` would be a
+        second, row-major one).
+        """
         rows = np.asarray(rows)
         labels = [self.labels[i] for i in rows]
-        return Dataset(self.variable_names, self.values[rows], tuple(labels))
+        return Dataset(self.variable_names, [self.values[i] for i in rows], tuple(labels))
 
 
 def rows_by_label(labels) -> dict[str, np.ndarray]:
@@ -208,23 +213,24 @@ def csv_records(path: str | Path):
 
 
 def read_numeric(path: Path, header: list[str], records, columns: list[int], label: int | None = None):
-    """Parse ``columns`` of ``csv_records`` rows into a list of float64 rows, plus ``label``'s stripped cells.
+    """Parse ``columns`` of ``csv_records`` rows: yield each as a float64 row and ``label``'s stripped cell.
 
-    Each row is checked as it is read: its label must be non-blank, then every cell must go
-    through ``float()`` and be finite. Only a row that fails is walked again, cell by cell in
-    that order, to name its first bad cell, so the file is read once.
+    The cell is None without a ``label`` column. Each row is checked as it is read: its label
+    must be non-blank, then every cell must go through ``float()`` and be finite. Only a row
+    that fails is walked again, cell by cell in that order, to name its first bad cell, so the
+    file is read once. A row is yielded as soon as it is read, so the caller decides what it
+    keeps; a file without data rows is an error once the rows run out.
     """
-    rows, labels = [], []
+    count = 0
     for lineno, record in records:
         try:
             row = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
             ok = np.isfinite(row).all()
         except ValueError:
             ok = False
-        if label is not None:
-            labels.append(record[label].strip())
-            if not labels[-1]:
-                raise DataError(f"{path}: row {lineno}, column {header[label]!r}: empty class label")
+        cell = None if label is None else record[label].strip()
+        if cell == "":
+            raise DataError(f"{path}: row {lineno}, column {header[label]!r}: empty class label")
         if not ok:
             for i in columns:
                 where = f"{path}: row {lineno}, column {header[i]!r}"
@@ -234,10 +240,10 @@ def read_numeric(path: Path, header: list[str], records, columns: list[int], lab
                     raise DataError(f"{where}: cannot parse {record[i].strip()!r}") from None
                 if not math.isfinite(value):
                     raise DataError(f"{where}: missing or non-finite value")
-        rows.append(row)
-    if not rows:
+        count += 1
+        yield row, cell
+    if not count:
         raise DataError(f"{path}: no data rows")
-    return rows, labels
 
 
 def load_csv(path: str | Path, class_column: str | int) -> Dataset:
@@ -260,7 +266,10 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
             except ValueError:
                 raise DataError(f"class column {class_column!r} not found in header") from None
         columns = [i for i in range(len(header)) if i != class_idx]
-        rows, labels = read_numeric(path, header, records, columns, label=class_idx)
+        rows, labels = [], []
+        for row, cell in read_numeric(path, header, records, columns, label=class_idx):
+            rows.append(row)
+            labels.append(cell)
     return Dataset(tuple(header[i] for i in columns), rows, tuple(labels))
 
 

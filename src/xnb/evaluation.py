@@ -157,6 +157,8 @@ def evaluate_cv(
                 timings[stage] += t
             if method == "xnb":
                 fold_counts.append({c: model.features.count(c) for c in model.classes})
+            del model  # so that the next fit does not hold this model's bank beside its own
+        del train  # and the next fold's subset is made without this one
 
     return EvaluationReport(
         methods=methods,

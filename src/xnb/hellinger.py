@@ -1,6 +1,6 @@
 """Hellinger distances between class-conditional densities.
 
-Each variable's per-class KDE is evaluated (``PackedKde.on_grid``) on one
+Each variable's per-class KDE is evaluated (``kde.kernel_sum``) on one
 grid shared by all classes (distances are only meaningful over a common
 event space), the grid densities are sum-normalized into discrete
 distributions, and the distance ``sqrt(sum((sqrt(p) - sqrt(q))^2)) /
@@ -8,13 +8,15 @@ sqrt(2)`` is tabulated for every unordered class pair.
 
 Table construction is the pipeline's hot loop at genomic widths, so the
 variables are cut once into blocks of nearly equal width, at most
-``_BLOCK``. Per class and block, ``on_grid`` needs one buffer of at most
-512 KiB (or one grid row), not one value per grid point, sample and
-variable, and the square roots of the class's distributions are taken
-once for all of its class pairs. ``jobs`` only chooses how the blocks are
-mapped: in turn, or over a thread pool (numpy releases the GIL inside
-each ufunc call) with at most one thread per CPU; the result does not
-depend on it.
+``_BLOCK``. Per class and block, the kernel sum is given a column view of
+the class's bank (it copies that one class's block while it runs) and
+needs one buffer of at most 512 KiB (or one grid row), not one value per
+grid point, sample and variable, and the square roots of the class's
+distributions are taken once for all of its class pairs. Each block
+writes its rows of the one preallocated table. ``jobs`` only chooses how
+the blocks are mapped: in turn, or over a thread pool (numpy releases the
+GIL inside each ufunc call) with at most one thread per CPU; the result
+does not depend on it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset
-from .kde import DEFAULT_MU, KERNELS, PackedKde, kernel_eval
+from .kde import DEFAULT_MU, KERNELS, PackedKde, kernel_eval, kernel_sum
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -122,20 +124,22 @@ def _column_totals(dens):
     return np.ascontiguousarray(dens.T).sum(axis=1)
 
 
-def _block_distances(densities, mu, lo, hi):
-    """Table rows ``lo:hi`` and the number of zero-sum columns among them.
+def _block_distances(densities, mu, out, lo, hi):
+    """Write table rows ``lo:hi`` into ``out[lo:hi]``; return the number of zero-sum columns among them.
 
-    ``densities`` cover the same variables and share one kernel. Each
-    variable gets ``mu`` equally spaced grid points over its range in all
+    ``densities`` cover the same variables and share one kernel; each is
+    read through a column view of its bank. Each variable gets ``mu``
+    equally spaced grid points over its range in all
     classes (widened to +-1 around a constant variable); each class's grid
     densities are sum-normalized (a zero-sum column becomes uniform, and a
     column whose total overflows is first divided by ``_TOTAL_SCALE``), their
     square roots are taken once, and every class pair is compared as
     ``hellinger`` compares it.
     """
-    blocks = [p.take(slice(lo, hi)) for p in densities]
-    col_lo = np.min([p.samples.min(axis=0) for p in blocks], axis=0)
-    col_hi = np.max([p.samples.max(axis=0) for p in blocks], axis=0)
+    blocks = [(p.samples[:, lo:hi], p.h[lo:hi]) for p in densities]
+    kernel = densities[0].kernel
+    col_lo = np.min([samples.min(axis=0) for samples, _ in blocks], axis=0)
+    col_hi = np.max([samples.max(axis=0) for samples, _ in blocks], axis=0)
     flat = col_lo == col_hi
     col_lo = np.where(flat, col_lo - 1.0, col_lo)
     col_hi = np.where(flat, col_hi + 1.0, col_hi)
@@ -143,8 +147,8 @@ def _block_distances(densities, mu, lo, hi):
 
     roots = []
     zero_sum_columns = 0
-    for p in blocks:
-        dens = p.on_grid(grids)
+    for samples, h in blocks:
+        dens = kernel_sum(samples, h, kernel, grids)
         with np.errstate(over="ignore"):
             totals = _column_totals(dens)
         huge = np.isinf(totals)  # densities near 5e307, from bandwidths near the smallest
@@ -158,11 +162,9 @@ def _block_distances(densities, mu, lo, hi):
             totals = np.where(zero, float(mu), totals)
         dens /= totals
         roots.append(np.sqrt(dens, out=dens))
-    pairs = list(combinations(roots, 2))
-    rows = np.empty((hi - lo, len(pairs)))
-    for col, (root_a, root_b) in enumerate(pairs):
-        rows[:, col] = _distance_from_roots(root_a, root_b)
-    return rows, zero_sum_columns
+    for col, (root_a, root_b) in enumerate(combinations(roots, 2)):
+        out[lo:hi, col] = _distance_from_roots(root_a, root_b)
+    return zero_sum_columns
 
 
 def hellinger_table(
@@ -181,9 +183,11 @@ def hellinger_table(
     ``os.cpu_count()`` and at half the variables. No block is then one
     variable wide unless the table is: numpy sums a single column pairwise
     rather than in order, so a variable's distance would depend on where the
-    blocks end. With more than one worker the blocks go through a thread
-    pool; the table is the same for every ``jobs``, and one warning counts
-    its zero-sum columns. ``mu`` must pass ``check_mu`` and ``jobs`` be at least 1.
+    blocks end. Each block writes its own rows of one preallocated (m,
+    k(k-1)/2) array, which the table then copies. With more than one worker
+    the blocks go through a thread pool; the table is the same for every
+    ``jobs``, and one warning counts its zero-sum columns. ``mu`` must pass
+    ``check_mu`` and ``jobs`` be at least 1.
     """
     check_mu(mu)
     if jobs < 1:
@@ -199,16 +203,16 @@ def hellinger_table(
     workers = max(1, min(jobs, os.cpu_count() or 1, d.m // 2))
     count = workers * -(-d.m // (_BLOCK * workers))
     bounds = np.linspace(0, d.m, count + 1).astype(int)
-    block = partial(_block_distances, densities, mu)
+    distances = np.empty((d.m, len(densities) * (len(densities) - 1) // 2))
+    block = partial(_block_distances, densities, mu, distances)
     # in turn, not through a one-thread pool: a pool thread allocates from a malloc arena of
     # its own, which raised the peak RSS of fit by 3-5 MB and of evaluate by 4-7 MB on multiclass-k10
     if workers == 1:
-        parts = list(map(block, bounds[:-1], bounds[1:]))
+        counts = list(map(block, bounds[:-1], bounds[1:]))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block, bounds[:-1], bounds[1:]))
-    rows, counts = zip(*parts)
+            counts = list(pool.map(block, bounds[:-1], bounds[1:]))
     zero_sum_columns = sum(counts)
     if zero_sum_columns:
         warnings.warn(f"{zero_sum_columns} zero-sum density vectors normalized to uniform", stacklevel=2)
-    return HellingerTable(d.variable_names, d.classes, np.vstack(rows))
+    return HellingerTable(d.variable_names, d.classes, distances)

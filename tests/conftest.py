@@ -147,3 +147,22 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+# what a construction's name checks hold per variable: a set of the names, about 130 B a name
+NAME_BYTES = 160
+
+
+def wide_dataset(n: int = 100, m: int = 20_000, k: int = 3, seed: int = 0) -> Dataset:
+    """n x m standard normal noise with labels c0, c1, ... dealt in turn.
+
+    The default shape is the one the memory bounds are pinned at: genomic data has m near 20 000.
+    """
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"c{i % k}" for i in range(n))
+    return Dataset(tuple(f"g{j:05d}" for j in range(m)), rng.normal(size=(n, m)), labels)
+
+
+def class_block_bytes(d: Dataset) -> int:
+    """The bytes of the largest class's rows over every variable: one class block."""
+    return max(len(rows) for rows in d.class_rows.values()) * d.m * 8

@@ -26,11 +26,22 @@ from xnb.classifier import (
 )
 from xnb.hellinger import MAX_MU, hellinger_table
 from xnb.dataset import Dataset, class_priors
+from xnb import kde as kde_module
 from xnb.errors import DataError, ModelFormatError
 from xnb.evaluation import accuracy
 from xnb.kde import BANDWIDTH_RULES, KERNELS, PackedKde, column_bandwidths, kernel_eval
 from xnb.selection import ClassFeatureMap
-from tests.conftest import MALFORMED_ARRAYS, corrupt_node, edit_array, empty_union_model, make_separated
+from tests.conftest import (
+    MALFORMED_ARRAYS,
+    NAME_BYTES,
+    class_block_bytes,
+    corrupt_node,
+    edit_array,
+    empty_union_model,
+    make_separated,
+    traced_peak,
+    wide_dataset,
+)
 from tests.oracles import KdeModel, bandwidth, kde_density_at, v1_payload, v2_payload
 
 FITS = {"xnb": fit_xnb, "fnb": fit_fnb, "gnb": fit_gnb}
@@ -378,6 +389,17 @@ class TestGnb:
         values[0, 0] = 0.0
         with pytest.raises(DataError, match="variables 'big': variance exceeds the largest float"):
             fit_gnb(Dataset(("big", "small"), values, labels))
+
+    def test_variance_whose_2_pi_multiple_overflows_is_refused_at_fit(self):
+        # class A's variance is 1.125e308, finite, but 2 pi times it is not, so the
+        # model could score no sample; at 7e153 it is 2.45e307, and 2 pi times it fits
+        labels = ("A", "A", "B", "B")
+        with pytest.raises(
+            DataError, match=r"^variables 'v': 2 pi times the variance exceeds the largest float; gnb cannot score it$"
+        ):
+            fit_gnb(Dataset(("v",), [[0.0], [1.5e154], [0.0], [1.0]], labels))
+        model = fit_gnb(Dataset(("u", "v"), [[0.0, 0.0], [1.0, 7e153], [0.0, 0.0], [1.0, 1.0]], labels))
+        assert all(math.isfinite(s) for s in predict(model, [0.5, 0.5]).log_scores.values())
 
     def test_moments_are_its_own_copy(self):
         means, variances = np.zeros((2, 3)), np.ones((2, 3))
@@ -775,3 +797,55 @@ class TestConstructorRules:
         with pytest.raises(error) as info:
             build(d, fits)
         assert str(info.value) == message
+
+
+class TestFitMemory:
+    """Each fit holds its model or bank, one class block and byte-bounded steps, at n = 100, m = 20 000.
+
+    The data is made before tracing, so it is not in the peaks.
+    """
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        for fit in FITS.values():  # numpy's lazy imports, outside the traced calls
+            fit(make_separated(n=12, m=6, k=3)[0])
+        return wide_dataset()
+
+    @pytest.mark.parametrize("method", ["fnb", "xnb"])
+    def test_kde_fit_holds_the_bank_and_one_class_block(self, wide, method):
+        # the bank (16 MB) plus one class's gathered rows (5.4 MB) and 2 MiB for
+        # its finiteness mask and the bandwidth steps; gathering every class
+        # before packing held a second bank: 35.7 MB
+        bound = wide.values.nbytes + class_block_bytes(wide) + 2 * 2**20
+        _, peak = traced_peak(lambda: FITS[method](wide))
+        assert peak < bound
+
+    def test_gnb_fit_holds_its_moments_and_steps(self, wide):
+        # the moments, the model's copy of them, four 512 KiB steps and the
+        # name checks: 7.2 MB; a scaled copy of the data and np.var's centred
+        # copy of it took 38.6 MB
+        k = len(wide.classes)
+        bound = 4 * k * wide.m * 8 + 4 * kde_module._STEP_BYTES + NAME_BYTES * wide.m
+        _, peak = traced_peak(lambda: fit_gnb(wide))
+        assert peak < bound
+
+    @pytest.mark.filterwarnings("ignore:classes with a single sample")
+    @pytest.mark.parametrize("rule", BANDWIDTH_RULES)
+    def test_column_blocks_give_the_moments_and_bandwidths_of_the_whole_matrix(self, monkeypatch, rule):
+        # blocks of 2 and 3 columns against one block: each column is reduced as
+        # the whole matrix reduces it, including classes of 1, 2 and more than 8 rows
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(40, 7)) * np.array([1.0, 1e150, 1e-150, 3.0, 1.0, 1.0, 1e-300])
+        values[:, 3] = 3.0
+        labels = ("A",) * 20 + ("B",) * 17 + ("C",) * 2 + ("D",)
+        d = Dataset(tuple("abcdefg"), values, labels)
+        config = XnbConfig(bandwidth_rule=rule)
+        whole_gnb, whole_fnb = fit_gnb(d), fit_fnb(d, config)
+        monkeypatch.setattr(kde_module, "_STEP_BYTES", 1)
+        assert kde_module.column_blocks(d.n, d.m) == [(0, 2), (2, 4), (4, 7)]
+        gnb, fnb = fit_gnb(d), fit_fnb(d, config)
+        np.testing.assert_array_equal(gnb.means, whole_gnb.means)
+        np.testing.assert_array_equal(gnb.variances, whole_gnb.variances)
+        for c in d.classes:
+            np.testing.assert_array_equal(fnb.kde_bank[c].h, whole_fnb.kde_bank[c].h)
+            np.testing.assert_array_equal(fnb.kde_bank[c].samples, whole_fnb.kde_bank[c].samples)

@@ -32,6 +32,7 @@ from tests.conftest import (
     empty_union_model,
     make_separated,
     traced_peak,
+    wide_dataset,
 )
 from tests.oracles import table_value, v1_payload
 
@@ -392,6 +393,31 @@ class TestFitPredict:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"data error: {held}: data row 2: class 'A', variable 'v': the gnb log score is not finite\n"
+
+    def test_gnb_variance_whose_2_pi_multiple_overflows_fails_at_fit(self, tmp_path, capsys):
+        # class A's variance is finite, 2 pi times it is not: no sample could get a finite score
+        train, model = tmp_path / "train.csv", tmp_path / "gnb.json"
+        train.write_text("v,class\n0,A\n1.5e154,A\n0,B\n1,B\n")
+        assert main(["fit", "--method", "gnb", "--data", str(train), "--model", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: variables 'v': 2 pi times the variance exceeds the largest float; gnb cannot score it\n"
+        )
+        assert not model.exists()
+
+    @pytest.mark.parametrize("method", ["gnb", "fnb", "xnb"])
+    def test_a_bad_cell_after_scored_rows_leaves_no_output(self, data_csv, tmp_path, capsys, method):
+        # rows are scored as they are parsed; the output is written only after the last one
+        model, held, out = tmp_path / "m.json", tmp_path / "held.csv", tmp_path / "p.tsv"
+        assert main(["fit", "--method", method, "--data", str(data_csv), "--model", str(model)]) == 0
+        lines = data_csv.read_text().splitlines()
+        header = lines[0].split(",")[:-1]
+        rows = [line.split(",")[:-1] for line in lines[1:5]]
+        rows[-1][0] = "x"
+        held.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(held), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {held}: row 5, column {header[0]!r}: cannot parse 'x'\n"
+        assert not out.exists()
 
     def test_samples_missing_variable(self, data_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -1202,6 +1228,30 @@ class TestPredictReader:
             assert code == 0
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 450 * (8 * len(scored) + 1024)
+
+
+    @pytest.mark.parametrize("method", ["gnb", "fnb"])
+    def test_memory_of_a_model_scoring_every_column_does_not_grow_with_rows(self, tmp_path, method):
+        # 2 and 7 rows of 20 000 columns, each scored by every class: a row is
+        # scored as it is parsed, so the 5 extra rows may cost their per-row
+        # objects (the Prediction and its output line), not their m parsed
+        # cells (160 kB a row: holding every row took 0.8 MB more). Few rows,
+        # because tracemalloc makes parsing a 20 000-cell row take about 15 ms
+        d = wide_dataset(n=6, k=2)
+        model_path = tmp_path / "m.json"
+        save_model(fit_gnb(d) if method == "gnb" else fit_fnb(d), model_path)
+        rng = np.random.default_rng(8)
+        texts = [",".join(map(str, rng.integers(-3, 4, size=d.m).tolist())) for _ in range(4)]
+        peaks = []
+        for n in (2, 7):
+            path = tmp_path / f"held{n}.csv"
+            path.write_text("\n".join([",".join(d.variable_names), *(texts[i % 4] for i in range(n))]) + "\n")
+            argv = ["predict", "--model", str(model_path), "--data", str(path), "--out", str(tmp_path / "p.tsv")]
+            code, peak = traced_peak(lambda: main(argv))
+            assert code == 0
+            assert len((tmp_path / "p.tsv").read_text().splitlines()) == n + 1
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 5 * 4096
 
 
 class TestFuzz:

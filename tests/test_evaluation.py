@@ -8,6 +8,8 @@ import pytest
 from xnb.classifier import XnbConfig
 from xnb.dataset import Dataset
 from xnb.evaluation import accuracy, emit_report, evaluate_cv
+from xnb.kde import _STEP_BYTES
+from tests.conftest import NAME_BYTES, class_block_bytes, traced_peak, wide_dataset
 
 
 class TestAccuracy:
@@ -208,3 +210,25 @@ class TestEmitReport:
         report = evaluate_cv(small_dataset(13), methods=("gnb",), k=2, seed=0)
         with pytest.raises(ValueError, match="format"):
             emit_report(report, format="xml")
+
+
+class TestEvaluateMemory:
+    @pytest.mark.parametrize("methods", [("gnb",), ("gnb", "xnb")])
+    def test_a_fold_holds_its_training_subset_and_one_fit(self, methods):
+        # two folds of n = 100, m = 20 000: each training subset (50 rows, 8 MB)
+        # and its fit, one at a time. For xnb that is its bank and one class
+        # block plus 2 MiB (as for fit_xnb); for gnb its moments and steps (as for
+        # fit_gnb). Two copies per subset, gnb's scaled and centred copies of the
+        # data, and the previous fold's subset took 29.2-29.4 MB
+        d = wide_dataset()
+        evaluate_cv(Dataset(("a", "b"), np.arange(24.0).reshape(12, 2) % 7, "ABC" * 4), methods=methods, k=2)  # lazy imports
+        train = d.subset(np.arange(50))
+        if "xnb" in methods:
+            fit = train.values.nbytes + class_block_bytes(train) + 2 * 2**20
+        else:
+            fit = 4 * len(d.classes) * d.m * 8 + 4 * _STEP_BYTES
+        bound = train.values.nbytes + fit + NAME_BYTES * d.m
+        del train
+        report, peak = traced_peak(lambda: evaluate_cv(d, methods=methods, k=2))
+        assert report.k == 2
+        assert peak < bound

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import traced_peak
+from tests.conftest import NAME_BYTES, traced_peak
 from tests.oracles import (
     bandwidth,
     broadcast_block_distances,
@@ -434,8 +434,22 @@ class TestBroadcastOracle:
             np.testing.assert_array_equal(table, reference)
             assert warned == reference_warned
 
+    def test_the_table_is_written_once(self):
+        # 10 classes over 20 000 variables: a 7.2 MB table. The blocks fill one
+        # array, which HellingerTable copies: two table-size arrays, plus the
+        # name checks and one block's grids; stacking a list of row blocks made three
+        d = Dataset(tuple(f"g{j:05d}" for j in range(20_000)), np.random.default_rng(3).normal(size=(20, 20_000)),
+                    tuple(f"c{i % 10}" for i in range(20)))
+        bank = {c: PackedKde(d.values[d.class_rows[c]], np.full(d.m, 0.5)) for c in d.classes}
+        table_bytes = d.m * 45 * 8
+        bound = 2 * table_bytes + NAME_BYTES * d.m + (1 << 20)  # 18.6 MB
+        table, peak = traced_peak(lambda: hellinger_table(d, bank, mu=2))
+        assert table.distances.nbytes == table_bytes
+        assert peak < bound
+
     def test_temporary_memory_does_not_scale_with_mu_times_rows(self):
         # the former (mu, n_c, block) temporary alone was 50 * 400 * 256 * 8 B, about 41 MB
         densities = _densities(np.random.default_rng(9), [400, 400, 400], 300, "gaussian")
-        _, peak = traced_peak(lambda: hellinger_module._block_distances(densities, 50, 0, 300))
+        out = np.empty((300, 3))
+        _, peak = traced_peak(lambda: hellinger_module._block_distances(densities, 50, out, 0, 300))
         assert peak < 8 * 2**20

@@ -23,7 +23,9 @@ from xnb.kde import (
     PackedKde,
     beta_coefficient,
     column_bandwidths,
+    column_blocks,
     kernel_eval,
+    kernel_sum,
     scott_bandwidth,
     silverman_adaptive_bandwidth,
     silverman_bandwidth,
@@ -329,6 +331,15 @@ class TestPackedKde:
         np.testing.assert_array_equal(packed.density_at(grids[3]), at_point)
         assert on_grid.shape == (25, w)
 
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_kernel_sum_on_a_column_view_equals_the_packed_columns(self, kind):
+        rng = np.random.default_rng(6)
+        packed = PackedKde(rng.normal(size=(30, 9)), rng.uniform(0.05, 2.0, size=9), kind)
+        grids = rng.normal(scale=2.0, size=(40, 4))
+        view = packed.samples[:, 3:7]
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(kernel_sum(view, packed.h[3:7], kind, grids), packed.take(slice(3, 7)).on_grid(grids))
+
     def test_kernel_eval_leaves_its_input_alone(self):
         u = np.array([0.5, 2.0])
         kernel_eval("biweight", u)
@@ -362,3 +373,21 @@ class TestPackedKde:
     def test_malformed_input_rejected(self, samples, h, match):
         with pytest.raises(ValueError, match=match):
             PackedKde(samples, h)
+
+
+class TestColumnBlocks:
+    @given(st.integers(1, 5000), st.integers(0, 300), st.sampled_from([1, 64, 4096, 1 << 19]))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_cover_the_columns_and_none_is_one_wide(self, n, w, step_bytes):
+        original, kde._STEP_BYTES = kde._STEP_BYTES, step_bytes  # no function-scoped fixture under @given
+        try:
+            blocks = column_blocks(n, w)
+        finally:
+            kde._STEP_BYTES = original
+        assert blocks[0][0] == 0 and blocks[-1][1] == w
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        widths = [hi - lo for lo, hi in blocks]
+        assert max(widths) - min(widths) <= 1
+        assert w < 2 or min(widths) >= 2
+        # at most step_bytes, unless a block of two (three for an odd w) is already larger
+        assert 8 * n * max(widths) <= step_bytes or max(widths) <= 3
