@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, class_priors, write_output
-from .errors import DataError, ModelFormatError, check_number
+from .errors import DataError, ModelFormatError, check_names, check_number
 from .hellinger import check_mu, hellinger_table
 from .kde import (
     BANDWIDTH_RULES,
@@ -42,6 +42,8 @@ from .kde import (
     scale_to_unit,
 )
 from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_class_specific
+
+logger = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 3
 
@@ -90,14 +92,8 @@ class Prediction:
 
 def _check_header(classes, priors: dict[str, float], variable_names) -> None:
     """The checks every model makes of its class names, priors and variable names."""
-    for what, names in (("class", classes), ("variable", variable_names)):
-        bad = [name for name in names if not isinstance(name, str)]
-        if bad:
-            raise ValueError(f"{what} names must be strings, got {bad[0]!r}")
-    if len(set(classes)) != len(classes):
-        raise ValueError("duplicate class names")
-    if len(set(variable_names)) != len(variable_names):
-        raise ValueError("duplicate variable names")
+    check_names(classes, "class names")
+    check_names(variable_names, "variable names")
     for c, p in priors.items():
         check_number(p, f"prior of class {c!r}")
     if set(priors) != set(classes):
@@ -251,9 +247,9 @@ def fit_fnb(d: Dataset, config: XnbConfig = XnbConfig()) -> XnbModel:
     _check_trainable(d)
     singletons = [c for c in d.classes if len(d.class_rows[c]) < 2]
     if singletons:
-        warnings.warn(
-            f"classes with a single sample ({', '.join(singletons)}): "
-            "their densities use degenerate fallback bandwidths"
+        logger.warning(
+            "classes with a single sample (%s): their densities use degenerate fallback bandwidths",
+            ", ".join(singletons),
         )
     timings = dict.fromkeys(FIT_STAGES, 0.0)  # fnb restricts nothing: its build stage stays 0
     t0 = time.perf_counter()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_names
 
 # Shuffle generator used for fold assignment. Recorded in reports so fold
 # splits are reproducible across builds and platforms.
@@ -69,12 +69,10 @@ class Dataset:
                         f"variable {self.variable_names[j]!r}: values from {lo[j]:g} to {hi[j]:g}"
                         " span more than the largest float"
                     )
-        names = tuple(self.variable_names)
-        bad = [name for name in names if not isinstance(name, str)]
-        if bad:
-            raise DataError(f"variable names must be strings, got {bad[0]!r}")
-        if len(set(names)) != len(names):
-            raise DataError("duplicate variable names")
+        try:
+            names = check_names(self.variable_names, "variable names")
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", names)

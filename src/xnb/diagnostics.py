@@ -4,7 +4,8 @@ The Shapiro-Wilk W statistic and p-value follow Royston's approximation
 (the AS R94 family, valid for 3 <= n <= 5000). The conditional-independence
 scan regresses each variable on the class (within-class centering), then
 tests the Pearson correlation r of residual pairs with the two-sided t
-test, whose p-value is the regularized incomplete beta I_(1-r^2)(dof/2, 1/2),
+test, whose p-value is the regularized incomplete beta I_(1-r^2)(dof/2, 1/2)
+with dof = n - k - 1 for k classes (a partial correlation given the class),
 flagging pairs that are both statistically and practically significant.
 Everything runs on numpy and the standard library.
 """
@@ -201,7 +202,11 @@ def within_class_residuals(values, labels) -> np.ndarray:
     if residuals.shape[:1] != (len(labels),):
         raise ValueError(f"length mismatch: {residuals.shape} values vs {(len(labels),)} labels")
     for rows in rows_by_label(labels).values():  # the classes' order changes no residual
-        mean = residuals[rows].mean(axis=0)  # so that one gathered copy of the class is held at a time
+        # one gathered copy of the class at a time, scaled so that its sum cannot overflow
+        block = residuals[rows]
+        exponent = scale_to_unit(block, out=block)[1]
+        mean = np.ldexp(block.mean(axis=0), exponent)
+        del block  # before the subtraction gathers its own copy
         residuals[rows] -= mean
     return residuals
 
@@ -339,8 +344,10 @@ def conditional_independence_scan(
     exceeds ``max_pairs`` a seeded uniform sample is scanned instead and
     the result is marked as sampled.
     """
-    if d.n < 4:
-        raise DataError(f"dependence scan needs at least 4 samples, got {d.n}")
+    if d.n < len(d.classes) + 3:
+        raise DataError(
+            f"dependence scan needs at least {len(d.classes) + 3} samples with {len(d.classes)} classes, got {d.n}"
+        )
     m = d.m
     step = max(1, CI_STEP_BYTES // (8 * d.n))
     # one row per variable: the values are column-major, so the transpose is a view
@@ -362,7 +369,8 @@ def conditional_independence_scan(
     linear = _sample_pairs(m, max_pairs, seed) if sampled else None
     count = linear.size if sampled else total
 
-    dof = d.n - 2
+    # centring on the k class means uses up k - 1 degrees of freedom more than a plain correlation
+    dof = d.n - len(d.classes) - 1
     names = d.variable_names
     flagged = []
     skipped = 0
@@ -412,7 +420,7 @@ class DiagnosticsReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "n_samples": self.n_samples,
             "n_variables": self.n_variables,
             "parameters": dict(self.parameters),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -11,6 +11,8 @@ import numpy as np
 from .classifier import FIT_STAGES, METHODS, XnbConfig, fit_fnb, fit_gnb, fit_xnb, predict
 from .dataset import FOLD_GENERATOR, Dataset, stratified_kfold, write_json, write_output
 from .errors import XnbError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_METHODS = ("gnb", "xnb")
 REPORT_SCHEMA_VERSION = 2
@@ -132,10 +134,7 @@ def evaluate_cv(
     methods = check_methods(methods)
     smallest = min(len(rows) for rows in d.class_rows.values())
     if k > smallest:
-        warnings.warn(
-            f"k={k} exceeds the smallest class size {smallest}; "
-            "some folds will miss that class"
-        )
+        logger.warning("k=%d exceeds the smallest class size %d; some folds will miss that class", k, smallest)
     folds = stratified_kfold(d, k, seed)
 
     fold_acc: dict[str, list[float]] = {m: [] for m in methods}

@@ -21,9 +21,9 @@ does not depend on it.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -32,7 +32,10 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset
+from .errors import check_names
 from .kde import DEFAULT_MU, KERNELS, PackedKde, kernel_eval, kernel_sum
+
+logger = logging.getLogger(__name__)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -88,16 +91,14 @@ class HellingerTable:
     distances: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "variable_names", check_names(self.variable_names, "variable names"))
+        object.__setattr__(self, "classes", check_names(self.classes, "class names"))
         distances = np.array(self.distances, dtype=np.float64)
         expected = (len(self.variable_names), len(self.class_pairs))
         if distances.shape != expected:
             raise ValueError(f"distances shape {distances.shape}, expected {expected}")
-        if len(set(self.variable_names)) != len(self.variable_names):
-            raise ValueError("duplicate variable names")
         distances.setflags(write=False)
         object.__setattr__(self, "distances", distances)
-        object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        object.__setattr__(self, "classes", tuple(self.classes))
 
     @cached_property
     def class_pairs(self) -> tuple[tuple[str, str], ...]:
@@ -186,7 +187,7 @@ def hellinger_table(
     blocks end. Each block writes its own rows of one preallocated (m,
     k(k-1)/2) array, which the table then copies. With more than one worker
     the blocks go through a thread pool; the table is the same for every
-    ``jobs``, and one warning counts its zero-sum columns. ``mu`` must pass
+    ``jobs``, and one WARNING record counts its zero-sum columns. ``mu`` must pass
     ``check_mu`` and ``jobs`` be at least 1.
     """
     check_mu(mu)
@@ -214,5 +215,5 @@ def hellinger_table(
             counts = list(pool.map(block, bounds[:-1], bounds[1:]))
     zero_sum_columns = sum(counts)
     if zero_sum_columns:
-        warnings.warn(f"{zero_sum_columns} zero-sum density vectors normalized to uniform", stacklevel=2)
+        logger.warning("%d zero-sum density vectors normalized to uniform", zero_sum_columns)
     return HellingerTable(d.variable_names, d.classes, distances)

@@ -15,13 +15,15 @@ and the pair's power right after it entered.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_number
+from .errors import check_names, check_number
 from .hellinger import HellingerTable
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_THETA = 0.999
 
@@ -64,12 +66,11 @@ class ClassFeatureMap:
     exhausted: dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_names(self.classes, "class names")
         for c in self.classes:
             if c not in self.features:
                 raise ValueError(f"no feature list for class {c!r}")
-            feats = self.features[c]
-            if len(set(feats)) != len(feats):
-                raise ValueError(f"duplicate variables selected for class {c!r}")
+            check_names(self.features[c], f"variables selected for class {c!r}")
 
     def count(self, cls: str) -> int:
         return len(self.features[cls])
@@ -84,7 +85,7 @@ def select_class_specific(table: HellingerTable, cfg: SelectionConfig = Selectio
     names = table.variable_names
     m = len(names)
     if len(table.classes) < 2:
-        warnings.warn("single-class table: nothing to discriminate, empty selection")
+        logger.warning("single-class table: nothing to discriminate, empty selection")
 
     # ties in H resolve to the lexicographically smaller name: each pair's
     # candidate order sorts by -H, then by the name's rank

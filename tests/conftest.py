@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,11 @@ from xnb.classifier import XnbConfig, XnbModel, _decode_array, _encode_array
 from xnb.dataset import Dataset
 from xnb.kde import PackedKde
 from xnb.selection import ClassFeatureMap
+
+
+def notices(records, logger: str) -> list[str]:
+    """The messages of the WARNING records among ``records`` (``caplog.records``) that ``logger`` emitted."""
+    return [r.getMessage() for r in records if r.name == logger and r.levelno == logging.WARNING]
 
 
 def make_separated(

@@ -21,8 +21,8 @@ every step also computes p-values, for however few strong pairs.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -48,6 +48,7 @@ from xnb.kde import (
     scale_to_unit,
 )
 
+logger = logging.getLogger(__name__)
 
 # beta-family exponent s per kernel name
 _BETA_EXPONENT = {"uniform": 0, "epanechnikov": 1, "biweight": 2, "triweight": 3}
@@ -135,7 +136,7 @@ def normalize_to_distribution(densities) -> np.ndarray:
     """Scale a non-negative vector to sum to 1.
 
     A zero-sum vector (possible only under pathological fallback bandwidths)
-    becomes the uniform distribution, with a warning.
+    becomes the uniform distribution, with a WARNING record.
     """
     densities = np.asarray(densities, dtype=np.float64)
     if densities.size == 0:
@@ -144,7 +145,7 @@ def normalize_to_distribution(densities) -> np.ndarray:
         raise ValueError("densities must be non-negative")
     total = densities.sum()
     if total <= 0.0:
-        warnings.warn("zero-sum density vector normalized to uniform", stacklevel=2)
+        logger.warning("zero-sum density vector normalized to uniform")
         return np.full(densities.size, 1.0 / densities.size)
     return densities / total
 
@@ -203,7 +204,7 @@ def broadcast_on_grid(kde, grids) -> np.ndarray:
 def broadcast_block_distances(densities, mu, block):
     """Table rows as the library built them with 3-d broadcasts, ``block`` variables at a time.
 
-    Same grids, zero-sum fallback and warning as ``hellinger.hellinger_table``;
+    Same grids, zero-sum fallback and WARNING record as ``hellinger.hellinger_table``;
     the square roots are taken per class pair. The blocks are
     ``range(0, w, block)``, so a last block one column wide is summed
     pairwise by numpy: pass ``block >= w`` (one block) for the reference
@@ -238,7 +239,7 @@ def broadcast_block_distances(densities, mu, block):
             d = (1.0 / np.sqrt(2.0)) * np.sqrt(((np.sqrt(dists[a]) - np.sqrt(dists[b])) ** 2).sum(axis=0))
             out[lo:hi, col] = np.minimum(d, 1.0)
     if zero_sum_columns:
-        warnings.warn(f"{zero_sum_columns} zero-sum density vectors normalized to uniform", stacklevel=2)
+        logger.warning("%d zero-sum density vectors normalized to uniform", zero_sum_columns)
     return out
 
 
@@ -328,7 +329,7 @@ def column_layout_ci_scan(d, p_max: float, r_min: float, max_pairs: int | None, 
         finite = np.isfinite(r)
         skipped += int(r.size - finite.sum())
         strong = np.flatnonzero(finite & (np.abs(r) > r_min))
-        p = _betainc(0.5 * (d.n - 2), 0.5, 1.0 - r[strong] ** 2)
+        p = _betainc(0.5 * (d.n - len(d.classes) - 1), 0.5, 1.0 - r[strong] ** 2)
         hit = p < p_max
         flagged += [
             (names[bi[k]], names[bj[k]], float(r[k]), pk)

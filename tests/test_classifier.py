@@ -39,6 +39,7 @@ from tests.conftest import (
     edit_array,
     empty_union_model,
     make_separated,
+    notices,
     traced_peak,
     wide_dataset,
 )
@@ -89,12 +90,14 @@ class TestFitXnb:
             with pytest.raises(DataError, match="^classification needs at least 2 classes, got 1$"):
                 fit(d)
 
-    def test_singleton_class_warns_but_fits(self):
+    def test_singleton_class_warns_but_fits(self, caplog):
         rng = np.random.default_rng(1)
         values = rng.normal(size=(5, 2))
         d = Dataset(("x", "y"), values, ("A", "A", "A", "A", "B"))
-        with pytest.warns(UserWarning, match="single sample"):
-            model = fit_xnb(d)
+        model = fit_xnb(d)
+        assert notices(caplog.records, "xnb.classifier") == [
+            "classes with a single sample (B): their densities use degenerate fallback bandwidths"
+        ]
         assert all(np.all(density.h > 0) for density in model.kde_bank.values())
 
     def test_bank_restricted_to_selection(self, separated_two_class):
@@ -670,9 +673,7 @@ class TestPersistence:
         lo, hi = d.values.min(axis=0), d.values.max(axis=0)
         samples = np.vstack([d.values, np.random.default_rng(seed).uniform(lo, hi, size=(5, d.m))])
         for method, fit in FITS.items():
-            with warnings.catch_warnings():  # singleton and zero-sum warnings are not at issue here
-                warnings.simplefilter("ignore", UserWarning)
-                model = fit(d) if method == "gnb" else fit(d, config)
+            model = fit(d) if method == "gnb" else fit(d, config)
             save_model(model, tmp / "model.json")
             loaded = load_model(tmp / "model.json")
             save_model(loaded, tmp / "again.json")
@@ -829,7 +830,6 @@ class TestFitMemory:
         _, peak = traced_peak(lambda: fit_gnb(wide))
         assert peak < bound
 
-    @pytest.mark.filterwarnings("ignore:classes with a single sample")
     @pytest.mark.parametrize("rule", BANDWIDTH_RULES)
     def test_column_blocks_give_the_moments_and_bandwidths_of_the_whole_matrix(self, monkeypatch, rule):
         # blocks of 2 and 3 columns against one block: each column is reduced as

@@ -388,7 +388,7 @@ class TestFitPredict:
         capsys.readouterr()
         argv = ["predict", "--model", str(model), "--data", str(held), "--format", fmt]
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # and no numpy overflow RuntimeWarning
             assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -813,6 +813,24 @@ class TestEvaluate:
         second.pop("timings")
         assert first == second
 
+    def test_notices_are_log_records_on_stderr_once_per_fit(self, tmp_path):
+        # class C's one row sits in one of the 3 folds, so the other 2 folds
+        # fit it as a single-sample class; outside the suite, the WARNING
+        # records reach stderr through logging's last-resort handler
+        rng = np.random.default_rng(3)
+        labels = ("A",) * 9 + ("B",) * 9 + ("C",)
+        path = tmp_path / "singleton.csv"
+        save_csv(Dataset(("x", "y"), rng.normal(size=(19, 2)), labels), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(xnb.__file__).resolve().parents[1]))
+        argv = ["evaluate", "--data", str(path), "--k", "3", "--methods", "xnb", "--out", str(tmp_path / "e.json")]
+        result = subprocess.run([sys.executable, "-m", "xnb.cli", *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines() == [
+            "k=3 exceeds the smallest class size 1; some folds will miss that class",
+            *["classes with a single sample (C): their densities use degenerate fallback bandwidths"] * 2,
+        ]
+        assert "warnings.warn(" not in result.stderr
+
 
 class TestSelect:
     def test_emits_class_feature_json(self, data_csv, capsys):
@@ -905,7 +923,7 @@ class TestSelect:
         assert result.stderr == f"saved fnb model to {model} (A:2, B:2)\n"  # and nothing else
         assert load_model(model).kde_bank["A"].h[0] == 1e305
 
-    def test_subnormal_column_gets_the_fallback_bandwidth(self, tmp_path):
+    def test_subnormal_column_gets_the_fallback_bandwidth(self, tmp_path, caplog):
         # column a holds multiples of 5e-324, so its rule bandwidths are
         # subnormal and take the fallback: no density overflows, no numpy
         # warning, and every JSON output is finite
@@ -927,10 +945,11 @@ class TestSelect:
             (["evaluate", *data, "--k", "2", "--out", str(tmp_path / "e.json")], tmp_path / "e.json"),
         ]
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # no numpy RuntimeWarning (overflow, underflow, invalid)
             for argv, output in runs:
                 assert main(argv) == 0, argv
                 _strict_json(output)
+        assert caplog.records == []  # and no library notice
         assert load_model(tmp_path / "fnb.json").kde_bank["A"].h[0] == 1e-9
 
 
@@ -939,7 +958,7 @@ class TestDiagnose:
         assert main(["diagnose", "--data", str(data_csv), "--max-pairs", "20"]) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert "shapiro_wilk" in payload and "conditional_independence" in payload
         assert "SW=" in captured.err
 
@@ -947,7 +966,7 @@ class TestDiagnose:
         path = tmp_path / "tiny.csv"
         save_csv(Dataset(("x", "y"), [[0.0, 1.0], [1.0, 0.5], [2.0, 2.0]], ("A", "B", "A")), path)
         assert main(["diagnose", "--data", str(path)]) == 2
-        assert "at least 4 samples" in capsys.readouterr().err
+        assert "at least 5 samples with 2 classes, got 3" in capsys.readouterr().err
 
     def test_class_col_by_index(self, tmp_path, capsys):
         d, _ = make_separated(n=30, m=4, k=2, seed=6)
@@ -1277,11 +1296,7 @@ class TestFuzz:
                 # text that is not UTF-8, a repeated column, a misshapen row or
                 # an output that cannot be written is a data error for every verb
                 data_error = unwritable or text is None or _misshapen(text)
-                with warnings.catch_warnings():
-                    # a verb's own warnings (a single-sample class, say) go to stderr as
-                    # they do outside the suite; a numpy RuntimeWarning still fails
-                    warnings.simplefilter("ignore", UserWarning)
-                    code = main(argv)
+                code = main(argv)
                 assert code in ((2,) if data_error else (0, 1, 2)), argv
                 if code == 0:
                     _strict_json(output)

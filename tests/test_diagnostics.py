@@ -261,6 +261,12 @@ class TestResiduals:
         with pytest.raises(ValueError, match="mismatch"):
             within_class_residuals([1.0], ["A", "B"])
 
+    def test_class_sum_beyond_the_largest_float(self):
+        # class A's sum, 2e308, overflows (its RuntimeWarning made `xnb diagnose` exit 3); its mean does not
+        values = np.array([[1e308, 0.5], [1e308, 1.5], [0.0, 2.0], [1.0, 3.0]])
+        res = within_class_residuals(values, ["A", "A", "B", "B"])
+        np.testing.assert_array_equal(res, [[0.0, -0.5], [0.0, 0.5], [-0.5, -0.5], [0.5, 0.5]])
+
 
 def _noise_dataset(seed, n=40, m=46):
     """Class-mean structure plus independent within-class noise."""
@@ -328,14 +334,17 @@ class TestConditionalIndependenceScan:
         rng = np.random.default_rng(10)
         d = _noise_dataset(10, n=25, m=6)
         result = conditional_independence_scan(d, max_pairs=None, p_max=1.1, r_min=-0.1)
-        # every pair flagged with its r and p; compare against pearsonr on residuals
+        # every pair flagged with its r and p; compare against pearsonr's r on
+        # residuals and the two-sided t tail of a partial correlation given 2 classes
         residuals = within_class_residuals(d.values, d.labels)
         names = list(d.variable_names)
+        dof = d.n - len(d.classes) - 1
         for a, b, r, p in result.flagged:
             i, j = names.index(a), names.index(b)
             ref = stats.pearsonr(residuals[:, i], residuals[:, j])
             assert r == pytest.approx(ref.statistic, abs=1e-10)
-            assert p == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
+            t = ref.statistic * math.sqrt(dof / (1.0 - ref.statistic**2))
+            assert p == pytest.approx(2.0 * stats.t.sf(abs(t), dof), rel=1e-6, abs=1e-12)
 
     def test_values_near_the_largest_float(self):
         # residual norms that overflow give the same r and p as the same
@@ -351,8 +360,34 @@ class TestConditionalIndependenceScan:
 
     def test_too_few_samples(self):
         d = Dataset(("x", "y"), np.zeros((3, 2)), ("A", "B", "A"))
-        with pytest.raises(DataError, match="at least 4"):
+        with pytest.raises(DataError, match="at least 5 samples with 2 classes, got 3"):
             conditional_independence_scan(d)
+
+    def test_too_few_samples_for_the_classes(self):
+        # n - k - 1 degrees of freedom: 4 classes need 7 samples
+        labels = ("A", "B", "C", "D", "A", "B")
+        with pytest.raises(DataError, match="^dependence scan needs at least 7 samples with 4 classes, got 6$"):
+            conditional_independence_scan(Dataset(("x", "y"), np.eye(6)[:, :2], labels))
+        conditional_independence_scan(Dataset(("x", "y"), np.eye(7)[:, :2], (*labels, "C")))
+
+    def test_null_pairs_are_flagged_at_the_nominal_rate(self):
+        # 12 samples in 4 classes shifted apart, independent noise: the scan's
+        # t test has n - k - 1 = 7 degrees of freedom (with n - 2 it flagged
+        # about 10.5% of null pairs at 5%). Disjoint pairs (v000, v001),
+        # (v002, v003), ... are independent trials, so their count of flags
+        # is binomial; the bounds fail a correct scan with probability below 1e-6
+        n, k, m, datasets = 12, 4, 100, 40
+        names = tuple(f"v{j:03d}" for j in range(m))
+        disjoint = set(zip(names[::2], names[1::2]))
+        labels = tuple(f"c{i % k}" for i in range(n))
+        shift = 5.0 * (np.arange(n) % k)[:, None]
+        hits = 0
+        for seed in range(datasets):
+            d = Dataset(names, shift + np.random.default_rng(seed).normal(size=(n, m)), labels)
+            result = conditional_independence_scan(d, p_max=0.05, r_min=0.0, max_pairs=None)
+            hits += sum((a, b) in disjoint for a, b, _, _ in result.flagged)
+        trials = datasets * len(disjoint)
+        assert stats.binom.ppf(0.5e-6, trials, 0.05) <= hits <= stats.binom.isf(0.5e-6, trials, 0.05)
 
     @pytest.mark.parametrize("max_pairs", [None, 390])
     def test_chunk_size_does_not_change_result(self, monkeypatch, max_pairs):

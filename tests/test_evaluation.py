@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from xnb.classifier import XnbConfig
 from xnb.dataset import Dataset
 from xnb.evaluation import accuracy, emit_report, evaluate_cv
 from xnb.kde import _STEP_BYTES
-from tests.conftest import NAME_BYTES, class_block_bytes, traced_peak, wide_dataset
+from tests.conftest import NAME_BYTES, class_block_bytes, notices, traced_peak, wide_dataset
 
 
 class TestAccuracy:
@@ -92,7 +91,7 @@ class TestEvaluateCv:
             stratified_kfold(d, 4, seed=99),
         )
 
-    def test_fit_errors_carry_fold_index(self):
+    def test_fit_errors_carry_fold_index(self, caplog):
         from xnb.errors import DataError
 
         # one singleton class: the fold holding its only sample trains on a
@@ -100,9 +99,11 @@ class TestEvaluateCv:
         rng = np.random.default_rng(14)
         values = rng.normal(size=(9, 3))
         d = Dataset(("x", "y", "z"), values, ("A",) * 8 + ("B",))
-        with pytest.warns(UserWarning):
-            with pytest.raises(DataError, match=r"fold \d"):
-                evaluate_cv(d, methods=("xnb",), k=3, seed=0)
+        with pytest.raises(DataError, match=r"fold \d"):
+            evaluate_cv(d, methods=("xnb",), k=3, seed=0)
+        assert notices(caplog.records, "xnb.evaluation") == [
+            "k=3 exceeds the smallest class size 1; some folds will miss that class"
+        ]
 
     def test_predict_errors_carry_fold_index(self):
         from xnb.dataset import stratified_kfold
@@ -119,14 +120,15 @@ class TestEvaluateCv:
             evaluate_cv(d, methods=("gnb",), k=5, seed=0)
         assert str(info.value) == f"fold {fold}: class 'A', variable 'x': the gnb log score is not finite"
 
-    def test_warns_when_k_exceeds_class_size(self):
+    def test_warns_when_k_exceeds_class_size(self, caplog):
         # k equal to the smallest class still puts that class in every fold
         d = small_dataset(6, n_per=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evaluate_cv(d, methods=("gnb",), k=4, seed=0)
-        with pytest.warns(UserWarning, match="k=5 exceeds the smallest class size 4"):
-            evaluate_cv(d, methods=("gnb",), k=5, seed=0)
+        evaluate_cv(d, methods=("gnb",), k=4, seed=0)
+        assert caplog.records == []
+        evaluate_cv(d, methods=("gnb",), k=5, seed=0)
+        assert notices(caplog.records, "xnb.evaluation") == [
+            "k=5 exceeds the smallest class size 4; some folds will miss that class"
+        ]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -164,9 +166,7 @@ class TestEvaluateCv:
             np.zeros((24, m)),
             ("A", "B") * 12,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # zero-sum density fallbacks
-            report = evaluate_cv(d, methods=("xnb",), k=3, seed=0)
+        report = evaluate_cv(d, methods=("xnb",), k=3, seed=0)
         for counts in report.xnb_fold_class_counts:
             assert counts == {"A": m, "B": m}
         assert report.xnb_mean_selected == m

@@ -1,4 +1,5 @@
 import importlib
+import logging
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import NAME_BYTES, traced_peak
+from tests.conftest import NAME_BYTES, notices, traced_peak
 from tests.oracles import (
     bandwidth,
     broadcast_block_distances,
@@ -40,9 +41,9 @@ class TestNormalize:
     def test_single_mass(self):
         np.testing.assert_allclose(normalize_to_distribution([2, 0, 0]), [1, 0, 0])
 
-    def test_zero_sum_becomes_uniform_with_warning(self):
-        with pytest.warns(UserWarning, match="zero-sum"):
-            out = normalize_to_distribution([0.0, 0.0])
+    def test_zero_sum_becomes_uniform_with_warning(self, caplog):
+        out = normalize_to_distribution([0.0, 0.0])
+        assert notices(caplog.records, "tests.oracles") == ["zero-sum density vector normalized to uniform"]
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_negative_entry_rejected(self):
@@ -194,7 +195,7 @@ class TestTable:
         "overrides, message",
         [
             ({"mu": 1}, "mu must lie in [2, 1024], got 1"),  # an all-zero table
-            ({"mu": 0}, "mu must lie in [2, 1024], got 0"),  # an all-zero table and a zero-sum warning
+            ({"mu": 0}, "mu must lie in [2, 1024], got 0"),  # an all-zero table and a zero-sum notice
             ({"mu": 50.0}, "mu must be an integer, got 50.0"),
             ({"mu": True}, "mu must be an integer, got True"),
             ({"jobs": 0}, "jobs must be at least 1, got 0"),
@@ -231,9 +232,18 @@ class TestTable:
         hellinger_table(narrow, _bank(narrow), jobs=2)
         assert pool_sizes == [4]
 
-    def test_duplicate_variable_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            HellingerTable(("x", "x"), ("A", "B"), np.zeros((2, 1)))
+    @pytest.mark.parametrize(
+        "variables, classes, problem",
+        [
+            (("x", "x"), ("A", "B"), "^duplicate variable names$"),
+            (("v", "w"), ("A", "A"), "^duplicate class names$"),
+            ((1, 2), ("A", "B"), "^variable names must be strings, got 1$"),
+            (("v", "w"), ("A", 0), "^class names must be strings, got 0$"),
+        ],
+    )
+    def test_names_that_are_not_distinct_strings_rejected(self, variables, classes, problem):
+        with pytest.raises(ValueError, match=problem):
+            HellingerTable(variables, classes, np.zeros((2, 1)))
 
     def test_distances_are_its_own_copy(self):
         given = np.full((2, 1), 0.5)
@@ -245,17 +255,19 @@ class TestTable:
         np.testing.assert_array_equal(table.distances, np.full((2, 1), 0.5))
         assert not table.distances.flags.writeable
 
-    def test_blocked_path_matches_per_variable_reference(self):
+    def test_blocked_path_matches_per_variable_reference(self, caplog):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(31, 300))
         values[:, 4] = 1.5  # constant column exercises grid widening
         labels = tuple(rng.choice(["A", "B", "C"], 31))
         d = Dataset(tuple(f"v{i}" for i in range(300)), values, labels)
         bank = _bank(d)
-        with pytest.warns(UserWarning, match="zero-sum"):  # constant column underflows
-            reference = per_variable_oracle(d, bank)
-        with pytest.warns(UserWarning, match="zero-sum"):
-            table = hellinger_table(d, bank)  # 300 variables: more than one block
+        reference = per_variable_oracle(d, bank)
+        table = hellinger_table(d, bank)  # 300 variables: more than one block
+        # the constant column underflows: the oracle notes each zero-sum grid, the table counts them
+        oracle = notices(caplog.records, "tests.oracles")
+        assert oracle
+        assert notices(caplog.records, "xnb.hellinger") == [f"{len(oracle)} zero-sum density vectors normalized to uniform"]
         np.testing.assert_allclose(table.distances, reference, rtol=0, atol=5e-16)
 
     @given(
@@ -274,10 +286,8 @@ class TestTable:
         labels = tuple(f"c{i % k}" for i in range(n))
         d = Dataset(tuple(f"v{j}" for j in range(m)), rng.normal(size=(n, m)), labels)
         bank = _bank(d, kernel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # compact kernels may miss every grid point
-            reference = per_variable_oracle(d, bank, mu=20)
-            table = hellinger_table(d, bank, mu=20)
+        reference = per_variable_oracle(d, bank, mu=20)
+        table = hellinger_table(d, bank, mu=20)
         np.testing.assert_allclose(table.distances, reference, rtol=0, atol=5e-16)
         assert np.all((table.distances >= 0.0) & (table.distances <= 1.0))
 
@@ -293,7 +303,7 @@ class TestTable:
     @pytest.mark.parametrize("scale", [2e-308, 2.5e-308, 3e-308])
     def test_bandwidths_near_the_smallest_float(self, kernel, scale):
         # bandwidths near 1e-308 put densities near 1e307 on the grid, whose
-        # column sums overflowed: the distance read 0.0, with a warning
+        # column sums overflowed: the distance read 0.0, with numpy's overflow RuntimeWarning
         column = np.array([0, 1, 2, 3, 4, 5, 6, 2, 3, 1, 4, 6], dtype=np.float64)[:, None]
         labels = ("A",) * 6 + ("B",) * 6
 
@@ -302,21 +312,26 @@ class TestTable:
             return float(hellinger_table(d, _bank(d, kernel), mu=50).distances[0, 0])
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # no numpy overflow RuntimeWarning
             tiny = distance(column * scale)
         assert tiny == pytest.approx(distance(column), abs=1e-9)
 
 
 def _recorded(fn, *args, **kwargs):
-    """``fn``'s result and the messages of the warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    """``fn``'s result and the messages of the records it logged (the library's or the oracle's zero-sum notice)."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logging.getLogger().addHandler(handler)
+    try:
         result = fn(*args, **kwargs)
-    return result, [str(w.message) for w in caught]
+    finally:
+        logging.getLogger().removeHandler(handler)
+    return result, [r.getMessage() for r in records]
 
 
 def _table(densities, mu, jobs=1):
-    """``hellinger_table`` over one class per density: its distances and warning messages."""
+    """``hellinger_table`` over one class per density: its distances and logged messages."""
     classes = [f"c{i}" for i in range(len(densities))]
     labels = tuple(c for c, p in zip(classes, densities) for _ in p.samples)
     names = tuple(f"v{j}" for j in range(densities[0].width))

@@ -304,7 +304,7 @@ class TestPackedKde:
     def test_offsets_too_large_to_square_add_zero(self, kind):
         packed = PackedKde([[0.0], [1.0]], [1e-3], kind)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # no numpy overflow RuntimeWarning from the squares
             dens = packed.on_grid(np.array([[1e308], [-1e308], [0.0]]))
         assert dens[0, 0] == dens[1, 0] == 0.0 and dens[2, 0] > 0.0
 
@@ -312,7 +312,7 @@ class TestPackedKde:
         # n h = 3e308 is beyond the largest float; the density is not
         packed = PackedKde([[0.0], [1e308], [1.0]], [1e308])
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # no numpy overflow RuntimeWarning from n h
             density = packed.density_at(np.array([0.0]))
         expected = (2.0 + math.exp(-0.5)) / (3.0 * math.sqrt(2.0 * math.pi)) / 1e308
         assert density[0] == pytest.approx(expected, rel=1e-12) and 3.4e-309 < density[0] < 3.5e-309

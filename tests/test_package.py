@@ -145,6 +145,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_module_imports_warnings():
+    # every library notice is a WARNING record on its module's logger: a
+    # warnings.warn would print once per process, with its source line
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "xnb").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "warnings" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings"
+    ]
+    assert importers == []
+
+
 def _unused_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
     """Module-level functions and classes named ``_...`` that no code outside their own definition reads."""
     reads = []  # (top-level statement, the names it reads)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import notices
 from tests.oracles import discriminatory_power, table_value
 from xnb.hellinger import HellingerTable
-from xnb.selection import SelectionConfig, SelectionStep, select_class_specific
+from xnb.selection import ClassFeatureMap, SelectionConfig, SelectionStep, select_class_specific
 
 
 def two_class_table(h_by_variable: dict[str, float]) -> HellingerTable:
@@ -227,10 +228,10 @@ class TestSelect:
                     residual *= 1.0 - table_value(table, v, c, other)
                 assert 1.0 - residual <= theta
 
-    def test_single_class_warns_and_returns_empty(self):
+    def test_single_class_warns_and_returns_empty(self, caplog):
         table = HellingerTable(("x",), ("A",), np.zeros((1, 0)))
-        with pytest.warns(UserWarning, match="single-class"):
-            fmap = select_class_specific(table)
+        fmap = select_class_specific(table)
+        assert notices(caplog.records, "xnb.selection") == ["single-class table: nothing to discriminate, empty selection"]
         assert fmap.features["A"] == ()
 
 
@@ -256,6 +257,20 @@ class TestSelectionProperties:
                 assert discriminatory_power(selected, c, table) > theta
             else:
                 assert set(selected) == set(table.variable_names)
+
+
+class TestClassFeatureMap:
+    @pytest.mark.parametrize(
+        "classes, features, problem",
+        [
+            (("A", "A"), {"A": ("x", "y")}, "^duplicate class names$"),
+            (("A", 0), {"A": ("x",), 0: ("y",)}, "^class names must be strings, got 0$"),
+            (("A", "B"), {"A": (1, 2), "B": ("x",)}, "^variables selected for class 'A' must be strings, got 1$"),
+        ],
+    )
+    def test_names_that_are_not_distinct_strings_rejected(self, classes, features, problem):
+        with pytest.raises(ValueError, match=problem):
+            ClassFeatureMap(classes, features)
 
 
 class TestConfig:
