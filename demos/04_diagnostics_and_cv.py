@@ -39,7 +39,7 @@ for method in cv.methods:
 print(f"  xnb mean selected variables per class: {cv.xnb_mean_selected:.1f} of {m}")
 
 print("\nreport in the tabular layout:")
-emit_report(cv, format="tsv", m_variables=d.m)
+emit_report(cv, format="tsv")
 
 print("the same operations are available from the command line:")
 print("  xnb diagnose --data data.csv --class-col label")

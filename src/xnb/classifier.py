@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -39,7 +39,6 @@ from .kde import (
     check_name,
     column_bandwidths,
     column_blocks,
-    scale_to_unit,
 )
 from .selection import DEFAULT_THETA, ClassFeatureMap, SelectionConfig, select_class_specific
 
@@ -107,8 +106,9 @@ class XnbModel:
     """Class priors, per-class variable subsets, and one packed density per class.
 
     ``kde_bank[c]`` holds class c's density over ``features.features[c]``,
-    one column per selected variable in that order. ``method`` is ``xnb``
-    or ``fnb``; each class of an fnb model lists every variable, in order.
+    one column per selected variable in that order, and ``feature_columns[c]``
+    (read-only) those variables' indices into a sample vector. ``method`` is
+    ``xnb`` or ``fnb``; each class of an fnb model lists every variable, in order.
     """
 
     classes: tuple[str, ...]
@@ -119,6 +119,7 @@ class XnbModel:
     variable_names: tuple[str, ...]
     method: str = "xnb"
     timings: dict[str, float] | None = None
+    feature_columns: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_header(self.classes, self.priors, self.variable_names)
@@ -128,13 +129,15 @@ class XnbModel:
             raise ValueError(f"feature map classes {self.features.classes!r}, model classes {self.classes!r}")
         if set(self.kde_bank) != set(self.classes):
             raise ValueError("kde bank must name exactly the model classes")
+        index = {v: j for j, v in enumerate(self.variable_names)}
+        feature_columns = {}
         for c in self.classes:
             feats = self.features.features[c]
             if self.method == "fnb" and tuple(feats) != tuple(self.variable_names):
                 raise ValueError(f"features of class {c!r} must list every variable, in order, in an fnb model")
-            unknown = [v for v in feats if v not in self.variable_index]
-            if unknown:
-                listed = ", ".join(map(repr, unknown[:5]))
+            columns = np.fromiter((index.get(v, -1) for v in feats), np.intp, len(feats))
+            if (columns < 0).any():
+                listed = ", ".join([repr(v) for v, j in zip(feats, columns) if j < 0][:5])
                 raise ValueError(f"class {c!r}: selected variables not in the model: {listed}")
             width = self.kde_bank[c].width
             if width != len(feats):
@@ -142,22 +145,13 @@ class XnbModel:
             kernel = self.kde_bank[c].kernel
             if kernel != self.config.kernel:
                 raise ValueError(f"class {c!r}: kde kernel {kernel!r}, config kernel {self.config.kernel!r}")
+            columns.setflags(write=False)
+            feature_columns[c] = columns
+        object.__setattr__(self, "feature_columns", feature_columns)
 
     @property
     def m(self) -> int:
         return len(self.variable_names)
-
-    @cached_property
-    def variable_index(self) -> dict[str, int]:
-        return {v: j for j, v in enumerate(self.variable_names)}
-
-    @cached_property
-    def feature_columns(self) -> dict[str, np.ndarray]:
-        """Each class's selected variables as indices into a sample vector."""
-        return {
-            c: np.array([self.variable_index[v] for v in self.features.features[c]], dtype=np.intp)
-            for c in self.classes
-        }
 
     @cached_property
     def scored_columns(self) -> np.ndarray:
@@ -165,12 +159,19 @@ class XnbModel:
         scored = np.zeros(self.m, dtype=bool)
         for columns in self.feature_columns.values():
             scored[columns] = True
-        return np.flatnonzero(scored)
+        scored = np.flatnonzero(scored)
+        scored.setflags(write=False)
+        return scored
 
 
 @dataclass(frozen=True, eq=False)
 class GnbModel:
-    """Gaussian naive Bayes: per-(class, variable) moments over all variables, as read-only copies."""
+    """Gaussian naive Bayes: per-(class, variable) moments over all variables, as read-only copies.
+
+    Every variance must be positive and ``2 pi variance`` finite: its log,
+    the part of ``predict``'s log density that no sample changes, is kept
+    (read-only) as ``log_2pi_variances``.
+    """
 
     classes: tuple[str, ...]
     priors: dict[str, float]
@@ -178,6 +179,7 @@ class GnbModel:
     means: np.ndarray
     variances: np.ndarray
     smoothing: float
+    log_2pi_variances: np.ndarray = field(init=False, repr=False)
     method = "gnb"  # a class attribute, not a field: every GnbModel is a gnb model
 
     def __post_init__(self):
@@ -192,12 +194,20 @@ class GnbModel:
             raise ValueError(f"moment arrays must have shape {shape}")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
-        if not np.all(np.isfinite(variances) & (variances > 0)):
+        if not np.all(variances > 0):  # NaN included; an infinite one fails the 2 pi rule below
             raise ValueError("variances must be finite and strictly positive after smoothing")
-        means.setflags(write=False)
-        variances.setflags(write=False)
+        with np.errstate(over="ignore"):
+            log_2pi_variances = np.log(2.0 * np.pi * variances)
+        too_wide = np.flatnonzero(~np.isfinite(log_2pi_variances).all(axis=0))
+        if too_wide.size:
+            names = ", ".join(repr(self.variable_names[j]) for j in too_wide[:5])
+            problem = "2 pi times the variance exceeds the largest float; gnb cannot score it"
+            raise ValueError(f"variables {names}: {problem}")
+        for array in (means, variances, log_2pi_variances):
+            array.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "log_2pi_variances", log_2pi_variances)
 
     @property
     def m(self) -> int:
@@ -206,12 +216,9 @@ class GnbModel:
     @cached_property
     def scored_columns(self) -> np.ndarray:
         """Every column: each class scores all variables."""
-        return np.arange(self.m)
-
-    @cached_property
-    def _log_2pi_variances(self) -> np.ndarray:
-        """log(2 pi variance) per (class, variable): the part of ``predict`` that no sample changes."""
-        return np.log(2.0 * np.pi * self.variances)
+        scored = np.arange(self.m)
+        scored.setflags(write=False)
+        return scored
 
 
 def _check_trainable(d: Dataset) -> None:
@@ -252,9 +259,7 @@ def fit_fnb(d: Dataset, config: XnbConfig = XnbConfig()) -> XnbModel:
             ", ".join(singletons),
         )
     timings = dict.fromkeys(FIT_STAGES, 0.0)  # fnb restricts nothing: its build stage stays 0
-    t0 = time.perf_counter()
-    scale = np.ptp(d.values, axis=0)
-    timings["bandwidth"] = time.perf_counter() - t0
+    scale = d.column_max - d.column_min
     bank = {c: _class_density(d, c, config, scale, timings) for c in d.classes}
 
     return XnbModel(
@@ -297,24 +302,23 @@ def fit_gnb(d: Dataset) -> GnbModel:
     Class variances use the n-1 denominator and are smoothed by 1e-9 times
     the largest global per-variable variance, at least the smallest normal
     float (an absolute floor of 1e-9 keeps them positive when every variable
-    is constant). The moments are taken of
-    each column scaled by the power of two of its largest magnitude (exact)
-    and scaled back, so sums of values near the largest float do not
-    overflow; a variance that itself exceeds the largest float, or whose
-    ``2 pi variance`` (the part of ``predict``'s log density that no sample
-    changes) does after smoothing, is a data error naming the variable. The
-    columns go through in ``column_blocks`` of the data, so the fit holds
-    the model's moments plus one block's scaled values and their centred
-    copies; each column's moments are those of the whole matrix.
+    is constant). The moments are taken of each column scaled by the power
+    of two of its largest magnitude (exact, from the Dataset's column
+    ranges) and scaled back, so sums of values near the largest float do not
+    overflow; a variance that itself exceeds the largest float, or that
+    ``GnbModel`` refuses after smoothing, is a data error naming the
+    variable. The columns go through in ``column_blocks`` of the data, so
+    the fit holds the model's moments plus one block's scaled values and
+    their centred copies; each column's moments are those of the whole matrix.
     """
     _check_trainable(d)
     k, m = len(d.classes), d.m
     means = np.empty((k, m))
     variances = np.zeros((k, m))
     global_var = np.zeros(m)
-    exponent = np.empty(m, dtype=np.intc)
+    _, exponent = np.frexp(np.maximum(d.column_max, -d.column_min))
     for lo, hi in column_blocks(d.n, m):
-        scaled, exponent[lo:hi] = scale_to_unit(d.values[:, lo:hi])
+        scaled = np.ldexp(d.values[:, lo:hi], -exponent[lo:hi])
         for i, c in enumerate(d.classes):
             sub = scaled[d.class_rows[c]]
             means[i, lo:hi] = sub.mean(axis=0)
@@ -333,19 +337,10 @@ def fit_gnb(d: Dataset) -> GnbModel:
     max_var = float(np.max(global_var)) if m else 0.0
     smoothing = max(1e-9 * max_var, float(np.finfo(np.float64).tiny)) if max_var > 0 else 1e-9
     variances += smoothing
-    with np.errstate(over="ignore"):  # as GnbModel._log_2pi_variances computes it
-        too_wide = np.flatnonzero(~np.isfinite(2.0 * np.pi * variances).all(axis=0))
-    if too_wide.size:
-        names = ", ".join(repr(d.variable_names[j]) for j in too_wide[:5])
-        raise DataError(f"variables {names}: 2 pi times the variance exceeds the largest float; gnb cannot score it")
-    return GnbModel(
-        classes=d.classes,
-        priors=class_priors(d),
-        variable_names=d.variable_names,
-        means=means,
-        variances=variances,
-        smoothing=smoothing,
-    )
+    try:
+        return GnbModel(d.classes, class_priors(d), d.variable_names, means, variances, smoothing)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _pick_label(log_scores: dict[str, float], priors: dict[str, float]) -> str:
@@ -379,7 +374,7 @@ def predict(model: XnbModel | GnbModel, sample) -> Prediction:
     sample = _check_sample(sample, model.m)
     if isinstance(model, GnbModel):
         with np.errstate(over="ignore"):  # an overflow gives a -inf score, refused below
-            log_density = -0.5 * (model._log_2pi_variances + (sample - model.means) ** 2 / model.variances)
+            log_density = -0.5 * (model.log_2pi_variances + (sample - model.means) ** 2 / model.variances)
             log_scores = {
                 c: float(math.log(model.priors[c]) + log_density[i].sum())
                 for i, c in enumerate(model.classes)

@@ -168,7 +168,7 @@ def _cmd_evaluate(args) -> int:
     report = evaluate_cv(
         d, methods=args.methods, k=args.k, seed=args.seed, config=_config_from(args), jobs=args.jobs
     )
-    emit_report(report, format=args.format, path=args.out, m_variables=d.m)
+    emit_report(report, format=args.format, path=args.out)
     return 0
 
 

@@ -32,16 +32,22 @@ class Dataset:
     """Immutable labeled numeric matrix.
 
     ``values`` is an (n, m) float64 array with one sample per row and one
-    variable per column; ``labels`` carries the class of each row and
-    ``classes`` is the sorted distinct label set. The values given (an
-    array, or a sequence of rows) are stacked into a read-only copy that
-    the Dataset owns: no array of the caller's can change it.
+    variable per column; ``labels`` carries the class of each row,
+    ``class_rows`` each class's row indices and ``classes`` the sorted
+    distinct label set. ``column_min`` and ``column_max`` are each column's
+    range, computed once by the checks; every reader of a range takes it
+    from here. The values given (an array, or a sequence of rows) are
+    stacked into a copy that the Dataset owns, and every array it holds is
+    read-only: no array of the caller's can change it.
     """
 
     variable_names: tuple[str, ...]
     values: np.ndarray
     labels: tuple[str, ...]
     classes: tuple[str, ...] = field(init=False)
+    class_rows: dict[str, np.ndarray] = field(init=False, repr=False)
+    column_min: np.ndarray = field(init=False, repr=False)
+    column_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64, order="F")
@@ -54,30 +60,34 @@ class Dataset:
             raise DataError(f"{len(self.variable_names)} variable names for {m} columns")
         if len(self.labels) != n:
             raise DataError(f"{len(self.labels)} labels for {n} samples")
+        lo, hi = values.min(axis=0), values.max(axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            # finite unless a value is not, or some column's range may be beyond the largest float
-            spread = values.max() - values.min()
-            if not np.isfinite(spread):
-                if not np.all(np.isfinite(values)):
-                    bad = np.argwhere(~np.isfinite(values))[0]
-                    raise DataError(f"non-finite value at sample {bad[0]}, variable {self.variable_names[bad[1]]!r}")
-                lo, hi = values.min(axis=0), values.max(axis=0)
-                wide = np.flatnonzero(~np.isfinite(hi - lo))
-                if wide.size:
-                    j = wide[0]
-                    raise DataError(
-                        f"variable {self.variable_names[j]!r}: values from {lo[j]:g} to {hi[j]:g}"
-                        " span more than the largest float"
-                    )
+            # finite unless a value is not, or the column's range is beyond the largest float
+            wide = np.flatnonzero(~np.isfinite(hi - lo))
+        if wide.size:
+            if not np.all(np.isfinite(values)):
+                bad = np.argwhere(~np.isfinite(values))[0]
+                raise DataError(f"non-finite value at sample {bad[0]}, variable {self.variable_names[bad[1]]!r}")
+            j = wide[0]
+            raise DataError(
+                f"variable {self.variable_names[j]!r}: values from {lo[j]:g} to {hi[j]:g}"
+                " span more than the largest float"
+            )
         try:
             names = check_names(self.variable_names, "variable names")
         except ValueError as exc:
             raise DataError(str(exc)) from None
-        values.setflags(write=False)
+        labels = tuple(str(l) for l in self.labels)
+        class_rows = rows_by_label(labels)
+        for array in (values, lo, hi, *class_rows.values()):
+            array.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        object.__setattr__(self, "classes", tuple(sorted(set(self.labels))))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_rows", class_rows)
+        object.__setattr__(self, "classes", tuple(class_rows))
+        object.__setattr__(self, "column_min", lo)
+        object.__setattr__(self, "column_max", hi)
 
     @property
     def n(self) -> int:
@@ -91,13 +101,8 @@ class Dataset:
     def variable_index(self) -> dict[str, int]:
         return {name: j for j, name in enumerate(self.variable_names)}
 
-    @cached_property
-    def class_rows(self) -> dict[str, np.ndarray]:
-        """Row indices of each class, in class order."""
-        return rows_by_label(self.labels)
-
     def subset(self, rows: np.ndarray) -> "Dataset":
-        """New Dataset over a row subset (classes recomputed).
+        """New Dataset over a row subset (classes, class rows and column ranges recomputed).
 
         The rows go to the new Dataset as views, so its column-major matrix
         is the one copy made (a fancy-indexed ``values[rows]`` would be a

@@ -162,7 +162,7 @@ def normality_scan(d: Dataset, alpha: float = DEFAULT_ALPHA) -> float:
 
 def _normality_detail(d: Dataset, alpha: float):
     columns = d.values.T  # (m, n), C-contiguous
-    constant = columns.max(axis=1) == columns.min(axis=1)
+    constant = d.column_max == d.column_min
     out_of_range = not _MIN_N <= d.n <= _MAX_N
     if out_of_range:
         logger.warning("%d samples, outside the Shapiro-Wilk range; normality not tested", d.n)

@@ -15,7 +15,7 @@ from .errors import XnbError
 logger = logging.getLogger(__name__)
 
 DEFAULT_METHODS = ("gnb", "xnb")
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 def check_methods(methods) -> tuple[str, ...]:
@@ -46,9 +46,13 @@ def accuracy(predictions, truth) -> float:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-fold and mean accuracies, XNB selection sizes, stage timings."""
+    """Per-fold and mean accuracies, XNB selection sizes, stage timings.
+
+    ``n_variables`` is the dataset's variable count, which gnb and fnb score in full.
+    """
 
     methods: tuple[str, ...]
+    n_variables: int
     k: int
     seed: int
     config: dict
@@ -87,6 +91,7 @@ class EvaluationReport:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "methods": list(self.methods),
+            "n_variables": self.n_variables,
             "k": self.k,
             "seed": self.seed,
             "fold_generator": FOLD_GENERATOR,
@@ -161,6 +166,7 @@ def evaluate_cv(
 
     return EvaluationReport(
         methods=methods,
+        n_variables=d.m,
         k=k,
         seed=seed,
         config=asdict(config),
@@ -170,29 +176,19 @@ def evaluate_cv(
     )
 
 
-def _tsv_lines(report: EvaluationReport, m_variables: int | None = None) -> list[str]:
+def _tsv_lines(report: EvaluationReport) -> list[str]:
     lines = ["method\tmean_accuracy\tmean_selected"]
     for method in report.methods:
-        if method == "xnb":
-            selected = f"{report.xnb_mean_selected:.6f}"
-        elif m_variables is not None:
-            selected = str(m_variables)
-        else:
-            selected = ""
+        selected = f"{report.xnb_mean_selected:.6f}" if method == "xnb" else str(report.n_variables)
         lines.append(f"{method}\t{report.mean_accuracy[method]:.6f}\t{selected}")
     return lines
 
 
-def emit_report(
-    report: EvaluationReport,
-    format: str = "json",
-    path: str | Path | None = None,
-    m_variables: int | None = None,
-) -> None:
+def emit_report(report: EvaluationReport, format: str = "json", path: str | Path | None = None) -> None:
     """Write a report as JSON (full detail) or TSV (one row per method)."""
     if format == "json":
         write_json(report.to_dict(), path)
     elif format == "tsv":
-        write_output("\n".join(_tsv_lines(report, m_variables)) + "\n", path)
+        write_output("\n".join(_tsv_lines(report)) + "\n", path)
     else:
         raise ValueError(f"unknown report format {format!r}")

@@ -125,22 +125,21 @@ def _column_totals(dens):
     return np.ascontiguousarray(dens.T).sum(axis=1)
 
 
-def _block_distances(densities, mu, out, lo, hi):
+def _block_distances(densities, mu, column_min, column_max, out, lo, hi):
     """Write table rows ``lo:hi`` into ``out[lo:hi]``; return the number of zero-sum columns among them.
 
     ``densities`` cover the same variables and share one kernel; each is
-    read through a column view of its bank. Each variable gets ``mu``
-    equally spaced grid points over its range in all
-    classes (widened to +-1 around a constant variable); each class's grid
-    densities are sum-normalized (a zero-sum column becomes uniform, and a
+    read through a column view of its bank. Each variable j gets ``mu``
+    equally spaced grid points from ``column_min[j]`` to ``column_max[j]``,
+    its range in all classes (widened to +-1 around a constant variable);
+    each class's grid densities are sum-normalized (a zero-sum column becomes uniform, and a
     column whose total overflows is first divided by ``_TOTAL_SCALE``), their
     square roots are taken once, and every class pair is compared as
     ``hellinger`` compares it.
     """
     blocks = [(p.samples[:, lo:hi], p.h[lo:hi]) for p in densities]
     kernel = densities[0].kernel
-    col_lo = np.min([samples.min(axis=0) for samples, _ in blocks], axis=0)
-    col_hi = np.max([samples.max(axis=0) for samples, _ in blocks], axis=0)
+    col_lo, col_hi = column_min[lo:hi], column_max[lo:hi]
     flat = col_lo == col_hi
     col_lo = np.where(flat, col_lo - 1.0, col_lo)
     col_hi = np.where(flat, col_hi + 1.0, col_hi)
@@ -178,9 +177,10 @@ def hellinger_table(
 
     ``kde_bank`` maps every class to its packed density over all of the
     dataset's variables, in ``d.variable_names`` order, with one kernel
-    shared by all classes (the bank of a ``fit_fnb`` model). The variables
-    are cut into a multiple of ``workers`` blocks of nearly equal width, at
-    most ``_BLOCK``, where ``workers`` is ``jobs`` capped at
+    shared by all classes (the bank of a ``fit_fnb`` model); each variable's
+    grid spans its range in ``d``, from ``d.column_min`` to ``d.column_max``.
+    The variables are cut into a multiple of ``workers`` blocks of nearly
+    equal width, at most ``_BLOCK``, where ``workers`` is ``jobs`` capped at
     ``os.cpu_count()`` and at half the variables. No block is then one
     variable wide unless the table is: numpy sums a single column pairwise
     rather than in order, so a variable's distance would depend on where the
@@ -205,7 +205,7 @@ def hellinger_table(
     count = workers * -(-d.m // (_BLOCK * workers))
     bounds = np.linspace(0, d.m, count + 1).astype(int)
     distances = np.empty((d.m, len(densities) * (len(densities) - 1) // 2))
-    block = partial(_block_distances, densities, mu, distances)
+    block = partial(_block_distances, densities, mu, d.column_min, d.column_max, distances)
     # in turn, not through a one-thread pool: a pool thread allocates from a malloc arena of
     # its own, which raised the peak RSS of fit by 3-5 MB and of evaluate by 4-7 MB on multiclass-k10
     if workers == 1:

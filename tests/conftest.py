@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,6 +15,25 @@ from xnb.selection import ClassFeatureMap
 def notices(records, logger: str) -> list[str]:
     """The messages of the WARNING records among ``records`` (``caplog.records``) that ``logger`` emitted."""
     return [r.getMessage() for r in records if r.name == logger and r.levelno == logging.WARNING]
+
+
+def writeable_arrays(obj, name: str = "obj") -> list[str]:
+    """The paths of the writeable numpy arrays that ``obj`` exposes.
+
+    A dataclass exposes its fields and its properties; the search goes
+    into dicts and into the dataclasses it finds, such as a model's bank.
+    """
+    if isinstance(obj, np.ndarray):
+        return [name] if obj.flags.writeable else []
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif dataclasses.is_dataclass(obj):
+        attrs = [f.name for f in dataclasses.fields(obj)]
+        attrs += [a for a, v in vars(type(obj)).items() if isinstance(v, (property, cached_property))]
+        items = [(a, getattr(obj, a)) for a in attrs]
+    else:
+        return []
+    return [path for key, value in items for path in writeable_arrays(value, f"{name}.{key}")]
 
 
 def make_separated(

@@ -42,6 +42,7 @@ from tests.conftest import (
     notices,
     traced_peak,
     wide_dataset,
+    writeable_arrays,
 )
 from tests.oracles import KdeModel, bandwidth, kde_density_at, v1_payload, v2_payload
 
@@ -404,6 +405,21 @@ class TestGnb:
         model = fit_gnb(Dataset(("u", "v"), [[0.0, 0.0], [1.0, 7e153], [0.0, 0.0], [1.0, 1.0]], labels))
         assert all(math.isfinite(s) for s in predict(model, [0.5, 0.5]).log_scores.values())
 
+    def test_variance_whose_2_pi_multiple_overflows_is_refused_at_load(self, tmp_path):
+        # the rule is the model's, so a file that no fit could have written loads no model
+        problem = "variables 'v': 2 pi times the variance exceeds the largest float; gnb cannot score it"
+        args = (("A", "B"), {"A": 0.5, "B": 0.5}, ("u", "v"), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            GnbModel(*args, variances=[[1.0, 1e308], [1.0, 1.0]], smoothing=1e-9)
+        path = tmp_path / "gnb.json"
+        save_model(GnbModel(*args, variances=np.ones((2, 2)), smoothing=1e-9), path)
+        payload = json.loads(path.read_text())
+        corrupt_node(payload, ("gnb", "variances"), lambda n: edit_array(n, lambda a: a * [[1.0, 1e308], [1.0, 1.0]]))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: malformed model file (ValueError: {problem})"
+
     def test_moments_are_its_own_copy(self):
         means, variances = np.zeros((2, 3)), np.ones((2, 3))
         views = means[:], variances[:]  # taken before construction
@@ -414,7 +430,8 @@ class TestGnb:
             view[1, 2] = 1e300
         np.testing.assert_array_equal(model.means, np.zeros((2, 3)))
         np.testing.assert_array_equal(model.variances, np.ones((2, 3)))
-        assert not (model.means.flags.writeable or model.variances.flags.writeable)
+        np.testing.assert_array_equal(model.log_2pi_variances, np.log(2.0 * np.pi * np.ones((2, 3))))
+        assert writeable_arrays(model) == []
 
     def test_smoothing_of_a_subnormal_variance_stays_positive(self, tmp_path):
         # the largest variance is about 4e-318: 1e-9 times it is 0, which no GnbModel takes
@@ -676,6 +693,7 @@ class TestPersistence:
             model = fit(d) if method == "gnb" else fit(d, config)
             save_model(model, tmp / "model.json")
             loaded = load_model(tmp / "model.json")
+            assert writeable_arrays(model) == writeable_arrays(loaded) == []
             save_model(loaded, tmp / "again.json")
             assert (tmp / "again.json").read_bytes() == (tmp / "model.json").read_bytes()
             for sample in samples:

@@ -404,6 +404,23 @@ class TestFitPredict:
         )
         assert not model.exists()
 
+    def test_gnb_variance_whose_2_pi_multiple_overflows_fails_at_load(self, tmp_path, capsys):
+        # a model file edited to hold such a variance is refused as the model is read, not row by row
+        train, model, out = tmp_path / "train.csv", tmp_path / "gnb.json", tmp_path / "p.tsv"
+        train.write_text("v,class\n0,A\n1,A\n0,B\n1,B\n")
+        assert main(["fit", "--method", "gnb", "--data", str(train), "--model", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        corrupt_node(payload, ("gnb", "variances"), lambda n: edit_array(n, lambda a: np.full_like(a, 1e308)))
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(train), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {model}: malformed model file (ValueError: variables 'v': 2 pi times the variance"
+            " exceeds the largest float; gnb cannot score it)\n",
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["gnb", "fnb", "xnb"])
     def test_a_bad_cell_after_scored_rows_leaves_no_output(self, data_csv, tmp_path, capsys, method):
         # rows are scored as they are parsed; the output is written only after the last one
@@ -761,9 +778,10 @@ class TestEvaluate:
     def test_json_report(self, data_csv, capsys):
         assert main(["evaluate", "--data", str(data_csv), "--k", "3", "--seed", "5"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["fold_generator"] == "pcg64"
         assert payload["methods"] == ["gnb", "xnb"]
+        assert payload["n_variables"] == 8
         assert payload["k"] == 3
         assert payload["seed"] == 5
         assert set(payload["timings"]) == {"bandwidth", "kde", "hellinger", "select", "build"}

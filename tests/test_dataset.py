@@ -16,7 +16,7 @@ import xnb.dataset
 from xnb.dataset import Dataset, class_priors, csv_records, load_csv, save_csv, stratified_kfold
 from xnb.errors import DataError
 
-from tests.conftest import NAME_BYTES, traced_peak, wide_dataset
+from tests.conftest import NAME_BYTES, traced_peak, wide_dataset, writeable_arrays
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -336,6 +336,14 @@ class TestLoadCsv:
                 Dataset(tuple(names), values, tuple(labels[: len(rows)]))
             return
         d = Dataset(tuple(names), values, tuple(labels[: len(rows)]))
+        # the ranges and class rows the checks computed, kept read-only
+        np.testing.assert_array_equal(d.column_min, values.min(axis=0))
+        np.testing.assert_array_equal(d.column_max, values.max(axis=0))
+        assert d.classes == tuple(d.class_rows) == tuple(sorted(set(d.labels)))
+        assert {c: rows.tolist() for c, rows in d.class_rows.items()} == {
+            c: [i for i, label in enumerate(d.labels) if label == c] for c in d.classes
+        }
+        assert writeable_arrays(d) == []
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
             save_csv(d, new)
@@ -496,6 +504,12 @@ class TestDataset:
         sub = d.subset(np.array([0, 1]))
         assert sub.classes == ("A",)
         np.testing.assert_array_equal(sub.values[:, 0], [0.0, 1.0])
+        # and the class rows and column ranges that the checks computed
+        assert tuple(sub.class_rows) == sub.classes
+        np.testing.assert_array_equal(sub.class_rows["A"], [0, 1])
+        assert (sub.column_min.tolist(), sub.column_max.tolist()) == ([0.0], [1.0])
+        assert (d.column_min.tolist(), d.column_max.tolist()) == ([0.0], [3.0])
+        assert writeable_arrays(sub) == []
 
 
 class TestPriors:

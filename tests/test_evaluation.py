@@ -182,7 +182,7 @@ class TestEmitReport:
     def test_tsv_one_row_per_method(self, tmp_path):
         report = evaluate_cv(small_dataset(11), methods=("gnb", "fnb", "xnb"), k=3, seed=1)
         path = tmp_path / "report.tsv"
-        emit_report(report, format="tsv", path=path, m_variables=6)
+        emit_report(report, format="tsv", path=path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "method\tmean_accuracy\tmean_selected"
         assert len(lines) == 4
@@ -194,7 +194,7 @@ class TestEmitReport:
 
     def test_stdout_default(self, capsys):
         report = evaluate_cv(small_dataset(12), methods=("gnb",), k=2, seed=0)
-        emit_report(report, format="tsv", m_variables=6)
+        emit_report(report, format="tsv")
         out = capsys.readouterr().out
         assert out.startswith("method\t")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import NAME_BYTES, notices, traced_peak
+from tests.conftest import NAME_BYTES, notices, traced_peak, writeable_arrays
 from tests.oracles import (
     bandwidth,
     broadcast_block_distances,
@@ -253,7 +253,7 @@ class TestTable:
         given[0, 0] = 0.9
         view[1, 0] = 0.1
         np.testing.assert_array_equal(table.distances, np.full((2, 1), 0.5))
-        assert not table.distances.flags.writeable
+        assert writeable_arrays(table) == []
 
     def test_blocked_path_matches_per_variable_reference(self, caplog):
         rng = np.random.default_rng(13)
@@ -466,5 +466,7 @@ class TestBroadcastOracle:
         # the former (mu, n_c, block) temporary alone was 50 * 400 * 256 * 8 B, about 41 MB
         densities = _densities(np.random.default_rng(9), [400, 400, 400], 300, "gaussian")
         out = np.empty((300, 3))
-        _, peak = traced_peak(lambda: hellinger_module._block_distances(densities, 50, out, 0, 300))
+        lo = np.min([p.samples.min(axis=0) for p in densities], axis=0)
+        hi = np.max([p.samples.max(axis=0) for p in densities], axis=0)
+        _, peak = traced_peak(lambda: hellinger_module._block_distances(densities, 50, lo, hi, out, 0, 300))
         assert peak < 8 * 2**20
