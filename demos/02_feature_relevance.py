@@ -48,7 +48,7 @@ for v, h in zip(table.variable_names, table.distances):
 # and every variable in the subset
 print("\ndiscriminatory power of growing subsets for class 'a':")
 for subset in (["strong"], ["strong", "medium"], ["strong", "medium", "weak"]):
-    rows = [d.variable_index[v] for v in subset]
+    rows = [d.variable_names.index(v) for v in subset]
     residual = np.prod([np.prod(1.0 - table.pair_column("a", other)[rows]) for other in ("b", "c")])
     print(f"  {subset}: {1.0 - residual:.6f}")
 
@@ -71,7 +71,7 @@ for c in fmap.classes:
 
 # a class whose pairs stay at or below the threshold with every variable
 # taken is exhausted: it keeps every variable
-print("\nexhausted (ran out of candidates):", fmap.exhausted)
+print("\nexhausted (ran out of candidates):", dict(fmap.exhausted))
 
 print("\nmembership matrix over the union of selected variables:")
 # every selected variable, in first-appearance order across the classes

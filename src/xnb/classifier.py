@@ -21,13 +21,12 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, class_priors, write_output
-from .errors import DataError, ModelFormatError, check_names, check_number
+from .errors import DataError, ModelFormatError, check_names, check_number, own
 from .hellinger import check_mu, hellinger_table
 from .kde import (
     BANDWIDTH_RULES,
@@ -89,16 +88,16 @@ class Prediction:
     log_scores: dict[str, float]
 
 
-def _check_header(classes, priors: dict[str, float], variable_names) -> None:
-    """The checks every model makes of its class names, priors and variable names."""
-    check_names(classes, "class names")
-    check_names(variable_names, "variable names")
+def _check_header(classes, priors: dict[str, float], variable_names) -> tuple[tuple, tuple]:
+    """The checks every model makes of its class names, priors and variable names; the checked names."""
+    classes, variable_names = check_names(classes, "class names"), check_names(variable_names, "variable names")
     for c, p in priors.items():
         check_number(p, f"prior of class {c!r}")
     if set(priors) != set(classes):
         raise ValueError("priors must name exactly the model classes")
     if not all(0.0 < p <= 1.0 for p in priors.values()) or abs(sum(priors.values()) - 1.0) > 1e-9:
         raise ValueError("priors must lie in (0, 1] and sum to 1")
+    return classes, variable_names
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +106,10 @@ class XnbModel:
 
     ``kde_bank[c]`` holds class c's density over ``features.features[c]``,
     one column per selected variable in that order, and ``feature_columns[c]``
-    (read-only) those variables' indices into a sample vector. ``method`` is
-    ``xnb`` or ``fnb``; each class of an fnb model lists every variable, in order.
+    those variables' indices into a sample vector; ``scored_columns`` is the
+    sorted union of those indices, the only columns ``predict`` reads.
+    ``method`` is ``xnb`` or ``fnb``; each class of an fnb model lists every
+    variable, in order. Every field but ``timings`` is kept through ``own``.
     """
 
     classes: tuple[str, ...]
@@ -120,20 +121,22 @@ class XnbModel:
     method: str = "xnb"
     timings: dict[str, float] | None = None
     feature_columns: dict[str, np.ndarray] = field(init=False, repr=False)
+    scored_columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_header(self.classes, self.priors, self.variable_names)
+        classes, names = _check_header(self.classes, self.priors, self.variable_names)
         if self.method not in ("xnb", "fnb"):
             raise ValueError(f"a KDE model's method must be xnb or fnb, got {self.method!r}")
-        if tuple(self.features.classes) != tuple(self.classes):
-            raise ValueError(f"feature map classes {self.features.classes!r}, model classes {self.classes!r}")
-        if set(self.kde_bank) != set(self.classes):
+        if tuple(self.features.classes) != tuple(classes):
+            raise ValueError(f"feature map classes {self.features.classes!r}, model classes {classes!r}")
+        if set(self.kde_bank) != set(classes):
             raise ValueError("kde bank must name exactly the model classes")
-        index = {v: j for j, v in enumerate(self.variable_names)}
+        index = {v: j for j, v in enumerate(names)}
         feature_columns = {}
-        for c in self.classes:
+        scored = np.zeros(len(names), dtype=bool)
+        for c in classes:
             feats = self.features.features[c]
-            if self.method == "fnb" and tuple(feats) != tuple(self.variable_names):
+            if self.method == "fnb" and tuple(feats) != tuple(names):
                 raise ValueError(f"features of class {c!r} must list every variable, in order, in an fnb model")
             columns = np.fromiter((index.get(v, -1) for v in feats), np.intp, len(feats))
             if (columns < 0).any():
@@ -145,23 +148,14 @@ class XnbModel:
             kernel = self.kde_bank[c].kernel
             if kernel != self.config.kernel:
                 raise ValueError(f"class {c!r}: kde kernel {kernel!r}, config kernel {self.config.kernel!r}")
-            columns.setflags(write=False)
             feature_columns[c] = columns
-        object.__setattr__(self, "feature_columns", feature_columns)
+            scored[columns] = True
+        own(self, classes=classes, priors=self.priors, kde_bank=self.kde_bank, variable_names=names)
+        own(self, feature_columns=feature_columns, scored_columns=np.flatnonzero(scored))
 
     @property
     def m(self) -> int:
         return len(self.variable_names)
-
-    @cached_property
-    def scored_columns(self) -> np.ndarray:
-        """The sorted union of the classes' feature columns: the only ones ``predict`` reads."""
-        scored = np.zeros(self.m, dtype=bool)
-        for columns in self.feature_columns.values():
-            scored[columns] = True
-        scored = np.flatnonzero(scored)
-        scored.setflags(write=False)
-        return scored
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +164,8 @@ class GnbModel:
 
     Every variance must be positive and ``2 pi variance`` finite: its log,
     the part of ``predict``'s log density that no sample changes, is kept
-    (read-only) as ``log_2pi_variances``.
+    as ``log_2pi_variances``. ``scored_columns`` is every column: each class
+    scores all variables. Every field is kept through ``own``.
     """
 
     classes: tuple[str, ...]
@@ -180,16 +175,17 @@ class GnbModel:
     variances: np.ndarray
     smoothing: float
     log_2pi_variances: np.ndarray = field(init=False, repr=False)
+    scored_columns: np.ndarray = field(init=False, repr=False)
     method = "gnb"  # a class attribute, not a field: every GnbModel is a gnb model
 
     def __post_init__(self):
-        _check_header(self.classes, self.priors, self.variable_names)
+        classes, names = _check_header(self.classes, self.priors, self.variable_names)
         check_number(self.smoothing, "smoothing")
         if not (math.isfinite(self.smoothing) and self.smoothing > 0):
             raise ValueError(f"smoothing must be positive and finite, got {self.smoothing!r}")
         means = np.array(self.means, dtype=np.float64)
         variances = np.array(self.variances, dtype=np.float64)
-        shape = (len(self.classes), len(self.variable_names))
+        shape = (len(classes), len(names))
         if means.shape != shape or variances.shape != shape:
             raise ValueError(f"moment arrays must have shape {shape}")
         if not np.all(np.isfinite(means)):
@@ -200,25 +196,15 @@ class GnbModel:
             log_2pi_variances = np.log(2.0 * np.pi * variances)
         too_wide = np.flatnonzero(~np.isfinite(log_2pi_variances).all(axis=0))
         if too_wide.size:
-            names = ", ".join(repr(self.variable_names[j]) for j in too_wide[:5])
+            listed = ", ".join(repr(names[j]) for j in too_wide[:5])
             problem = "2 pi times the variance exceeds the largest float; gnb cannot score it"
-            raise ValueError(f"variables {names}: {problem}")
-        for array in (means, variances, log_2pi_variances):
-            array.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "log_2pi_variances", log_2pi_variances)
+            raise ValueError(f"variables {listed}: {problem}")
+        own(self, classes=classes, priors=self.priors, variable_names=names, means=means, variances=variances)
+        own(self, log_2pi_variances=log_2pi_variances, scored_columns=np.arange(len(names)))
 
     @property
     def m(self) -> int:
         return len(self.variable_names)
-
-    @cached_property
-    def scored_columns(self) -> np.ndarray:
-        """Every column: each class scores all variables."""
-        scored = np.arange(self.m)
-        scored.setflags(write=False)
-        return scored
 
 
 def _check_trainable(d: Dataset) -> None:
@@ -288,9 +274,8 @@ def fit_xnb(d: Dataset, config: XnbConfig = XnbConfig(), jobs: int = 1) -> XnbMo
     timings["select"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selected = {
-        c: bank[c].take([d.variable_index[v] for v in features.features[c]]) for c in d.classes
-    }
+    index = {v: j for j, v in enumerate(d.variable_names)}
+    selected = {c: bank[c].take([index[v] for v in features.features[c]]) for c in d.classes}
     timings["build"] = time.perf_counter() - t0
 
     return replace(full, features=features, kde_bank=selected, method="xnb", timings=timings)

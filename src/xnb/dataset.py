@@ -15,12 +15,11 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, check_names
+from .errors import DataError, check_names, own
 
 # Shuffle generator used for fold assignment. Recorded in reports so fold
 # splits are reproducible across builds and platforms.
@@ -37,8 +36,8 @@ class Dataset:
     distinct label set. ``column_min`` and ``column_max`` are each column's
     range, computed once by the checks; every reader of a range takes it
     from here. The values given (an array, or a sequence of rows) are
-    stacked into a copy that the Dataset owns, and every array it holds is
-    read-only: no array of the caller's can change it.
+    stacked into a copy that the Dataset owns; it keeps every field through
+    ``own``, so no array or dict of the caller's can change it.
     """
 
     variable_names: tuple[str, ...]
@@ -79,15 +78,8 @@ class Dataset:
             raise DataError(str(exc)) from None
         labels = tuple(str(l) for l in self.labels)
         class_rows = rows_by_label(labels)
-        for array in (values, lo, hi, *class_rows.values()):
-            array.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_rows", class_rows)
-        object.__setattr__(self, "classes", tuple(class_rows))
-        object.__setattr__(self, "column_min", lo)
-        object.__setattr__(self, "column_max", hi)
+        own(self, values=values, variable_names=names, labels=labels, class_rows=class_rows,
+            classes=tuple(class_rows), column_min=lo, column_max=hi)
 
     @property
     def n(self) -> int:
@@ -96,10 +88,6 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.values.shape[1]
-
-    @cached_property
-    def variable_index(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.variable_names)}
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New Dataset over a row subset (classes, class rows and column ranges recomputed).

@@ -25,14 +25,14 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import check_names
+from .errors import check_names, own
 from .kde import DEFAULT_MU, KERNELS, PackedKde, kernel_eval, kernel_sum
 
 logger = logging.getLogger(__name__)
@@ -82,31 +82,26 @@ class HellingerTable:
     """H(class_i, class_j | variable) for all variables and class pairs.
 
     ``distances`` is (m, k(k-1)/2) with pairs in ``combinations(classes, 2)``
-    order; lookups are symmetric in the two classes. The table holds a
-    read-only copy of the distances it is given.
+    order, which ``class_pairs`` lists; lookups are symmetric in the two
+    classes. The table keeps a read-only copy of the distances it is given.
     """
 
     variable_names: tuple[str, ...]
     classes: tuple[str, ...]
     distances: np.ndarray
+    class_pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False)
+    _pair_index: dict[tuple[str, str], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "variable_names", check_names(self.variable_names, "variable names"))
-        object.__setattr__(self, "classes", check_names(self.classes, "class names"))
+        names = check_names(self.variable_names, "variable names")
+        classes = check_names(self.classes, "class names")
+        class_pairs = tuple(combinations(classes, 2))
         distances = np.array(self.distances, dtype=np.float64)
-        expected = (len(self.variable_names), len(self.class_pairs))
+        expected = (len(names), len(class_pairs))
         if distances.shape != expected:
             raise ValueError(f"distances shape {distances.shape}, expected {expected}")
-        distances.setflags(write=False)
-        object.__setattr__(self, "distances", distances)
-
-    @cached_property
-    def class_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(combinations(self.classes, 2))
-
-    @cached_property
-    def _pair_index(self) -> dict[tuple[str, str], int]:
-        return {pair: i for i, pair in enumerate(self.class_pairs)}
+        own(self, variable_names=names, classes=classes, distances=distances)
+        own(self, class_pairs=class_pairs, _pair_index={pair: i for i, pair in enumerate(class_pairs)})
 
     def pair_column(self, class_i: str, class_j: str) -> np.ndarray:
         """H of every variable for one class pair."""

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import own
+
 DEFAULT_KERNEL = "gaussian"
 DEFAULT_RULE = "silverman"
 DEFAULT_MU = 50
@@ -247,10 +249,7 @@ class PackedKde:
             raise ValueError(f"bandwidths must be positive and finite, and not below {MIN_BANDWIDTH} (subnormal)")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        samples.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "h", h)
+        own(self, samples=samples, h=h)
 
     @property
     def width(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_names, check_number
+from .errors import check_names, check_number, own
 from .hellinger import HellingerTable
 
 logger = logging.getLogger(__name__)
@@ -57,7 +57,8 @@ class ClassFeatureMap:
     ``steps[c][i]`` is the addition of ``features[c][i]``. ``exhausted[c]``
     is true when some pair of class c is still at or below the threshold
     with every variable taken. Both are empty on a map that no selection
-    made (a loaded model, or fnb).
+    made (a loaded model, or fnb). The map keeps its own read-only copies
+    of the dicts it is given, ``features`` only for its ``classes``.
     """
 
     classes: tuple[str, ...]
@@ -66,11 +67,12 @@ class ClassFeatureMap:
     exhausted: dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_names(self.classes, "class names")
-        for c in self.classes:
+        classes = check_names(self.classes, "class names")
+        for c in classes:
             if c not in self.features:
                 raise ValueError(f"no feature list for class {c!r}")
-            check_names(self.features[c], f"variables selected for class {c!r}")
+        features = {c: check_names(self.features[c], f"variables selected for class {c!r}") for c in classes}
+        own(self, classes=classes, features=features, steps=self.steps, exhausted=self.exhausted)
 
     def count(self, cls: str) -> int:
         return len(self.features[cls])

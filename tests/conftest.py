@@ -1,7 +1,7 @@
 import dataclasses
 import logging
 import tracemalloc
-from functools import cached_property
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
@@ -17,23 +17,26 @@ def notices(records, logger: str) -> list[str]:
     return [r.getMessage() for r in records if r.name == logger and r.levelno == logging.WARNING]
 
 
-def writeable_arrays(obj, name: str = "obj") -> list[str]:
-    """The paths of the writeable numpy arrays that ``obj`` exposes.
+def mutable_parts(obj, name: str = "obj") -> list[str]:
+    """The paths of the writeable numpy arrays and the mutable mappings that ``obj`` exposes.
 
-    A dataclass exposes its fields and its properties; the search goes
-    into dicts and into the dataclasses it finds, such as a model's bank.
+    A dataclass exposes what its instance holds: its fields and anything
+    cached on it since. The search goes into mappings and into the
+    dataclasses it finds, such as a model's bank. An attribute named
+    ``timings`` is left out: fit and evaluation timings are plain dicts on
+    purpose, as the benchmark records only a dict's.
     """
     if isinstance(obj, np.ndarray):
         return [name] if obj.flags.writeable else []
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
+        found = [name] if isinstance(obj, MutableMapping) else []
         items = obj.items()
     elif dataclasses.is_dataclass(obj):
-        attrs = [f.name for f in dataclasses.fields(obj)]
-        attrs += [a for a, v in vars(type(obj)).items() if isinstance(v, (property, cached_property))]
-        items = [(a, getattr(obj, a)) for a in attrs]
+        found = []
+        items = [(a, v) for a, v in vars(obj).items() if a != "timings"]
     else:
         return []
-    return [path for key, value in items for path in writeable_arrays(value, f"{name}.{key}")]
+    return found + [path for key, value in items for path in mutable_parts(value, f"{name}.{key}")]
 
 
 def make_separated(

@@ -39,10 +39,10 @@ from tests.conftest import (
     edit_array,
     empty_union_model,
     make_separated,
+    mutable_parts,
     notices,
     traced_peak,
     wide_dataset,
-    writeable_arrays,
 )
 from tests.oracles import KdeModel, bandwidth, kde_density_at, v1_payload, v2_payload
 
@@ -431,7 +431,7 @@ class TestGnb:
         np.testing.assert_array_equal(model.means, np.zeros((2, 3)))
         np.testing.assert_array_equal(model.variances, np.ones((2, 3)))
         np.testing.assert_array_equal(model.log_2pi_variances, np.log(2.0 * np.pi * np.ones((2, 3))))
-        assert writeable_arrays(model) == []
+        assert mutable_parts(model) == []
 
     def test_smoothing_of_a_subnormal_variance_stays_positive(self, tmp_path):
         # the largest variance is about 4e-318: 1e-9 times it is 0, which no GnbModel takes
@@ -693,7 +693,7 @@ class TestPersistence:
             model = fit(d) if method == "gnb" else fit(d, config)
             save_model(model, tmp / "model.json")
             loaded = load_model(tmp / "model.json")
-            assert writeable_arrays(model) == writeable_arrays(loaded) == []
+            assert mutable_parts(model) == mutable_parts(loaded) == []
             save_model(loaded, tmp / "again.json")
             assert (tmp / "again.json").read_bytes() == (tmp / "model.json").read_bytes()
             for sample in samples:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import NAME_BYTES, notices, traced_peak, writeable_arrays
+from tests.conftest import NAME_BYTES, mutable_parts, notices, traced_peak
 from tests.oracles import (
     bandwidth,
     broadcast_block_distances,
@@ -253,7 +253,7 @@ class TestTable:
         given[0, 0] = 0.9
         view[1, 0] = 0.1
         np.testing.assert_array_equal(table.distances, np.full((2, 1), 0.5))
-        assert writeable_arrays(table) == []
+        assert mutable_parts(table) == []
 
     def test_blocked_path_matches_per_variable_reference(self, caplog):
         rng = np.random.default_rng(13)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tests.conftest import writeable_arrays
+from tests.conftest import mutable_parts
 from tests.oracles import (
     KdeModel,
     bandwidth,
@@ -358,7 +358,7 @@ class TestPackedKde:
         packed = PackedKde(samples, [1.0, 1.0])
         samples[0, 0] = 5.0
         assert packed.samples[0, 0] == 0.0
-        assert samples.flags.writeable and writeable_arrays(packed) == []
+        assert samples.flags.writeable and mutable_parts(packed) == []
 
     @pytest.mark.parametrize(
         "samples, h, match",

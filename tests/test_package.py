@@ -158,6 +158,30 @@ def test_no_module_imports_warnings():
     assert importers == []
 
 
+def test_records_set_their_fields_only_through_own():
+    # what a record keeps is set once, in its constructor, through errors.own:
+    # no module caches state on a record lazily or sets a field by hand
+    cachers, setters = [], []
+    for path in sorted((ROOT / "src" / "xnb").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {
+            id(node)
+            for top in tree.body
+            if path.name == "errors.py" and isinstance(top, ast.FunctionDef) and top.name == "own"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ImportFrom) and any(alias.name == "cached_property" for alias in node.names)
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+            ):
+                cachers.append(path.name)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                setters.append(f"{path.name}{' (own)' if id(node) in helper else f':{node.lineno}'}")
+    assert cachers == []
+    assert setters == ["errors.py (own)"]
+
+
 def _unused_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
     """Module-level functions and classes named ``_...`` that no code outside their own definition reads."""
     reads = []  # (top-level statement, the names it reads)
