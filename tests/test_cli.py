@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -1240,6 +1241,24 @@ class TestPredictReader:
             else:
                 assert code == 0
                 assert json.loads(out.read_text()) == expected
+
+    def test_each_file_read_is_noted_once(self, data_csv, tmp_path, caplog):
+        # one INFO record per file that load_csv or xnb predict reads: its rows, those that
+        # plain blocks held, and the cells that went through float()
+        caplog.set_level(logging.INFO, logger="xnb.dataset")
+        model, quoted = tmp_path / "m.json", tmp_path / "quoted.csv"
+        with data_csv.open(newline="") as src, quoted.open("w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        assert main(["fit", "--data", str(data_csv), "--model", str(model)]) == 0
+        for data in (data_csv, quoted):
+            assert main(["predict", "--data", str(data), "--model", str(model), "--out", str(tmp_path / "p.tsv")]) == 0
+        assert [(r.name, r.levelno) for r in caplog.records] == [("xnb.dataset", logging.INFO)] * 3
+        fitted, predicted, from_quoted = caplog.messages
+        for message in (fitted, predicted):
+            assert re.fullmatch(rf"{re.escape(str(data_csv))}: 60 rows read, 60 of them in plain blocks;"
+                                r" \d cells through float\(\)", message)
+        scored = len(load_model(model).scored_columns)
+        assert from_quoted == f"{quoted}: 60 rows read, 0 of them in plain blocks; {60 * scored} cells through float()"
 
     def test_memory_grows_by_the_parsed_scored_cells(self, tmp_path):
         # 50 and 500 rows of 2 000 columns, of which xnb scores a few: the

@@ -1,9 +1,11 @@
 import csv
+import io
+import logging
 import math
 import re
 import tempfile
-from contextlib import contextmanager
-from decimal import Decimal
+from contextlib import contextmanager, redirect_stderr
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +14,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import xnb.csvblocks
 import xnb.dataset
+from xnb.classifier import fit_gnb, save_model
+from xnb.cli import main
 from xnb.dataset import Dataset, class_priors, csv_records, load_csv, save_csv, stratified_kfold
 from xnb.errors import DataError
 
-from tests.conftest import mutable_parts, traced_peak, wide_dataset
+from tests.conftest import make_separated, mutable_parts, traced_peak, wide_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -146,12 +151,58 @@ EDGE_CELLS = [
     for sign in (1.0, -1.0)
 ]
 
+
+def _converter_cells() -> list[str]:
+    """Decimal cells at the edges of the block reader's converter.
+
+    Random doubles from 1e-22 to 1e27 as ``%.17g``, ``repr`` and ``%.15g``; for adjacent
+    doubles (random ones, ones below a power of two and ones around 2^53), the decimal
+    halfway between them and that decimal one unit either side in its last digit; digit
+    strings of 1-20 digits with leading zeros, a dot and an exponent or not; and 17-digit
+    mantissas scaled by 10^-21 and 10^-22, where the converter's second rounding is often
+    on a midpoint of its grid.
+    """
+    rng = np.random.default_rng(2021)
+    # signed zeros, the exponents' bounds and 2^53 + 1, halfway between two doubles
+    cells = ["0", "-0", "0.0", "-0.000", "-0e5", "0E-22", "-00", "1e22", "1E-22", "9007199254740993"]
+    doubles = np.copysign(10.0 ** rng.uniform(-22, 27, 2000), rng.normal(size=2000)).tolist()
+    for v in doubles:
+        cells += ["%.17g" % v, repr(v), "%.15g" % v]
+    pairs = [(v, math.nextafter(v, math.inf)) for v in doubles[:300]]
+    pairs += [(math.nextafter(2.0**j, 0.0), 2.0**j) for j in range(-80, 80)]
+    pairs += [(2.0**53 + i, math.nextafter(2.0**53 + i, math.inf)) for i in range(-6, 6)]
+    with localcontext() as exact:
+        exact.prec = 1200
+        for low, high in pairs:
+            sign, digits, exponent = ((Decimal(low) + Decimal(high)) / 2).as_tuple()
+            middle = int("".join(map(str, digits)))
+            cells += [str(Decimal((sign, tuple(map(int, str(m))), exponent))) for m in (middle - 1, middle, middle + 1)]
+    for n in range(1, 21):
+        for _ in range(40):
+            digits = "0" * int(rng.integers(0, 3)) + "".join(rng.choice(list("0123456789"), n))
+            dot = int(rng.integers(0, len(digits)))
+            text = digits if dot == 0 else f"{digits[:dot]}.{digits[dot:]}"
+            exponent = ["", f"e{rng.integers(-30, 31)}", f"E+{rng.integers(0, 25)}", f"e-{rng.integers(0, 25):02d}"]
+            cells.append("-" * int(rng.integers(0, 2)) + text + exponent[rng.integers(0, 4)])
+    for m in rng.integers(10**16, 10**17, 2000).tolist():
+        cells.append(f"{str(m)[0]}.{str(m)[1:]}e-{rng.integers(5, 7):02d}")
+    return cells
+
+
 # Cells a CSV meets: numbers as float() reads them (padded, quoted, with
-# underscores or non-ASCII digits), and cells that fail float() or the
-# finiteness check, or make a blank label, a quoted comma or a shifted row.
-NUMBERS = ["1", "-2.5e-3", " 7 ", "1_0", "\u0663", '"4"', "-0", "4.9e-324", "1e308"]
+# underscores or non-ASCII digits, or at the edges of the plain decimals that
+# the block reader converts itself: 19 and 20 mantissa digits, 10^22 and
+# 10^-22, 2^53 + 1, halfway between two doubles, and a four-digit exponent),
+# and cells that fail float() or the finiteness check, or make a blank label,
+# a quoted comma, a lone CR or a shifted row.
+NUMBERS = [
+    "1", "-2.5e-3", " 7 ", "1_0", "\u0663", '"4"', "-0", "4.9e-324", "1e308", "007", "1.", ".5", "-.5", "+1",
+    "1234567890123456789", "12345678901234567891", "123456789.25", "1e22", "1E-22", "2.5e+3", "9007199254740993",
+    "1e-1000",
+]
 LABELS = ["A", "B", "é", '"a,b"', '"A"']
-ODD = ["", "  ", " B ", "x", "0x1", "1e999", "nan", "-inf", "Infinity", "1,5", '"1,5"', '"']
+ODD = ["", "  ", " B ", "x", "0x1", "1e999", "nan", "-inf", "Infinity", "1,5", '"1,5"', '"', "1.2.3", "1e", "-", "e5",
+       "1e+", "--1", "1e1.5", "1\r2", "\r"]
 QUOTABLE = st.text(st.sampled_from('Ab é,"\n\r;'), min_size=1, max_size=5)
 
 
@@ -305,6 +356,78 @@ class TestLoadCsv:
             path = Path(tmp) / "data.csv"
             path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
             assert outcome(load_csv, path, class_column) == outcome(oracle_load_csv, path, class_column)
+
+    def test_converter_matches_float_bit_for_bit(self, tmp_path, caplog):
+        cells = _converter_cells()
+        expected = np.array([float(c) for c in cells])
+        text = "".join(f"{c}\n" for c in cells).encode()
+        _, _, buf, starts, ends = xnb.csvblocks.plain_fields(text, 1, csv.field_size_limit())
+        values, plain = xnb.csvblocks.decimals(buf, starts.ravel(), ends.ravel())
+        assert 0.4 < plain.mean() < 0.9  # both ways are taken
+        assert values[plain].view(np.uint64).tolist() == expected[plain].view(np.uint64).tolist()
+        # the reader sends each cell the converter declines through float()
+        caplog.set_level(logging.INFO, logger="xnb.dataset")
+        path = write(tmp_path, "v,class\n" + "".join(f"{c},A\n" for c in cells))
+        d = load_csv(path, "class")
+        assert d.values[:, 0].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert caplog.messages == [
+            f"{path}: {len(cells)} rows read, {len(cells)} of them in plain blocks;"
+            f" {np.count_nonzero(~plain)} cells through float()"
+        ]
+
+    def test_a_saved_file_is_read_in_plain_blocks(self, tmp_path, caplog):
+        # the block reader takes what save_csv writes; a quoted label hands the file to the csv module
+        caplog.set_level(logging.INFO, logger="xnb.dataset")
+        d = wide_dataset(n=40, m=500)
+        save_csv(d, tmp_path / "saved.csv")
+        quoted = Dataset(d.variable_names, d.values, ("a,b", *d.labels[1:]))
+        save_csv(quoted, tmp_path / "quoted.csv")
+        for name, blocked in [("saved.csv", 40), ("quoted.csv", 0)]:
+            caplog.clear()
+            back = load_csv(tmp_path / name, "class")
+            assert back.values.tobytes() == d.values.tobytes()
+            [message] = caplog.messages
+            counts = re.fullmatch(r".*: (\d+) rows read, (\d+) of them .*; (\d+) cells .*", message).groups()
+            read, plain, slow = map(int, counts)
+            assert (read, plain) == (40, blocked)
+            assert slow < 0.01 * d.values.size if blocked else slow == d.values.size
+
+    def test_every_block_budget_reads_the_same(self, tmp_path, monkeypatch):
+        # one line a block, blocks that end mid-row, and the default; the same rows, predictions
+        # and first error each time, also where a quoted cell hands the file to the csv module
+        d, _ = make_separated(n=40, m=6, k=2, seed=4)
+        save_model(fit_gnb(d), tmp_path / "m.json")
+        save_csv(d, tmp_path / "saved.csv")
+        lines = (tmp_path / "saved.csv").read_text().splitlines()
+        bad = [*lines[:20], lines[20].replace(",", ",x", 1), *lines[21:]]
+        head, label = lines[9].rsplit(",", 1)
+        quoted = [*lines[:9], f'{head},"{label}"', *lines[10:30], "1,2", *lines[30:]]
+        files = {
+            "saved": "\n".join(lines),
+            "blank lines, CRLF": "\r\n".join(line for row in lines for line in (row, "")),
+            "bad cell": "\n".join(bad),
+            "quoted, then short": "\n".join(quoted) + "\n",
+        }
+
+        def outcomes():
+            found = {}
+            for name, text in files.items():
+                path, out, err = write(tmp_path, text, "data.csv"), tmp_path / "p.json", io.StringIO()
+                out.unlink(missing_ok=True)
+                with redirect_stderr(err):
+                    code = main(["predict", "--model", str(tmp_path / "m.json"), "--data", str(path), "--format",
+                                 "json", "--out", str(out)])
+                found[name] = (outcome(load_csv, path, "class"), code, out.read_text() if code == 0 else err.getvalue())
+            return found
+
+        expected = outcomes()
+        assert expected["saved"][0] == outcome(oracle_load_csv, write(tmp_path, files["saved"], "data.csv"), "class")
+        assert re.search(r": row 21, column 'v01': cannot parse 'x\S+'$", expected["bad cell"][0])
+        assert expected["quoted, then short"][0].endswith("row 31 has 2 fields, header has 7")
+        assert expected["bad cell"][2] == f"data error: {expected['bad cell'][0]}\n"
+        for budget in (1, len(lines[1]) * 3 // 2):
+            monkeypatch.setattr(xnb.dataset, "_BLOCK_BYTES", budget)
+            assert outcomes() == expected
 
     @given(
         st.integers(1, 4).flatmap(
