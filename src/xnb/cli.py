@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .classifier import METHODS, XnbConfig, fit_fnb, fit_gnb, fit_xnb, load_model, predict, save_model
-from .dataset import csv_records, load_csv, read_numeric, write_json, write_output
+from .dataset import csv_records, load_csv, write_json, write_output
 from .diagnostics import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_PAIRS,
@@ -123,13 +123,13 @@ def _read_samples(path: str, model):
     row is yielded as it is parsed.
     """
     path = Path(path)
-    with csv_records(path) as (header, records):
+    with csv_records(path) as (header, rows):
         positions = {name: i for i, name in enumerate(header)}
         missing = [v for v in model.variable_names if v not in positions]
         if missing:
             raise DataError(f"{path}: missing model variables: {', '.join(missing[:5])}")
         columns = [positions[model.variable_names[j]] for j in model.scored_columns]
-        for row, _ in read_numeric(path, header, records, columns):
+        for row, _ in rows(columns):
             yield row
 
 

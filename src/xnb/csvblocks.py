@@ -1,11 +1,12 @@
 """Plain blocks of a CSV body: their fields, and the exact float64 values of their decimal cells.
 
-``xnb.dataset`` reads a CSV body in blocks of whole lines. A block with no quote,
-NUL or lone CR, in UTF-8 and with the header's field count on every line is
-plain: numpy splits it at its commas and line ends where the csv module would
-(``plain_fields``), and ``decimals`` converts each cell that is a plain decimal
-to the double ``float()`` gives, eight digits at a time. The reader sends every
-other cell through ``float()``.
+The row generator of ``xnb.dataset.csv_records`` reads a CSV body in blocks of
+whole lines. A block with no quote, NUL or lone CR, in UTF-8 and with the
+header's field count on every line is plain: numpy splits it at its commas and
+line ends where the csv module would (``plain_fields``), and ``decimals``
+converts each cell that is a plain decimal to the double ``float()`` gives,
+eight digits at a time. Every other cell goes through ``float()``, and the csv
+module reads on from the first block that is not plain.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         exponent = _eight_digits(_windows(buf, ends[at], WINDOW - digits)[:, 2]).astype(np.intp)
         q[at] += np.where(buf[ends[at] - shift + 1] == 45, -exponent, exponent)
         words[at] = _windows(buf, ends[at] - shift, lead[at] + shift)
-        at = at[has_dot[at]]
+        at = at[has_dot[at] & (dot[at] < e[at])]  # a dot after the exponent marker is declined above
         flat[at * WINDOW + dot[at] + WINDOW - e[at]] = 48
     del flat
     m, below = _mantissa(words, fraction + has_dot)

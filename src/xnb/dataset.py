@@ -1,5 +1,7 @@
 """Labeled numeric matrices: CSV ingestion, class priors, stratified folds.
 
+Every CSV is read through ``csv_records``: its checked header, then one generator over its rows.
+
 Values are stored column-major (Fortran order) for two readers: the
 dependence scan transposes its within-class residuals into one row per
 variable without a copy, and gnb sums each column's variance in the order
@@ -159,16 +161,23 @@ def _cannot_write(path, exc: OSError) -> DataError:
 
 @contextmanager
 def csv_records(path: str | Path):
-    """Open a headered CSV; yield its stripped header and its rows.
+    """Open a headered CSV; yield its stripped header and ``rows``, the one reader of its body.
 
-    The file is UTF-8, with or without a byte order mark. Iterating the rows
-    gives (line number, fields) pairs from the csv module, blank rows
-    skipped; ``read_numeric`` first takes what it can through the rows'
-    ``blocks``. A missing, unopenable or empty file, text that is not UTF-8,
-    a row the csv module refuses (such as one with a field over its size
-    limit), a header that repeats a name and a row whose field count differs
-    from the header's are data errors; a row's error is raised when the
-    iteration reaches it.
+    The file is UTF-8, with or without a byte order mark. ``rows(columns, label=None)``
+    yields each data row, blank rows skipped, as a float64 vector of its ``columns`` cells
+    and ``label``'s stripped cell (None without a ``label`` column). Data errors: a missing,
+    unopenable or empty file, text that is not UTF-8, a header that repeats a name, a row
+    the csv module refuses (such as one with a field over its size limit) or whose field
+    count differs from the header's, a blank label, a cell that ``float()`` refuses or reads
+    as non-finite, and no data rows; a row's error is raised when the iteration reaches it.
+
+    When the header is one unquoted line, the body is read in blocks of whole lines of at
+    most ``_BLOCK_BYTES`` (or one longer line), and each plain block (see ``xnb.csvblocks``)
+    is parsed at once by ``_read_block``. The csv module reads on from the first block that
+    is not plain, a row at a time; only a row that fails is walked again, to name its first
+    bad cell. Either way the values, the labels and the first bad cell are the same, and no
+    row is read twice. One INFO record on this module's logger then counts the rows, those
+    that plain blocks held, and the cells that went through ``float()``.
     """
     path = Path(path)
     if not path.exists():
@@ -181,9 +190,8 @@ def csv_records(path: str | Path):
         first = raw.readline()
         raw.seek(0)
         text = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
-        reader = csv.reader(text)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(text))]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
@@ -195,64 +203,65 @@ def csv_records(path: str | Path):
             if name in seen:
                 raise DataError(f"{path}: duplicate column name {name!r} in the header")
             seen.add(name)
-        # the body starts after the first line when the header is that line and nothing more
+        # the body's byte offset when the header is the first line and nothing more, else 0 (the csv module alone)
         plain = first.endswith(b"\n") and b'"' not in first and b"\r" not in first.removesuffix(b"\r\n")
-        yield header, _Rows(path, text, reader, len(header), len(first) if plain else None)
+        body = len(first) if plain else 0
 
-
-class _Rows:
-    """A CSV's data rows: plain byte blocks while ``blocks`` runs, then csv module rows.
-
-    Iterating goes on through the csv module from the first line that
-    ``blocks`` did not yield (from the first data row, if it was not used),
-    so no row is read twice and the csv module reads every block that is
-    not plain.
-    """
-
-    def __init__(self, path: Path, text, reader, width: int, body: int | None):
-        self.path, self.width = path, width
-        self._text, self._reader = text, reader
-        self._body = body  # the byte offset of the first data line, or None for the csv module alone
-        self._lineno = 2  # the row number of the next line
-
-    def blocks(self):
-        """Yield each plain block from the first data line on: its rows' numbers, and its bytes and
-        fields as ``plain_fields`` gives them. At the first block that is not plain, the csv module
-        takes the file over from that block's first line.
-        """
-        if self._body is None:
-            return
-        raw = self._text.detach()
-        offset = self._body
-        raw.seek(offset)
-        limit = csv.field_size_limit()
-        for data in line_blocks(raw, _BLOCK_BYTES):
-            block = plain_fields(data, self.width, limit)
-            if block is None:
+        def rows(columns: list[int], label: int | None = None):
+            nonlocal text  # a stream collected while the file is open would close it, so it lives on here
+            records, lineno = (), 1  # the row number of the last line read
+            blocked = count = slow = 0  # rows from plain blocks, rows from the csv module, cells through float()
+            if body:
+                text.detach()
+                offset = body
                 raw.seek(offset)
-                self._text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-                self._reader = csv.reader(self._text)
-                return
-            lines, count, buf, starts, ends = block
-            yield self._lineno + lines, buf, starts, ends
-            self._lineno += count
-            offset += len(data)
-        self._reader = iter(())
+                wanted, limit = np.array(columns, np.intp), csv.field_size_limit()
+                for data in line_blocks(raw, _BLOCK_BYTES):
+                    block = plain_fields(data, len(header), limit)
+                    if block is None:  # the csv module goes on from this block's first line
+                        raw.seek(offset)
+                        text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+                        records = csv.reader(text)
+                        break
+                    lines, size, buf, starts, ends = block
+                    values, labels, error, declined = _read_block(
+                        path, header, wanted, label, lineno + 1 + lines, buf, starts, ends)
+                    slow += declined
+                    yield from zip(values, labels)
+                    blocked += len(values)
+                    if error is not None:
+                        raise error
+                    lineno += size
+                    offset += len(data)
+            else:  # the csv module reads on from the line after the header
+                records = csv.reader(text)
+            try:
+                for lineno, record in enumerate(records, start=lineno + 1):
+                    if not record:
+                        continue
+                    if len(record) != len(header):
+                        raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
+                    try:
+                        row = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
+                        ok = np.isfinite(row).all()
+                    except ValueError:
+                        ok = False
+                    slow += len(columns)
+                    cell = None if label is None else record[label].strip()
+                    if cell == "" or not ok:
+                        raise _bad_row(path, header, lineno, record, columns, label)
+                    count += 1
+                    yield row, cell
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc) from None
+            except csv.Error as exc:  # raised while reading the row after the last one yielded
+                raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
+            if not blocked + count:
+                raise DataError(f"{path}: no data rows")
+            logger.info("%s: %d rows read, %d of them in plain blocks; %d cells through float()",
+                        path, blocked + count, blocked, slow)
 
-    def __iter__(self):
-        path, width = self.path, self.width
-        lineno = self._lineno - 1
-        try:
-            for lineno, record in enumerate(self._reader, start=self._lineno):
-                if not record:
-                    continue
-                if len(record) != width:
-                    raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {width}")
-                yield lineno, record
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-        except csv.Error as exc:  # raised while reading the row after the last one yielded
-            raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
+        yield header, rows
 
 
 # the body is read in blocks of whole lines of at most this many bytes (or one line, if it is longer),
@@ -317,47 +326,6 @@ def _read_block(path: Path, header: list[str], columns: np.ndarray, label: int |
     return values.reshape(len(linenos), len(columns))[:bad], labels, error, slow
 
 
-def read_numeric(path: Path, header: list[str], records, columns: list[int], label: int | None = None):
-    """Parse ``columns`` of ``csv_records`` rows: yield each as a float64 row and ``label``'s stripped cell.
-
-    The cell is None without a ``label`` column. Each row is checked as it is read: its label
-    must be non-blank, then every cell must go through ``float()`` and be finite. Only a row
-    that fails is walked again, cell by cell in that order, to name its first bad cell, so the
-    file is read once. A row is yielded as soon as it is read, so the caller decides what it
-    keeps; a file without data rows is an error once the rows run out. The rows' plain blocks
-    are parsed a block at a time (see ``_read_block``), the rest a row at a time; either way
-    the values, the labels and the first bad cell are the same. One INFO record on this
-    module's logger then counts the rows, those that plain blocks held, and the cells that
-    went through ``float()``.
-    """
-    count = blocked = slow = 0
-    wanted = np.array(columns, np.intp)
-    for block in records.blocks():
-        values, labels, error, declined = _read_block(path, header, wanted, label, *block)
-        slow += declined
-        for row, cell in zip(values, labels):
-            count += 1
-            yield row, cell
-        blocked += len(values)
-        if error is not None:
-            raise error
-    for lineno, record in records:
-        try:
-            row = np.fromiter(map(float, map(record.__getitem__, columns)), np.float64, len(columns))
-            ok = np.isfinite(row).all()
-        except ValueError:
-            ok = False
-        slow += len(columns)
-        cell = None if label is None else record[label].strip()
-        if cell == "" or not ok:
-            raise _bad_row(path, header, lineno, record, columns, label)
-        count += 1
-        yield row, cell
-    if not count:
-        raise DataError(f"{path}: no data rows")
-    logger.info("%s: %d rows read, %d of them in plain blocks; %d cells through float()", path, count, blocked, slow)
-
-
 def load_csv(path: str | Path, class_column: str | int) -> Dataset:
     """Load a headered, comma-separated file into a Dataset.
 
@@ -367,7 +335,7 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
     offending cell is reported by row and column.
     """
     path = Path(path)
-    with csv_records(path) as (header, records):
+    with csv_records(path) as (header, rows):
         if isinstance(class_column, int):
             if not -len(header) <= class_column < len(header):
                 raise DataError(f"class column index {class_column} out of range for {len(header)} columns")
@@ -378,11 +346,11 @@ def load_csv(path: str | Path, class_column: str | int) -> Dataset:
             except ValueError:
                 raise DataError(f"class column {class_column!r} not found in header") from None
         columns = [i for i in range(len(header)) if i != class_idx]
-        rows, labels = [], []
-        for row, cell in read_numeric(path, header, records, columns, label=class_idx):
-            rows.append(row)
+        values, labels = [], []
+        for row, cell in rows(columns, label=class_idx):
+            values.append(row)
             labels.append(cell)
-    return Dataset(tuple(header[i] for i in columns), rows, tuple(labels))
+    return Dataset(tuple(header[i] for i in columns), values, tuple(labels))
 
 
 # save_csv formats this many cells at a time, so that its temporaries stay at a

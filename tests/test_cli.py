@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import logging
@@ -436,6 +437,20 @@ class TestFitPredict:
         assert main(["predict", "--model", str(model), "--data", str(held), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"data error: {held}: row 5, column {header[0]!r}: cannot parse 'x'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["1e1.5", "1e.5", "1e1."])
+    def test_a_dot_after_the_exponent_in_the_last_cell_is_data_error(self, tmp_path, capsys, cell):
+        # the last cell the block converter sees, for fit and for predict
+        train, held, model = tmp_path / "train.csv", tmp_path / "held.csv", tmp_path / "m.json"
+        train.write_text("g1,class\n1,A\n2,B\n3,A\n4,B\n")
+        assert main(["fit", "--method", "gnb", "--data", str(train), "--model", str(model)]) == 0
+        train.write_text(f"g1,class\n1,A\n{cell},B\n")
+        held.write_text(f"g1\n1\n{cell}\n")
+        for argv, data in [(["fit", "--data", str(train), "--model", str(tmp_path / "m2.json")], train),
+                           (["predict", "--model", str(model), "--data", str(held)], held)]:
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"data error: {data}: row 3, column 'g1': cannot parse {cell!r}\n")
 
     def test_samples_missing_variable(self, data_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -1292,7 +1307,11 @@ class TestPredictReader:
         # scored as it is parsed, so the 5 extra rows may cost their per-row
         # objects (the Prediction and its output line), not their m parsed
         # cells (160 kB a row: holding every row took 0.8 MB more). Few rows,
-        # because tracemalloc makes parsing a 20 000-cell row take about 15 ms
+        # because tracemalloc makes parsing a 20 000-cell row take about 15 ms.
+        # Each command runs once untraced, then the cyclic garbage (such as
+        # each run's argparse parser) is collected, so both traced runs start
+        # from the same interpreter state: without either, a peak moved by
+        # tens of kB with what the process ran before
         d = wide_dataset(n=6, k=2)
         model_path = tmp_path / "m.json"
         save_model(fit_gnb(d) if method == "gnb" else fit_fnb(d), model_path)
@@ -1303,6 +1322,8 @@ class TestPredictReader:
             path = tmp_path / f"held{n}.csv"
             path.write_text("\n".join([",".join(d.variable_names), *(texts[i % 4] for i in range(n))]) + "\n")
             argv = ["predict", "--model", str(model_path), "--data", str(path), "--out", str(tmp_path / "p.tsv")]
+            assert main(argv) == 0
+            gc.collect()
             code, peak = traced_peak(lambda: main(argv))
             assert code == 0
             assert len((tmp_path / "p.tsv").read_text().splitlines()) == n + 1

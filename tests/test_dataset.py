@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import logging
 import math
 import re
@@ -40,39 +41,59 @@ def oracle_save_csv(d: Dataset, path, class_column: str = "class") -> None:
 
 
 def oracle_load_csv(path, class_column: str | int) -> Dataset:
-    """The reader with one ``float()`` and one finiteness check per cell, in file order."""
+    """The reader on the csv module alone, with one ``float()`` and one finiteness check per cell, in file order."""
     path = Path(path)
-    rows, labels = [], []
-    with csv_records(path) as (header, records):
-        if isinstance(class_column, int):
-            if not -len(header) <= class_column < len(header):
-                raise DataError(f"class column index {class_column} out of range for {len(header)} columns")
-            class_idx = class_column % len(header)
-        else:
-            try:
-                class_idx = header.index(class_column)
-            except ValueError:
-                raise DataError(f"class column {class_column!r} not found in header") from None
-        names = tuple(h for i, h in enumerate(header) if i != class_idx)
-        for lineno, record in records:
-            label = record[class_idx].strip()
-            if not label:
-                raise DataError(f"{path}: row {lineno}, column {header[class_idx]!r}: empty class label")
-            labels.append(label)
-            row = []
-            for i, cell in enumerate(record):
-                if i == class_idx:
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    rows, labels, lineno = [], [], 0  # the number of the last row read
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            for lineno, record in enumerate(csv.reader(fh), start=1):
+                if lineno == 1:
+                    header = [h.strip() for h in record]
+                    for i, name in enumerate(header):
+                        if name in header[:i]:
+                            raise DataError(f"{path}: duplicate column name {name!r} in the header")
+                    if isinstance(class_column, int):
+                        if not -len(header) <= class_column < len(header):
+                            raise DataError(f"class column index {class_column} out of range for {len(header)} columns")
+                        class_idx = class_column % len(header)
+                    elif class_column not in header:
+                        raise DataError(f"class column {class_column!r} not found in header")
+                    else:
+                        class_idx = header.index(class_column)
+                    names = tuple(h for i, h in enumerate(header) if i != class_idx)
                     continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: row {lineno}, column {header[i]!r}: missing or non-finite value")
-                row.append(value)
-            rows.append(row)
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise DataError(f"{path}: row {lineno} has {len(record)} fields, header has {len(header)}")
+                label = record[class_idx].strip()
+                if not label:
+                    raise DataError(f"{path}: row {lineno}, column {header[class_idx]!r}: empty class label")
+                labels.append(label)
+                row = []
+                for i, cell in enumerate(record):
+                    if i == class_idx:
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {lineno}, column {header[i]!r}: cannot parse {cell.strip()!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}: row {lineno}, column {header[i]!r}: missing or non-finite value")
+                    row.append(value)
+                rows.append(row)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise xnb.dataset._not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
+    if not lineno:
+        raise DataError(f"{path}: empty file")
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(names, np.array(rows, dtype=np.float64), tuple(labels))
@@ -336,6 +357,7 @@ class TestLoadCsv:
     )
     @example([("1", "2", "A"), ("x", "nan", " ")], [], [None] * 5, "\n", "class")  # label before cells
     @example([("inf", "1", "A"), ("1", "2", "B")], [(1, 3, "3")], [None] * 5, "\n", -1)  # cells before widths
+    @example([("1", "2", "A")], [(0, 1, "1e1.5")], [None] * 5, "\n", "class")  # the last cell converted
     @settings(max_examples=400, deadline=None)
     def test_matches_cell_by_cell_oracle(self, rows, edits, gaps, newline, class_column):
         rows = [list(row) for row in rows]
@@ -374,6 +396,31 @@ class TestLoadCsv:
             f"{path}: {len(cells)} rows read, {len(cells)} of them in plain blocks;"
             f" {np.count_nonzero(~plain)} cells through float()"
         ]
+
+    def test_converter_matches_float_on_every_short_cell(self):
+        # every cell of 1-5 bytes over "10.eE+-", each before each of four 24-byte sentinels, and
+        # every cell of up to 4 bytes last in its own buffer. A sentinel has one nonzero digit in
+        # columns 1-4 of its window, which alone makes the converter decline it (its digits are
+        # 10^19 or more): a write of '0' into the next cell's window would pass it off as a plain
+        # decimal that float() reads otherwise
+        cells = ["".join(chars) for n in range(1, 6) for chars in itertools.product("10.eE+-", repeat=n)]
+        sentinels = ["0" * c + "1" + "0" * (4 - c) + "1234567890123456789" for c in range(1, 5)]
+
+        def converted(texts):
+            data = "".join(f"{t}\n" for t in texts).encode()
+            _, _, buf, starts, ends = xnb.csvblocks.plain_fields(data, 1, csv.field_size_limit())
+            values, plain = xnb.csvblocks.decimals(buf, starts.ravel(), ends.ravel())
+            accepted = np.flatnonzero(plain)
+            expected = np.array([float(texts[i]) for i in accepted.tolist()], np.float64)
+            assert values[accepted].view(np.uint64).tolist() == expected.view(np.uint64).tolist()  # -0.0 too
+            return plain
+
+        for sentinel in sentinels:
+            plain = converted([text for cell in cells for text in (cell, sentinel)])
+            assert not plain[1::2].any()
+        for cell in cells:
+            if len(cell) <= 4:
+                converted([cell])
 
     def test_a_saved_file_is_read_in_plain_blocks(self, tmp_path, caplog):
         # the block reader takes what save_csv writes; a quoted label hands the file to the csv module
