@@ -97,6 +97,12 @@ def _table_from(args) -> HellingerTable:
     return hellinger_table(d, bank, mu=config.mu, jobs=args.jobs)
 
 
+def _tsv_safe(source, kind: str, names) -> None:
+    """Refuse a name with a tab, CR or LF: TSV has no quoting, so it would break the output's fields."""
+    if bad := [name for name in names if {"\t", "\r", "\n"} & set(name)]:
+        raise DataError(f"{source}: {kind} name {bad[0]!r} holds a tab or line break, which TSV output cannot hold")
+
+
 def _cmd_fit(args) -> int:
     d = load_csv(args.data, args.class_col)
     if args.method == "gnb":
@@ -135,6 +141,7 @@ def _read_samples(path: str, model):
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
+    _tsv_safe(args.model, "class", model.classes if args.format == "tsv" else ())
     # one full-width sample, refilled per row; its unscored columns stay 0.0, which predict never reads.
     # Each row is scored as it is parsed; the output is written after the last row, so a bad
     # cell anywhere leaves no partial output
@@ -211,6 +218,8 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_inspect_hellinger(args) -> int:
     table = _table_from(args)
+    _tsv_safe(args.data, "variable", table.variable_names)
+    _tsv_safe(args.data, "class", table.classes)
     lines = ["variable\tclass_i\tclass_j\th"]
     for v, ci, cj, h in table.rows():
         lines.append(f"{v}\t{ci}\t{cj}\t{h:.6f}")

@@ -6,7 +6,7 @@ header's field count on every line is plain: numpy splits it at its commas and
 line ends where the csv module would (``plain_fields``), and ``decimals``
 converts each cell that is a plain decimal to the double ``float()`` gives,
 eight digits at a time. Every other cell goes through ``float()``, and the csv
-module reads on from the first block that is not plain.
+reader that took the header reads on from the first block that is not plain.
 """
 
 from __future__ import annotations

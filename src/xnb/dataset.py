@@ -12,7 +12,6 @@ The KDE bank itself is sample-major: ``PackedKde`` keeps a C-order copy.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -119,23 +118,6 @@ def rows_by_label(labels) -> dict[str, np.ndarray]:
     return {c: np.flatnonzero(codes == i) for i, c in enumerate(classes)}
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
-    """The error for a file that failed to decode, naming its first bad line.
-
-    The decoder's offsets are relative to a buffered chunk, so the file is
-    read again a line at a time (a newline byte never occurs inside a
-    UTF-8 sequence).
-    """
-    with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                where = f"line {lineno}, byte {bad.start + 1}"
-                return DataError(f"{path}: {where}: not UTF-8 text ({line[bad.start]:#04x}: {bad.reason})")
-    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
-
-
 def write_output(text: str, path: str | Path | None = None) -> None:
     """Write ``text`` to ``path`` as UTF-8, or to stdout when ``path`` is None.
 
@@ -169,15 +151,17 @@ def csv_records(path: str | Path):
     unopenable or empty file, text that is not UTF-8, a header that repeats a name, a row
     the csv module refuses (such as one with a field over its size limit) or whose field
     count differs from the header's, a blank label, a cell that ``float()`` refuses or reads
-    as non-finite, and no data rows; a row's error is raised when the iteration reaches it.
+    as non-finite, and no data rows. A row's error is raised when the iteration reaches it,
+    so of several faults the first in file order is reported.
 
-    When the header is one unquoted line, the body is read in blocks of whole lines of at
-    most ``_BLOCK_BYTES`` (or one longer line), and each plain block (see ``xnb.csvblocks``)
-    is parsed at once by ``_read_block``. The csv module reads on from the first block that
-    is not plain, a row at a time; only a row that fails is walked again, to name its first
-    bad cell. Either way the values, the labels and the first bad cell are the same, and no
-    row is read twice. One INFO record on this module's logger then counts the rows, those
-    that plain blocks held, and the cells that went through ``float()``.
+    One binary stream and one ``csv.reader`` over ``_text`` read the file. The reader takes
+    the header; when that ends at a line feed, the body is read in blocks of whole lines of
+    at most ``_BLOCK_BYTES`` (or one longer line), and each plain block (see ``xnb.csvblocks``)
+    is parsed at once by ``_read_block``. The reader goes on from the first block that is not
+    plain (or after a header that ends at a lone CR), a row at a time; only a row that fails is
+    walked again, to name its first bad cell. Either way the values, the labels and the first
+    bad cell are the same, and no row is read twice. One INFO record on this module's logger
+    then counts the rows, those that plain blocks held, and the cells that went through ``float()``.
     """
     path = Path(path)
     if not path.exists():
@@ -187,15 +171,13 @@ def csv_records(path: str | Path):
     except OSError as exc:  # a directory, or a file without read permission
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
     with raw:
-        first = raw.readline()
-        raw.seek(0)
-        text = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        raw.seek(3 if raw.read(3) == b"\xef\xbb\xbf" else 0)  # past a byte order mark
+        where = [1, raw.tell()]  # the line and byte column of the next piece _text decodes
+        reader = csv.reader(_text(path, raw, where))
         try:
-            header = [h.strip() for h in next(csv.reader(text))]
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             raise DataError(f"{path}: row 1: {exc}") from None
         seen = set()
@@ -203,25 +185,16 @@ def csv_records(path: str | Path):
             if name in seen:
                 raise DataError(f"{path}: duplicate column name {name!r} in the header")
             seen.add(name)
-        # the body's byte offset when the header is the first line and nothing more, else 0 (the csv module alone)
-        plain = first.endswith(b"\n") and b'"' not in first and b"\r" not in first.removesuffix(b"\r\n")
-        body = len(first) if plain else 0
 
         def rows(columns: list[int], label: int | None = None):
-            nonlocal text  # a stream collected while the file is open would close it, so it lives on here
-            records, lineno = (), 1  # the row number of the last line read
+            lineno = 1  # the row number of the last line read
             blocked = count = slow = 0  # rows from plain blocks, rows from the csv module, cells through float()
-            if body:
-                text.detach()
-                offset = body
-                raw.seek(offset)
-                wanted, limit = np.array(columns, np.intp), csv.field_size_limit()
+            if not where[1]:  # the header ended at a line feed: the body starts on a line of its own
+                offset, wanted, limit = raw.tell(), np.array(columns, np.intp), csv.field_size_limit()
                 for data in line_blocks(raw, _BLOCK_BYTES):
                     block = plain_fields(data, len(header), limit)
-                    if block is None:  # the csv module goes on from this block's first line
+                    if block is None:  # the reader goes on from this block's first line
                         raw.seek(offset)
-                        text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-                        records = csv.reader(text)
                         break
                     lines, size, buf, starts, ends = block
                     values, labels, error, declined = _read_block(
@@ -232,11 +205,10 @@ def csv_records(path: str | Path):
                     if error is not None:
                         raise error
                     lineno += size
+                    where[0] += size
                     offset += len(data)
-            else:  # the csv module reads on from the line after the header
-                records = csv.reader(text)
-            try:
-                for lineno, record in enumerate(records, start=lineno + 1):
+            try:  # after the last plain block the file is at its end, and the reader reads nothing
+                for lineno, record in enumerate(reader, start=lineno + 1):
                     if not record:
                         continue
                     if len(record) != len(header):
@@ -252,8 +224,6 @@ def csv_records(path: str | Path):
                         raise _bad_row(path, header, lineno, record, columns, label)
                     count += 1
                     yield row, cell
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path, exc) from None
             except csv.Error as exc:  # raised while reading the row after the last one yielded
                 raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
             if not blocked + count:
@@ -262,6 +232,25 @@ def csv_records(path: str | Path):
                         path, blocked + count, blocked, slow)
 
         yield header, rows
+
+
+def _text(path: Path, lines, where: list[int]):
+    """Yield each of ``lines`` (bytes ending in a line feed, or the last line) as UTF-8 text.
+
+    Each line is split where the csv module ends lines (LF, CR and CRLF), and each piece is
+    decoded only when it is taken. ``where`` holds the line number and byte column of the next
+    piece, and is updated before each yield; a byte that is not UTF-8 is a data error naming
+    its line and byte.
+    """
+    for line in lines:
+        for piece in line.splitlines(keepends=True):
+            try:
+                text = piece.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                at = f"line {where[0]}, byte {where[1] + bad.start + 1}"
+                raise DataError(f"{path}: {at}: not UTF-8 text ({piece[bad.start]:#04x}: {bad.reason})") from None
+            where[:] = [where[0] + 1, 0] if piece.endswith(b"\n") else [where[0], where[1] + len(piece)]
+            yield text
 
 
 # the body is read in blocks of whole lines of at most this many bytes (or one line, if it is longer),

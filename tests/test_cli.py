@@ -111,7 +111,8 @@ class TestExitCodes:
         assert main(["diagnose", "--data", str(path)]) == 2
         assert capsys.readouterr().err == f"data error: {path}: row 1: field larger than field limit ({limit})\n"
 
-    @pytest.mark.parametrize("rows_before", [1, 5000])  # in the header's read, or past it
+    # in the first block, on its second line or past 8 KiB, and in the second block, after a plain one
+    @pytest.mark.parametrize("rows_before", [1, 5000, 20000])
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys, rows_before):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"g1,class\n" + b"1,B\n" * rows_before + b"1,\xe9\n2,B\n")
@@ -1024,6 +1025,30 @@ class TestInspect:
         out = tmp_path / "table.tsv"
         assert main(["inspect", "hellinger", "--data", str(data_csv), "--out", str(out)]) == 0
         assert out.read_text().startswith("variable\t")
+
+    @pytest.mark.parametrize("kind, name", [("class", "a\tb"), ("class", "a\r\nb"), ("variable", "g\n0")])
+    def test_a_name_tsv_cannot_hold_is_data_error(self, tmp_path, capsys, kind, name):
+        # TSV cannot quote: a tab or line break in a name that predict or inspect hellinger would write
+        # is refused before any output, and JSON output still takes it
+        d, _ = make_separated(n=40, m=4, k=2, seed=5)
+        if kind == "class":
+            d = Dataset(d.variable_names, d.values, tuple(name if label == "c0" else label for label in d.labels))
+        else:
+            d = Dataset((name, *d.variable_names[1:]), d.values, d.labels)
+        data, model, out = tmp_path / "train.csv", tmp_path / "m.json", tmp_path / "out"
+        save_csv(d, data)
+        assert main(["fit", "--data", str(data), "--model", str(model)]) == 0
+        capsys.readouterr()
+        runs = [(["inspect", "hellinger", "--data", str(data)], data)]
+        if kind == "class":
+            runs.append((["predict", "--data", str(data), "--model", str(model)], model))
+        for argv, source in runs:
+            assert main([*argv, "--out", str(out)]) == 2
+            error = f"{source}: {kind} name {name!r} holds a tab or line break, which TSV output cannot hold"
+            assert capsys.readouterr().err == f"data error: {error}\n"
+            assert not out.exists()
+        assert main(["predict", "--data", str(data), "--model", str(model), "--format", "json", "--out", str(out)]) == 0
+        assert {*json.loads(out.read_text())[0]["log_scores"]} == set(d.classes)
 
 
 class TestImports:

@@ -40,6 +40,21 @@ def oracle_save_csv(d: Dataset, path, class_column: str = "class") -> None:
             writer.writerow([format(v, ".17g") for v in d.values[i]] + [d.labels[i]])
 
 
+def oracle_lines(path, fh):
+    """The text of the binary file ``fh`` as ``csv.reader`` takes it: each line decoded when it is
+    pulled (line 1 after a byte order mark) and split at LF, CR and CRLF. A byte that is not UTF-8
+    is an error once the reader pulls the piece that holds it."""
+    for lineno, line in enumerate(fh, start=1):
+        skip = 3 if lineno == 1 and line.startswith(b"\xef\xbb\xbf") else 0
+        try:
+            yield from io.StringIO(line[skip:].decode("utf-8"), newline="")
+        except UnicodeDecodeError as exc:
+            at = skip + exc.start
+            *before, _ = io.StringIO(line[skip:at].decode("utf-8") + "?", newline="")
+            yield from before  # the pieces ahead of the one that holds the bad byte
+            raise DataError(f"{path}: line {lineno}, byte {at + 1}: not UTF-8 text ({line[at]:#04x}: {exc.reason})")
+
+
 def oracle_load_csv(path, class_column: str | int) -> Dataset:
     """The reader on the csv module alone, with one ``float()`` and one finiteness check per cell, in file order."""
     path = Path(path)
@@ -47,8 +62,8 @@ def oracle_load_csv(path, class_column: str | int) -> Dataset:
         raise DataError(f"no such file: {path}")
     rows, labels, lineno = [], [], 0  # the number of the last row read
     try:
-        with path.open(encoding="utf-8-sig", newline="") as fh:
-            for lineno, record in enumerate(csv.reader(fh), start=1):
+        with path.open("rb") as fh:
+            for lineno, record in enumerate(csv.reader(oracle_lines(path, fh)), start=1):
                 if lineno == 1:
                     header = [h.strip() for h in record]
                     for i, name in enumerate(header):
@@ -88,8 +103,6 @@ def oracle_load_csv(path, class_column: str | int) -> Dataset:
                 rows.append(row)
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
-    except UnicodeDecodeError as exc:
-        raise xnb.dataset._not_utf8(path, exc) from None
     except csv.Error as exc:
         raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
     if not lineno:
@@ -215,7 +228,8 @@ def _converter_cells() -> list[str]:
 # the block reader converts itself: 19 and 20 mantissa digits, 10^22 and
 # 10^-22, 2^53 + 1, halfway between two doubles, and a four-digit exponent),
 # and cells that fail float() or the finiteness check, or make a blank label,
-# a quoted comma, a lone CR or a shifted row.
+# a quoted comma, a lone CR, a shifted row or a byte that is not UTF-8 (a
+# surrogate here: the files are written with surrogateescape).
 NUMBERS = [
     "1", "-2.5e-3", " 7 ", "1_0", "\u0663", '"4"', "-0", "4.9e-324", "1e308", "007", "1.", ".5", "-.5", "+1",
     "1234567890123456789", "12345678901234567891", "123456789.25", "1e22", "1E-22", "2.5e+3", "9007199254740993",
@@ -223,7 +237,7 @@ NUMBERS = [
 ]
 LABELS = ["A", "B", "é", '"a,b"', '"A"']
 ODD = ["", "  ", " B ", "x", "0x1", "1e999", "nan", "-inf", "Infinity", "1,5", '"1,5"', '"', "1.2.3", "1e", "-", "e5",
-       "1e+", "--1", "1e1.5", "1\r2", "\r"]
+       "1e+", "--1", "1e1.5", "1\r2", "\r", "\udcff", "1\udcc3"]
 QUOTABLE = st.text(st.sampled_from('Ab é,"\n\r;'), min_size=1, max_size=5)
 
 
@@ -358,6 +372,9 @@ class TestLoadCsv:
     @example([("1", "2", "A"), ("x", "nan", " ")], [], [None] * 5, "\n", "class")  # label before cells
     @example([("inf", "1", "A"), ("1", "2", "B")], [(1, 3, "3")], [None] * 5, "\n", -1)  # cells before widths
     @example([("1", "2", "A")], [(0, 1, "1e1.5")], [None] * 5, "\n", "class")  # the last cell converted
+    # past the first 64 KiB block: a bad cell in the second block, then a bad byte a few KiB on
+    @example([("1234567890123456789", "-2.5e-3", "A")] * 3000, [(2300, 0, "x"), (2400, 1, "\udcff")], [None] * 3000,
+             "\n", "class")
     @settings(max_examples=400, deadline=None)
     def test_matches_cell_by_cell_oracle(self, rows, edits, gaps, newline, class_column):
         rows = [list(row) for row in rows]
@@ -376,8 +393,22 @@ class TestLoadCsv:
                 lines.append(gap)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
-            path.write_bytes(newline.join(lines + [""]).encode("utf-8"))
+            path.write_bytes(newline.join(lines + [""]).encode("utf-8", "surrogateescape"))
             assert outcome(load_csv, path, class_column) == outcome(oracle_load_csv, path, class_column)
+
+    @pytest.mark.parametrize("head, byte_11", [(b"g1,class\n", "line 2, byte 2"), (b'"g1","class"\n', "line 1, byte 11"),
+                                               (b"\xef\xbb\xbfg1,class\n", "line 1, byte 11")], ids=["plain", "quoted", "bom"])
+    def test_the_first_fault_in_file_order_is_reported(self, tmp_path, head, byte_11):
+        # a bad cell on row 3 and a byte that is not UTF-8 some 8 KiB on: the decoder does not read ahead of the
+        # rows, so the bad cell is reported whatever the header; a bad byte before it, at the file's byte 11
+        # (a byte order mark counts on line 1), is reported instead
+        data = bytearray(head + b"1,A\nx,B\n" + b"1,A\n" * 3000)
+        path = tmp_path / "data.csv"
+        for at, message in [(8194, "row 3, column 'g1': cannot parse 'x'"),
+                            (10, f"{byte_11}: not UTF-8 text (0xff: invalid start byte)")]:
+            data[at] = 0xFF
+            path.write_bytes(data)
+            assert outcome(load_csv, path, "class") == f"{path}: {message}" == outcome(oracle_load_csv, path, "class")
 
     def test_converter_matches_float_bit_for_bit(self, tmp_path, caplog):
         cells = _converter_cells()
@@ -423,13 +454,19 @@ class TestLoadCsv:
                 converted([cell])
 
     def test_a_saved_file_is_read_in_plain_blocks(self, tmp_path, caplog):
-        # the block reader takes what save_csv writes; a quoted label hands the file to the csv module
+        # the block reader takes what save_csv writes, also under a quoted header with or without a byte order
+        # mark; a quoted label hands the body to the csv module, and so does a header that ends in a lone CR
         caplog.set_level(logging.INFO, logger="xnb.dataset")
         d = wide_dataset(n=40, m=500)
         save_csv(d, tmp_path / "saved.csv")
         quoted = Dataset(d.variable_names, d.values, ("a,b", *d.labels[1:]))
         save_csv(quoted, tmp_path / "quoted.csv")
-        for name, blocked in [("saved.csv", 40), ("quoted.csv", 0)]:
+        header, body = (tmp_path / "saved.csv").read_bytes().split(b"\n", 1)
+        names = b",".join(b'"%s"' % name for name in header.split(b","))
+        (tmp_path / "names.csv").write_bytes(names + b"\n" + body)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + names + b"\n" + body)
+        (tmp_path / "cr.csv").write_bytes(header + b"\r" + body)
+        for name, blocked in [("saved.csv", 40), ("quoted.csv", 0), ("names.csv", 40), ("bom.csv", 40), ("cr.csv", 0)]:
             caplog.clear()
             back = load_csv(tmp_path / name, "class")
             assert back.values.tobytes() == d.values.tobytes()

@@ -145,15 +145,18 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_no_module_imports_warnings():
-    # every library notice is a WARNING record on its module's logger: a
-    # warnings.warn would print once per process, with its source line
+# warnings: every library notice is a WARNING record on its module's logger, while
+# a warnings.warn would print once per process, with its source line; io: every
+# CSV is read as bytes through one csv reader that decodes lines as it takes
+# them, so no module wraps a file in a text stream
+@pytest.mark.parametrize("module", ["warnings", "io"])
+def test_no_module_imports(module):
     importers = [
         path.name
         for path in sorted((ROOT / "src" / "xnb").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "warnings" for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings"
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == module for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
     ]
     assert importers == []
 
