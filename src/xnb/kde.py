@@ -198,8 +198,11 @@ def kernel_sum(samples: np.ndarray, h: np.ndarray, kernel: str, grids: np.ndarra
     20-30% slower on the strided view); ``h`` holds the w bandwidths and
     ``grids`` is (mu, w): column j holds the points at which column j's
     density is evaluated. Each value is the exact sum over column j's
-    samples of the kernel body at ``(g - s) / h``, times ``c / n``, then
-    divided by ``h``, where c is the kernel's constant. Grid rows go in
+    samples of the kernel body at ``(g - s) / h``, times c, the kernel's
+    constant, then divided by ``n * h`` in one step, the 1 / (n h) of the
+    KDE (by ``h`` and then ``n`` where ``n * h`` overflows, for ``h`` near
+    the largest float). The uniform kernel's sums are then exact multiples
+    of c, and its densities round as ``kernel_eval`` summed would. Grid rows go in
     steps of ``_STEP_BYTES // (8 n w)`` (at least one) through a single
     (step, n, w) buffer, summed over its samples in order (numpy sums a
     one-column buffer pairwise instead). An offset too large to square is
@@ -218,8 +221,12 @@ def kernel_sum(samples: np.ndarray, h: np.ndarray, kernel: str, grids: np.ndarra
             u /= h
             _kernel_body_in_place(kernel, u)
             np.add.reduce(u, axis=1, out=out[lo : lo + step])
-    out *= _kernel_constant(kernel) / n
-    out /= h
+    out *= _kernel_constant(kernel)
+    with np.errstate(over="ignore"):
+        nh = n * h
+    wide = np.isinf(nh)
+    out /= np.where(wide, h, nh)
+    out[:, wide] /= n
     return out
 
 

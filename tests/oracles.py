@@ -193,12 +193,12 @@ def broadcast_on_grid(kde, grids) -> np.ndarray:
     """``PackedKde.on_grid`` as one (mu, n, w) broadcast.
 
     The kernel bodies are summed over the samples, and the kernel's
-    constant c goes on after the sum: times ``c / n``, then over ``h``.
+    constant c goes on after the sum: times c, then over ``n * h``.
     """
     kind = kde.kernel
     c = 1.0 / math.sqrt(2.0 * math.pi) if kind == "gaussian" else beta_coefficient(_BETA_EXPONENT[kind])
     u = (grids[:, None, :] - kde.samples[None]) / kde.h
-    return broadcast_kernel_body(kind, u).sum(axis=1) * (c / len(kde.samples)) / kde.h
+    return broadcast_kernel_body(kind, u).sum(axis=1) * c / (len(kde.samples) * kde.h)
 
 
 def broadcast_block_distances(densities, mu, block):

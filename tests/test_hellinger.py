@@ -277,9 +277,11 @@ class TestTable:
         st.integers(2, 4),
         st.sampled_from(KERNELS),
     )
-    # uniform-kernel draws that meet the bound only with column totals summed pairwise, as the oracle sums them
+    # uniform-kernel draws that meet the bound only with column totals summed pairwise, as the oracle sums them,
+    # and (the last) only with each grid density divided by n h in one step, as a KDE is written
     @example(seed=54619912, n=11, m=10, k=4, kernel="uniform")
     @example(seed=2905808154, n=10, m=10, k=4, kernel="uniform")
+    @example(seed=3, n=9, m=9, k=3, kernel="uniform")
     @settings(max_examples=40, deadline=None)
     def test_table_matches_per_variable_oracle(self, seed, n, m, k, kernel):
         rng = np.random.default_rng(seed)

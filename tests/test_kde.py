@@ -341,6 +341,16 @@ class TestPackedKde:
         assert not view.flags.c_contiguous
         np.testing.assert_array_equal(kernel_sum(view, packed.h[3:7], kind, grids), packed.take(slice(3, 7)).on_grid(grids))
 
+    def test_kernel_sum_where_n_times_h_overflows(self):
+        # 3 * 1e308 overflows: that column is divided by h and then by n, not by an infinite n h
+        samples = np.array([[0.0, 0.0], [1e307, 1.0], [2e307, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernel_sum(samples, np.array([1e308, 1.0]), "gaussian", np.zeros((1, 2)))
+        c = 1.0 / math.sqrt(2.0 * math.pi)
+        assert out[0, 0] == pytest.approx(c * np.exp(-0.5 * np.array([0.0, 0.1, 0.2]) ** 2).sum() / 1e308 / 3, rel=1e-12)
+        assert out[0, 1] == pytest.approx(c * np.exp(-0.5 * np.array([0.0, 1.0, 2.0]) ** 2).sum() / 3, rel=1e-15)
+
     def test_kernel_eval_leaves_its_input_alone(self):
         u = np.array([0.5, 2.0])
         kernel_eval("biweight", u)
